@@ -9,7 +9,9 @@ seed, so each cell reproduces exactly when run alone with its derived seed.
 Leave-one-out runs as a diagnostic: it reports how often a model trained on
 all-but-one trainval record classifies the held-out record correctly. The
 reported model is then retrained on the full trainval split and evaluated
-once on the untouched holdout set.
+once on the untouched holdout set. One training loop serves both: LOO folds
+train in lockstep groups of ``LOO_GROUP_SIZE`` stacked models, the final
+training as a group of one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .data import (
     Dataset,
     holdout_split,
     load_csv,
-    loo_splits,
+    loo_splits,  # unused here; kept as a harness attribute that tracing tools wrap
     standardize,
     synthesize_dataset,
 )
@@ -38,7 +40,16 @@ from .errors import (
 )
 from .evaluation import Report, ClassMetrics, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
-from .network import Layer, MlpModel, Topology, backward, build_model, forward, predict
+from .network import (
+    Layer,
+    MlpModel,
+    Topology,
+    backward,
+    build_model,
+    forward,
+    predict,
+    stack_models,
+)
 from .numerics import Rng, derive_seed
 from .optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
 
@@ -58,6 +69,10 @@ SUITE_SEED_OFFSETS = {
     (Topology.THREE_LAYER, Family.KAIMING): 5000,
 }
 SUITE_CELL_ORDER = tuple(SUITE_SEED_OFFSETS)
+
+# LOO folds trained together by one _train call. Larger groups spend less
+# Python time per fold step but hold more activations in memory at once.
+LOO_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -125,33 +140,40 @@ class SuiteCell:
 
 
 def _train(
-    rng: Rng,
-    topology: Topology,
-    scheme: InitScheme,
-    hp: Hyperparams,
-    epochs: int,
+    config: ExperimentConfig,
     features: np.ndarray,
     labels: np.ndarray,
-    context: str,
+    rows: np.ndarray,
+    rngs: list[Rng],
+    names: list[str],
 ) -> MlpModel:
-    """SGD training loop; reshuffles each epoch and uses the last short batch."""
-    model = build_model(rng, topology, scheme)
+    """Train one model per row of ``rows`` in lockstep; returns them stacked.
+
+    Model k trains on ``features[rows[k]]``: ``rngs[k]`` builds it, then draws
+    a permutation of its rows each epoch, which it walks in minibatches with
+    the last one short. All models have as many rows, so they share one batch
+    schedule. A non-finite loss names the epoch and the lowest diverged
+    model's entry in ``names``.
+    """
+    hp = config.resolved_hyperparams()
+    model = stack_models([build_model(rng, config.topology, config.scheme) for rng in rngs])
     state = SgdMomentumState(model)
-    n = features.shape[0]
-    for epoch in range(epochs):
-        order = rng.permutation(n)
+    n = rows.shape[1]
+    for epoch in range(config.epochs):
+        order = np.take_along_axis(rows, np.stack([rng.permutation(n) for rng in rngs]), axis=1)
         for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            x = features[idx]
+            idx = order[:, start : start + hp.batch_size]
             y = labels[idx]
-            fwd = forward(model, x)
-            # lean loss for the divergence check; the batch came from
-            # forward, so the full cross_entropy validation is redundant here
-            p_true = fwd.probs[np.arange(y.shape[0]), y]
-            loss = -np.log(np.maximum(p_true, 1e-15)).mean()
-            if not np.isfinite(loss):
+            fwd = forward(model, features[idx])
+            # Divergence check. A softmax row is either all NaN or all in
+            # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
+            # for p in [0, 1], so a model's loss is non-finite exactly when
+            # its probabilities hold a NaN, which makes their sum NaN.
+            if not np.isfinite(fwd.probs.sum()):
+                finite = np.isfinite(fwd.probs.sum(axis=(1, 2)))
                 raise DivergedTrainingError(
-                    f"non-finite loss at epoch {epoch + 1} ({context})"
+                    f"non-finite loss at epoch {epoch + 1} "
+                    f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
             sgd_step(state, model, backward(model, fwd, y), hp)
     return model
@@ -178,7 +200,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     holdout set.
     """
     started = time.perf_counter()
-    hp = config.resolved_hyperparams()
     dataset = _load_dataset(config)
     trainval, test = holdout_split(
         dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
@@ -188,37 +209,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"holdout split left no test samples ({config.describe()})"
         )
     (trainval_std, test_std), _, _ = standardize(trainval, test)
+    features, labels = trainval_std.features, trainval_std.labels
+    all_rows = np.arange(len(labels))
 
     loo_accuracy = None
     loo_outcomes = None
     if config.loo_enabled:
         loo_root = derive_seed(config.seed, STREAM_LOO)
         loo_outcomes = []
-        for k, (fold_train, held_out) in enumerate(loo_splits(trainval_std)):
-            fold_model = _train(
-                Rng(derive_seed(loo_root, k)),
-                config.topology,
-                config.scheme,
-                hp,
-                config.epochs,
-                fold_train.features,
-                fold_train.labels,
-                context=f"{config.describe()}, LOO fold {k}",
+        for first in range(0, len(all_rows), LOO_GROUP_SIZE):
+            # fold k trains on every trainval row but row k
+            folds = all_rows[first : first + LOO_GROUP_SIZE]
+            group = _train(
+                config,
+                features,
+                labels,
+                np.stack([np.delete(all_rows, k) for k in folds]),
+                [Rng(derive_seed(loo_root, int(k))) for k in folds],
+                [f"LOO fold {k}" for k in folds],
             )
-            pred = int(predict(fold_model, held_out.features[None, :])[0])
-            loo_outcomes.append(pred == held_out.label)
+            # each model predicts the one row it did not train on
+            preds = predict(group, features[folds[:, None]])[:, 0]
+            loo_outcomes += (preds == labels[folds]).tolist()
         loo_accuracy = float(np.mean(loo_outcomes))
 
     model = _train(
-        Rng(derive_seed(config.seed, STREAM_FINAL)),
-        config.topology,
-        config.scheme,
-        hp,
-        config.epochs,
-        trainval_std.features,
-        trainval_std.labels,
-        context=f"{config.describe()}, final training",
-    )
+        config,
+        features,
+        labels,
+        all_rows[None, :],
+        [Rng(derive_seed(config.seed, STREAM_FINAL))],
+        ["final training"],
+    ).fold(0)
     preds = predict(model, test_std.features)
     report = summarize(accumulate_confusion(preds, test_std.labels))
     return ExperimentResult(

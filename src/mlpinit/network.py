@@ -5,6 +5,12 @@ cross-entropy. "N-layer" counts weight layers, so the 1-layer network is a
 single 85->4 affine map plus softmax (multinomial logistic regression), the
 2-layer network inserts a 50-unit hidden layer, and the 3-layer network uses
 hidden sizes 50 and 20.
+
+``forward``, ``backward`` and ``predict`` also run a stack of independent
+models in lockstep (model ensembling by broadcasting): a stacked model has
+weights (folds, out, in) and biases (folds, out), and takes batches
+(folds, rows, 85) with labels (folds, rows). Fold k of every result is what
+the same call gives for fold k alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, as_matrix, cross_entropy, relu, softmax
+from .numerics import Rng, _check_labels, _softmax, cross_entropy, relu
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -44,7 +50,10 @@ class Topology(Enum):
 
 @dataclass
 class Layer:
-    """One affine layer: weights (out_dim, in_dim) and bias (out_dim,)."""
+    """One affine layer: weights (out_dim, in_dim) and bias (out_dim,).
+
+    In a stacked model both carry a leading fold axis.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
@@ -57,7 +66,19 @@ class MlpModel:
 
     @property
     def n_features(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layers[0].weights.shape[-1]
+
+    @property
+    def folds(self) -> tuple[int, ...]:
+        """Stack shape: () for one model, (folds,) for a stack of models."""
+        return self.layers[0].weights.shape[:-2]
+
+    def fold(self, k: int) -> "MlpModel":
+        """Model k of a stack, as a view of its parameters."""
+        return MlpModel(
+            topology=self.topology,
+            layers=[Layer(weights=layer.weights[k], bias=layer.bias[k]) for layer in self.layers],
+        )
 
     def parameter_arrays(self):
         """All parameter arrays, weights before bias per layer."""
@@ -100,11 +121,29 @@ def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
     return MlpModel(topology=topology, layers=layers)
 
 
+def stack_models(models: list[MlpModel]) -> MlpModel:
+    """One stacked model whose fold k is a copy of ``models[k]``."""
+    layers = [
+        Layer(
+            weights=np.stack([layer.weights for layer in group]),
+            bias=np.stack([layer.bias for layer in group]),
+        )
+        for group in zip(*(model.layers for model in models))
+    ]
+    return MlpModel(topology=models[0].topology, layers=layers)
+
+
 def _check_batch(model: MlpModel, batch) -> np.ndarray:
-    batch = as_matrix(batch)
-    if batch.shape[1] != model.n_features:
+    batch = np.asarray(batch, dtype=np.float64)
+    folds = model.folds
+    if batch.ndim != len(folds) + 2 or batch.shape[:-2] != folds:
+        lead = "".join(f"{f}, " for f in folds)
         raise ShapeError(
-            f"batch has {batch.shape[1]} features, model expects {model.n_features}"
+            f"expected a batch of shape ({lead}rows, {model.n_features}), got {batch.shape}"
+        )
+    if batch.shape[-1] != model.n_features:
+        raise ShapeError(
+            f"batch has {batch.shape[-1]} features, model expects {model.n_features}"
         )
     return batch
 
@@ -116,9 +155,10 @@ def forward(model: MlpModel, batch) -> ForwardPass:
     pre_activations = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
         pre_activations.append(z)
-        a = softmax(z) if i == last else relu(z)
+        a = _softmax(z) if i == last else relu(z)
         activations.append(a)
     return ForwardPass(activations=activations, pre_activations=pre_activations)
 
@@ -131,29 +171,30 @@ def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
     0 at exactly 0).
     """
     probs = fwd.probs
-    batch_size = probs.shape[0]
-    labels = _check_labels(labels, batch_size, probs.shape[1])
+    n_classes = probs.shape[-1]
+    labels = _check_labels(labels, probs.shape[:-1], n_classes)
     n_layers = len(model.layers)
     if len(fwd.activations) != n_layers + 1 or len(fwd.pre_activations) != n_layers:
         raise ShapeError("forward cache does not match the model's layer count")
+    for i, (layer_input, layer) in enumerate(zip(fwd.activations, model.layers)):
+        weights = layer.weights
+        if layer_input.shape[:-2] != weights.shape[:-2] or layer_input.shape[-1] != weights.shape[-1]:
+            raise ShapeError(
+                f"cached activation {layer_input.shape} does not match "
+                f"layer {i} weights {weights.shape}"
+            )
     delta = probs.copy()
-    delta[np.arange(batch_size), labels] -= 1.0
-    delta /= batch_size
+    # a view of the fresh copy: one row per (fold, sample)
+    delta.reshape(-1, n_classes)[np.arange(labels.size), labels.ravel()] -= 1.0
+    delta /= probs.shape[-2]
     d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     d_bias: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     for i in range(n_layers - 1, -1, -1):
-        layer_input = fwd.activations[i]
-        if layer_input.shape[1] != model.layers[i].weights.shape[1]:
-            raise ShapeError(
-                f"cached activation {layer_input.shape} does not match "
-                f"layer {i} weights {model.layers[i].weights.shape}"
-            )
-        d_weights[i] = delta.T @ layer_input
-        d_bias[i] = delta.sum(axis=0)
+        d_weights[i] = delta.swapaxes(-1, -2) @ fwd.activations[i]
+        d_bias[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ model.layers[i].weights) * (
-                fwd.pre_activations[i - 1] > 0.0
-            )
+            delta = delta @ model.layers[i].weights
+            delta *= fwd.pre_activations[i - 1] > 0.0
     return Gradients(d_weights=d_weights, d_bias=d_bias)
 
 
@@ -164,7 +205,7 @@ def batch_loss(model: MlpModel, batch, labels) -> float:
 
 def predict(model: MlpModel, batch) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(forward(model, batch).probs, axis=1)
+    return np.argmax(forward(model, batch).probs, axis=-1)
 
 
 def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:

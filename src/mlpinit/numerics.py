@@ -1,6 +1,8 @@
 """Dense float64 matrix helpers, activations, and a seeded deterministic RNG.
 
-All numeric state lives in 2-D ``numpy`` arrays of 64-bit floats. Randomness
+Numeric state lives in ``numpy`` arrays of 64-bit floats: 2-D matrices for
+one model, with a leading fold axis when several models train in lockstep
+(see ``network``). Randomness
 comes from :class:`Rng`, a counter-based SplitMix64 generator implemented with
 pure unsigned 64-bit integer arithmetic, so a given seed produces bit-identical
 streams on every platform. Normal draws use the Box-Muller transform over that
@@ -48,11 +50,22 @@ def relu(x) -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction so large logits cannot overflow."""
-    logits = as_matrix(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax with max-subtraction so large logits cannot overflow.
+
+    ``logits`` is a (rows, classes) matrix or a (folds, rows, classes) stack;
+    each row of each fold is normalized on its own.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix or 3-D stack, got shape {logits.shape}")
+    return _softmax(logits)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """softmax without the shape check, for callers that checked their input."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs, labels) -> float:
@@ -63,7 +76,7 @@ def cross_entropy(probs, labels) -> float:
     prediction yields a large finite loss instead of infinity.
     """
     probs = as_matrix(probs)
-    labels = _check_labels(labels, probs.shape[0], probs.shape[1])
+    labels = _check_labels(labels, probs.shape[:1], probs.shape[1])
     row_sums = probs.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-8):
         worst = int(np.argmax(np.abs(row_sums - 1.0)))
@@ -74,11 +87,11 @@ def cross_entropy(probs, labels) -> float:
     return float(-np.log(np.maximum(p_true, 1e-15)).mean())
 
 
-def _check_labels(labels, expected_len: int, n_classes: int) -> np.ndarray:
+def _check_labels(labels, expected_shape: tuple[int, ...], n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != expected_len:
+    if labels.shape != expected_shape:
         raise ShapeError(
-            f"expected {expected_len} labels, got array of shape {labels.shape}"
+            f"expected labels of shape {expected_shape}, got array of shape {labels.shape}"
         )
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")

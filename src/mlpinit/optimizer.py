@@ -58,7 +58,11 @@ class SgdMomentumState:
 def sgd_step(
     state: SgdMomentumState, model: MlpModel, grads: Gradients, hp: Hyperparams
 ) -> None:
-    """One in-place momentum update of every weight matrix and bias vector."""
+    """One in-place momentum update of every weight matrix and bias vector.
+
+    The update is elementwise, so a stacked model (see ``network``) updates
+    every fold at once, each exactly as it would update alone.
+    """
     n = len(model.layers)
     if len(grads.d_weights) != n or len(state.v_weights) != n:
         raise ShapeError(

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from mlpinit.harness import (
     _load_dataset,
 )
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_UNIFORM, Family, InitScheme, DistKind
-from mlpinit.network import Topology, build_model, forward
+from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
-from mlpinit.optimizer import Hyperparams, preset_hyperparams
+from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
 
 
 def small_config(**overrides):
@@ -76,9 +77,9 @@ class TestRunExperiment:
         captured = []
         real_train = harness._train
 
-        def spy(rng, topology, scheme, hp, epochs, features, labels, context):
-            captured.append(features.copy())
-            return real_train(rng, topology, scheme, hp, epochs, features, labels, context)
+        def spy(config, features, labels, rows, rngs, names):
+            captured.append(features[rows.ravel()])
+            return real_train(config, features, labels, rows, rngs, names)
 
         monkeypatch.setattr(harness, "_train", spy)
         config = small_config(loo_enabled=True)
@@ -101,9 +102,67 @@ class TestRunExperiment:
             hyperparams=Hyperparams(8, 1e308, 0.6), epochs=3, seed=2
         )
         with np.errstate(all="ignore"), pytest.raises(
-            DivergedTrainingError, match=r"epoch \d+.*2-layer"
+            DivergedTrainingError, match=r"epoch \d+.*2-layer.*final training"
         ):
             run_experiment(config)
+        with np.errstate(all="ignore"), pytest.raises(
+            DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+"
+        ):
+            run_experiment(replace(config, loo_enabled=True))
+
+    def test_loo_and_final_training_match_one_model_per_fold(self, monkeypatch):
+        trained = {}  # model name -> that model's trained parameters
+        real_train = harness._train
+
+        def spy(config, features, labels, rows, rngs, names):
+            stacked = real_train(config, features, labels, rows, rngs, names)
+            for k, name in enumerate(names):
+                trained[name] = stacked.fold(k)
+            return stacked
+
+        monkeypatch.setattr(harness, "_train", spy)
+        # 28 trainval rows: three full lockstep groups and a short one of 4
+        config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
+        result = run_experiment(config)
+        hp = config.resolved_hyperparams()
+        dataset = _load_dataset(config)
+        trainval, test = holdout_split(
+            dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
+        )
+        (trainval_std, _), _, _ = standardize(trainval, test)
+        features, labels = trainval_std.features, trainval_std.labels
+        n = len(labels)
+        assert n == 28 and n % harness.LOO_GROUP_SIZE != 0
+
+        def train_alone(rng, rows):
+            model = build_model(rng, config.topology, config.scheme)
+            state = SgdMomentumState(model)
+            x_all, y_all = features[rows], labels[rows]
+            for _ in range(config.epochs):
+                order = rng.permutation(len(rows))
+                for start in range(0, len(rows), hp.batch_size):
+                    idx = order[start : start + hp.batch_size]
+                    fwd = forward(model, x_all[idx])
+                    sgd_step(state, model, backward(model, fwd, y_all[idx]), hp)
+            return model
+
+        def assert_same(got, want):
+            for a, b in zip(got.layers, want.layers):
+                assert a.weights.shape == b.weights.shape
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+
+        loo_root = derive_seed(config.seed, harness.STREAM_LOO)
+        expected = []
+        for k in range(n):
+            model = train_alone(Rng(derive_seed(loo_root, k)), np.delete(np.arange(n), k))
+            assert_same(trained[f"LOO fold {k}"], model)
+            expected.append(bool(predict(model, features[k : k + 1])[0] == labels[k]))
+        assert result.loo_outcomes == expected
+
+        final = train_alone(Rng(derive_seed(config.seed, harness.STREAM_FINAL)), np.arange(n))
+        assert_same(trained["final training"], final)
+        assert_same(result.model, final)
 
     def test_config_requires_exactly_one_source(self):
         with pytest.raises(ValidationError):

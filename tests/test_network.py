@@ -11,6 +11,7 @@ from mlpinit.network import (
     forward,
     grad_check,
     predict,
+    stack_models,
 )
 from mlpinit.numerics import Rng, softmax
 from mlpinit.optimizer import Hyperparams, SgdMomentumState, sgd_step
@@ -168,6 +169,65 @@ class TestGradCheck:
         x, y = random_batch(2, n=2)
         with pytest.raises(ValidationError):
             grad_check(model, x, y, epsilon=1e-2)
+
+
+class TestStackedModels:
+    """A stack of 3 models runs each fold exactly as the 2-D call on that fold."""
+
+    @staticmethod
+    def stack(topology, n_rows=7):
+        models = [build_model(Rng(30 + k), topology, KAIMING_NORMAL) for k in range(3)]
+        for k, model in enumerate(models):
+            for layer in model.layers:  # nonzero biases, different per fold
+                layer.bias[:] = Rng(50 + k).normal(layer.bias.size)
+        batches = [random_batch(40 + k, n=n_rows) for k in range(3)]
+        x = np.stack([b[0] for b in batches])
+        y = np.stack([b[1] for b in batches])
+        return models, stack_models(models), x, y
+
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
+    def test_forward_backward_predict_equal_each_slice(self, topology):
+        models, stacked, x, y = self.stack(topology)
+        fwd = forward(stacked, x)
+        grads = backward(stacked, fwd, y)
+        preds = predict(stacked, x)
+        assert stacked.folds == (3,)
+        for k, model in enumerate(models):
+            alone = forward(model, x[k])
+            for got, want in zip(fwd.activations + fwd.pre_activations,
+                                 alone.activations + alone.pre_activations):
+                assert got[k].tobytes() == want.tobytes()
+            alone_grads = backward(model, alone, y[k])
+            for got, want in zip(grads.d_weights + grads.d_bias,
+                                 alone_grads.d_weights + alone_grads.d_bias):
+                assert got[k].tobytes() == want.tobytes()
+            np.testing.assert_array_equal(preds[k], predict(model, x[k]))
+
+    def test_fold_returns_the_stacked_model(self):
+        models, stacked, _, _ = self.stack(Topology.TWO_LAYER)
+        for k, model in enumerate(models):
+            for got, want in zip(stacked.fold(k).layers, model.layers):
+                np.testing.assert_array_equal(got.weights, want.weights)
+                np.testing.assert_array_equal(got.bias, want.bias)
+
+    def test_fold_count_mismatch_rejected(self):
+        _, stacked, x, _ = self.stack(Topology.ONE_LAYER)
+        with pytest.raises(ShapeError, match=r"\(3, rows, 85\), got \(2, 7, 85\)"):
+            forward(stacked, x[:2])
+        with pytest.raises(ShapeError, match=r"\(3, rows, 85\), got \(7, 85\)"):
+            forward(stacked, x[0])
+        with pytest.raises(ShapeError, match=r"\(rows, 85\), got \(3, 7, 85\)"):
+            forward(stacked.fold(0), x)
+
+    def test_feature_count_mismatch_rejected(self):
+        _, stacked, x, _ = self.stack(Topology.ONE_LAYER)
+        with pytest.raises(ShapeError, match="84 features"):
+            forward(stacked, x[:, :, :84])
+
+    def test_label_shape_mismatch_rejected(self):
+        _, stacked, x, y = self.stack(Topology.ONE_LAYER)
+        with pytest.raises(ShapeError):
+            backward(stacked, forward(stacked, x), y[:, :5])
 
 
 def test_single_sgd_step_decreases_loss_on_fresh_models():

@@ -87,6 +87,16 @@ class TestSoftmax:
         for k in (-100.0, -3.7, 0.5, 42.0):
             np.testing.assert_allclose(softmax(x + k), base, atol=1e-12)
 
+    def test_stack_equals_each_slice(self):
+        x = Rng(9).normal(3 * 5 * 4).reshape(3, 5, 4) * 10
+        stacked = softmax(x)
+        for k in range(3):
+            assert stacked[k].tobytes() == softmax(x[k]).tobytes()
+
+    def test_rejects_vector(self):
+        with pytest.raises(ShapeError):
+            softmax([0.0, 1.0])
+
     def test_monotone_in_logits(self):
         x = np.array([[0.2, -0.4, 1.1, 0.0]])
         bumped = x.copy()

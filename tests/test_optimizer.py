@@ -5,7 +5,7 @@ import pytest
 
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, Family
-from mlpinit.network import Gradients, Topology, build_model
+from mlpinit.network import Gradients, Topology, build_model, stack_models
 from mlpinit.numerics import Rng
 from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
 
@@ -129,3 +129,38 @@ class TestSgdStep:
         grads = constant_grads(other, 0.1)
         with pytest.raises(ShapeError):
             sgd_step(SgdMomentumState(model), model, grads, Hyperparams(8, 0.1, 0.0))
+
+    def test_stacked_step_equals_each_slice(self):
+        models = [build_model(Rng(10 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
+        stacked = stack_models(models)
+        stacked_state = SgdMomentumState(stacked)
+        states = [SgdMomentumState(model) for model in models]
+        rng = Rng(98)
+        hp = Hyperparams(8, 0.01, 0.6)
+        for _ in range(3):
+            grads = Gradients(
+                d_weights=[rng.normal(l.weights.size).reshape(l.weights.shape)
+                           for l in stacked.layers],
+                d_bias=[rng.normal(l.bias.size).reshape(l.bias.shape) for l in stacked.layers],
+            )
+            sgd_step(stacked_state, stacked, grads, hp)
+            for k, (model, state) in enumerate(zip(models, states)):
+                sgd_step(state, model, Gradients(
+                    d_weights=[d[k] for d in grads.d_weights],
+                    d_bias=[d[k] for d in grads.d_bias],
+                ), hp)
+        for k, model in enumerate(models):
+            for got, want in zip(stacked.layers, model.layers):
+                assert got.weights[k].tobytes() == want.weights.tobytes()
+                assert got.bias[k].tobytes() == want.bias.tobytes()
+
+    def test_stacked_shape_mismatch_rejected(self):
+        stacked = stack_models(
+            [build_model(Rng(k), Topology.ONE_LAYER, KAIMING_NORMAL) for k in range(3)]
+        )
+        grads = Gradients(
+            d_weights=[l.weights[:2] for l in stacked.layers],
+            d_bias=[l.bias[:2] for l in stacked.layers],
+        )
+        with pytest.raises(ShapeError):
+            sgd_step(SgdMomentumState(stacked), stacked, grads, Hyperparams(8, 0.1, 0.0))
