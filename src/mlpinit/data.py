@@ -119,12 +119,16 @@ def _parse_label(token: str, lineno: int) -> int:
 def load_csv(path) -> Dataset:
     """Load a dataset from the documented 87-column CSV contract.
 
-    Raises OSError for a missing file, FormatError for a wrong header or a
-    row with the wrong number of columns (naming the row), and ParseError for
-    a non-numeric feature or an unknown label token (naming row and column).
+    Raises OSError for a missing file, FormatError for bytes that are not
+    UTF-8 (naming the offset), a wrong header or a row with the wrong number
+    of columns (naming the row), and ParseError for a non-numeric feature or
+    an unknown label token (naming row and column).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
     lines = text.splitlines()
     if not lines:
         raise FormatError(f"{path}: file is empty")

@@ -41,6 +41,8 @@ from .errors import (
 from .evaluation import Report, ClassMetrics, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
 from .network import (
+    ForwardPass,
+    Gradients,
     Layer,
     MlpModel,
     Topology,
@@ -159,12 +161,26 @@ def _train(
     model = stack_models([build_model(rng, config.topology, config.scheme) for rng in rngs])
     state = SgdMomentumState(model)
     n = rows.shape[1]
+    # Every step reuses the buffers of its batch shape (full, or the short
+    # last batch): freeing and re-allocating them each step would have the
+    # allocator return them to the OS and page-fault them back in.
+    buffers = {}
+    schedule = []
+    for start in range(0, n, hp.batch_size):
+        size = min(hp.batch_size, n - start)
+        if size not in buffers:
+            buffers[size] = (ForwardPass.empty(model, size), Gradients.empty(model, size))
+        fwd, grads = buffers[size]
+        schedule.append((start, start + size, fwd.activations[0], fwd, grads))
     for epoch in range(config.epochs):
         order = np.take_along_axis(rows, np.stack([rng.permutation(n) for rng in rngs]), axis=1)
-        for start in range(0, n, hp.batch_size):
-            idx = order[:, start : start + hp.batch_size]
+        for start, stop, batch, fwd, grads in schedule:
+            idx = order[:, start:stop]
             y = labels[idx]
-            fwd = forward(model, features[idx])
+            # mode="clip" gathers straight into batch; the default "raise"
+            # buffers. The row indices come from arange, so none is clipped.
+            features.take(idx, axis=0, out=batch, mode="clip")
+            forward(model, batch, out=fwd)
             # Divergence check. A softmax row is either all NaN or all in
             # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
             # for p in [0, 1], so a model's loss is non-finite exactly when
@@ -175,7 +191,7 @@ def _train(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            sgd_step(state, model, backward(model, fwd, y), hp)
+            sgd_step(state, model, backward(model, fwd, y, out=grads), hp)
     return model
 
 

@@ -15,7 +15,7 @@ the same call gives for fold k alone, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, _softmax, cross_entropy, relu
+from .numerics import Rng, _check_labels, _softmax, cross_entropy
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -89,10 +89,24 @@ class MlpModel:
 
 @dataclass
 class Gradients:
-    """Loss gradients, shape-congruent with the model they came from."""
+    """Loss gradients, shape-congruent with the model they came from.
+
+    ``deltas[i]`` is backward's scratch for the loss gradient at layer i's
+    output; it is empty for gradients that ``backward`` did not fill.
+    """
 
     d_weights: list[np.ndarray]
     d_bias: list[np.ndarray]
+    deltas: list[np.ndarray] = field(default_factory=list, repr=False)
+
+    @classmethod
+    def empty(cls, model: MlpModel, rows: int) -> "Gradients":
+        """Uninitialized arrays for ``backward(..., out=)`` on batches of ``rows``."""
+        return cls(
+            d_weights=[np.empty(layer.weights.shape) for layer in model.layers],
+            d_bias=[np.empty(layer.bias.shape) for layer in model.layers],
+            deltas=_layer_outputs(model, rows),
+        )
 
 
 @dataclass
@@ -106,9 +120,27 @@ class ForwardPass:
     activations: list[np.ndarray]
     pre_activations: list[np.ndarray]
 
+    @classmethod
+    def empty(cls, model: MlpModel, rows: int) -> "ForwardPass":
+        """Uninitialized arrays for ``forward(..., out=)`` on batches of ``rows``.
+
+        ``activations[0]`` is a batch-shaped buffer that a caller may fill and
+        pass as the batch; forward stores whatever batch it gets there.
+        """
+        return cls(
+            activations=[np.empty(model.folds + (rows, model.n_features))]
+            + _layer_outputs(model, rows),
+            pre_activations=_layer_outputs(model, rows),
+        )
+
     @property
     def probs(self) -> np.ndarray:
         return self.activations[-1]
+
+
+def _layer_outputs(model: MlpModel, rows: int) -> list[np.ndarray]:
+    """One uninitialized array per layer, shaped like its output on ``rows`` rows."""
+    return [np.empty(model.folds + (rows, layer.bias.shape[-1])) for layer in model.layers]
 
 
 def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
@@ -148,27 +180,44 @@ def _check_batch(model: MlpModel, batch) -> np.ndarray:
     return batch
 
 
-def forward(model: MlpModel, batch) -> ForwardPass:
-    """Run the batch through the network, retaining intermediates for backprop."""
+def forward(model: MlpModel, batch, out: ForwardPass | None = None) -> ForwardPass:
+    """Run the batch through the network, retaining intermediates for backprop.
+
+    ``out`` is a ForwardPass from an earlier call with a model of the same
+    topology and a batch of the same shape (or from ``ForwardPass.empty``).
+    Its arrays are overwritten and it is returned, so a training loop need
+    not allocate them at every step; the batch itself is stored, not copied.
+    """
     a = _check_batch(model, batch)
-    activations = [a]
-    pre_activations = []
+    if out is None:
+        out = ForwardPass.empty(model, a.shape[-2])
+    elif len(out.pre_activations) != len(model.layers) or out.activations[0].shape != a.shape:
+        raise ShapeError(
+            f"out holds a {len(out.pre_activations)}-layer pass over batches of shape "
+            f"{out.activations[0].shape}, not {len(model.layers)} layers over {a.shape}"
+        )
+    out.activations[0] = a
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z = a @ layer.weights.swapaxes(-1, -2)
+        z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=out.pre_activations[i])
         z += layer.bias[..., None, :]
-        pre_activations.append(z)
-        a = _softmax(z) if i == last else relu(z)
-        activations.append(a)
-    return ForwardPass(activations=activations, pre_activations=pre_activations)
+        a = out.activations[i + 1]
+        if i == last:
+            _softmax(z, out=a)
+        else:
+            np.maximum(z, 0.0, out=a)
+    return out
 
 
-def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
+def backward(
+    model: MlpModel, fwd: ForwardPass, labels, out: Gradients | None = None
+) -> Gradients:
     """Gradients of the mean cross-entropy loss for the cached forward pass.
 
     The output delta is (probs - one_hot) / batch_size; the ReLU gate passes
     gradient only where the pre-activation was strictly positive (subgradient
-    0 at exactly 0).
+    0 at exactly 0). ``out`` is a Gradients from an earlier call with the
+    same shapes (or from ``Gradients.empty``); it is overwritten and returned.
     """
     probs = fwd.probs
     n_classes = probs.shape[-1]
@@ -183,19 +232,26 @@ def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
                 f"cached activation {layer_input.shape} does not match "
                 f"layer {i} weights {weights.shape}"
             )
-    delta = probs.copy()
-    # a view of the fresh copy: one row per (fold, sample)
+    if out is None:
+        out = Gradients.empty(model, probs.shape[-2])
+    elif len(out.deltas) != n_layers or out.deltas[-1].shape != probs.shape:
+        shape = out.deltas[-1].shape if out.deltas else None
+        raise ShapeError(
+            f"out holds {len(out.deltas)}-layer gradients for outputs of shape {shape}, "
+            f"not {n_layers} layers for {probs.shape}"
+        )
+    delta = out.deltas[-1]
+    np.copyto(delta, probs)
+    # a view of the C-contiguous delta: one row per (fold, sample)
     delta.reshape(-1, n_classes)[np.arange(labels.size), labels.ravel()] -= 1.0
     delta /= probs.shape[-2]
-    d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_bias: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     for i in range(n_layers - 1, -1, -1):
-        d_weights[i] = delta.swapaxes(-1, -2) @ fwd.activations[i]
-        d_bias[i] = delta.sum(axis=-2)
+        np.matmul(delta.swapaxes(-1, -2), fwd.activations[i], out=out.d_weights[i])
+        delta.sum(axis=-2, out=out.d_bias[i])
         if i > 0:
-            delta = delta @ model.layers[i].weights
+            delta = np.matmul(delta, model.layers[i].weights, out=out.deltas[i - 1])
             delta *= fwd.pre_activations[i - 1] > 0.0
-    return Gradients(d_weights=d_weights, d_bias=d_bias)
+    return out
 
 
 def batch_loss(model: MlpModel, batch, labels) -> float:
@@ -216,6 +272,11 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValidationError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    if model.folds != ():
+        raise ShapeError(
+            f"grad_check takes one model, got a stack of shape {model.folds}; "
+            f"check each model.fold(k) on its own"
+        )
     batch = _check_batch(model, batch)
     grads = backward(model, forward(model, batch), labels)
     max_err = 0.0

@@ -61,11 +61,17 @@ def softmax(logits) -> np.ndarray:
     return _softmax(logits)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """softmax without the shape check, for callers that checked their input."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax without the shape check, for callers that checked their input.
+
+    Writes into ``out`` (a float64 array of the logits' shape) when given.
+    """
+    if out is None:
+        out = np.empty(logits.shape)
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def cross_entropy(probs, labels) -> float:

@@ -48,11 +48,17 @@ def preset_hyperparams(topology: Topology, family: Family) -> Hyperparams:
 
 
 class SgdMomentumState:
-    """Per-parameter velocity buffers, zero-initialized to match a model."""
+    """Per-parameter velocity buffers, zero-initialized to match a model.
+
+    ``step_weights``/``step_bias`` are scratch for ``lr * v``, so that an
+    update allocates nothing.
+    """
 
     def __init__(self, model: MlpModel):
         self.v_weights = [np.zeros_like(layer.weights) for layer in model.layers]
         self.v_bias = [np.zeros_like(layer.bias) for layer in model.layers]
+        self.step_weights = [np.empty_like(v) for v in self.v_weights]
+        self.step_bias = [np.empty_like(v) for v in self.v_bias]
 
 
 def sgd_step(
@@ -69,8 +75,14 @@ def sgd_step(
             f"model has {n} layers but gradients cover {len(grads.d_weights)} "
             f"and velocity {len(state.v_weights)}"
         )
-    for layer, v_w, v_b, d_w, d_b in zip(
-        model.layers, state.v_weights, state.v_bias, grads.d_weights, grads.d_bias
+    for layer, v_w, v_b, s_w, s_b, d_w, d_b in zip(
+        model.layers,
+        state.v_weights,
+        state.v_bias,
+        state.step_weights,
+        state.step_bias,
+        grads.d_weights,
+        grads.d_bias,
     ):
         if v_w.shape != layer.weights.shape or d_w.shape != layer.weights.shape:
             raise ShapeError(
@@ -82,9 +94,10 @@ def sgd_step(
                 f"bias shapes disagree: model {layer.bias.shape}, "
                 f"gradient {d_b.shape}, velocity {v_b.shape}"
             )
+        # v * lr has the bits of lr * v: IEEE multiplication commutes
         v_w *= hp.momentum
         v_w += d_w
-        layer.weights -= hp.learning_rate * v_w
+        layer.weights -= np.multiply(v_w, hp.learning_rate, out=s_w)
         v_b *= hp.momentum
         v_b += d_b
-        layer.bias -= hp.learning_rate * v_b
+        layer.bias -= np.multiply(v_b, hp.learning_rate, out=s_b)

@@ -107,6 +107,17 @@ def test_missing_data_file_exits_3(tmp_path):
     assert code == 3
 
 
+def test_non_utf8_data_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"participant,label\xff\n")
+    code = cli.main(
+        ["run", "--topology", "1", "--init", "xavier", "--data", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "not UTF-8 text at byte offset 17" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path):
     code = cli.main(
         ["run", "--topology", "1", "--init", "xavier", "--synthetic",

@@ -138,6 +138,15 @@ class TestCsv:
         with pytest.raises(ParseError, match="st_22"):
             load_csv(path)
 
+    def test_invalid_utf8_names_file_and_byte_offset(self, tmp_path):
+        header = ",".join(CSV_HEADER).encode()
+        row = b"1,None," + b",".join([b"1.0"] * 84) + b",\xff1.0\n"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(header + b"\n" + row)
+        offset = len(header) + 1 + row.index(b"\xff")
+        with pytest.raises(FormatError, match=rf"latin\.csv: not UTF-8 .* offset {offset}$"):
+            load_csv(path)
+
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n")

@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,40 @@ from mlpinit.initializers import KAIMING_NORMAL, XAVIER_UNIFORM, Family, InitSch
 from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
 from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Minor page faults of one 8-fold lockstep _train at 10 and at 40 epochs,
+# after a warm-up call, and the number of extra steps the longer one takes.
+FAULT_PROBE = """
+import json, resource
+from dataclasses import replace
+import numpy as np
+from mlpinit import harness
+from mlpinit.harness import ExperimentConfig, SyntheticSpec
+from mlpinit.initializers import KAIMING_NORMAL
+from mlpinit.network import Topology
+from mlpinit.numerics import Rng
+
+n = 156  # the default cohort's trainval size: LOO folds of 155 rows
+features = Rng(5).normal(n * 85).reshape(n, 85)
+labels = np.arange(n) % 4
+rows = np.stack([np.delete(np.arange(n), k) for k in range(harness.LOO_GROUP_SIZE)])
+config = ExperimentConfig(topology=Topology.THREE_LAYER, scheme=KAIMING_NORMAL, seed=1,
+                          synthetic=SyntheticSpec(), loo_enabled=False)
+steps_per_epoch = -(-(n - 1) // config.resolved_hyperparams().batch_size)
+
+def faults(epochs):
+    rngs = [Rng(k) for k in range(len(rows))]
+    names = [f"fold {k}" for k in range(len(rows))]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._train(replace(config, epochs=epochs), features, labels, rows, rngs, names)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(10)  # warm-up
+print(json.dumps([faults(10), faults(40), 30 * steps_per_epoch]))
+"""
 
 
 def small_config(**overrides):
@@ -163,6 +201,24 @@ class TestRunExperiment:
         final = train_alone(Rng(derive_seed(config.seed, harness.STREAM_FINAL)), np.arange(n))
         assert_same(trained["final training"], final)
         assert_same(result.model, final)
+
+    def test_lockstep_steps_take_no_page_faults(self):
+        # Steps reuse their buffers, so training longer adds no minor page
+        # faults: only the first touches of a new model and its buffers
+        # fault. A fresh interpreter without MALLOC_* tunables runs the count,
+        # because the allocator's thresholds in this process depend on what
+        # earlier tests freed.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+            pytest.skip("getrusage reports no minor page faults here")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = SRC
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        short, long, steps = json.loads(done.stdout)
+        assert (long - short) / steps < 0.2, f"{long - short} more faults over {steps} steps"
 
     def test_config_requires_exactly_one_source(self):
         with pytest.raises(ValidationError):

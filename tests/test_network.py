@@ -4,6 +4,8 @@ import pytest
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_NORMAL, Family, InitScheme, DistKind
 from mlpinit.network import (
+    ForwardPass,
+    Gradients,
     Topology,
     backward,
     batch_loss,
@@ -164,6 +166,14 @@ class TestGradCheck:
         assert grads.d_bias[0][0] == 0.0
         assert grad_check(model, x, y, epsilon=1e-5) < 1e-4
 
+    def test_stacked_model_rejected_up_front(self):
+        stacked = stack_models(
+            [build_model(Rng(k), Topology.ONE_LAYER, XAVIER_NORMAL) for k in range(2)]
+        )
+        x, y = random_batch(3, n=4)
+        with pytest.raises(ShapeError, match=r"grad_check takes one model.*\(2,\)"):
+            grad_check(stacked, np.stack([x, x]), np.stack([y, y]))
+
     def test_epsilon_outside_documented_range(self):
         model = build_model(Rng(1), Topology.ONE_LAYER, XAVIER_NORMAL)
         x, y = random_batch(2, n=2)
@@ -228,6 +238,70 @@ class TestStackedModels:
         _, stacked, x, y = self.stack(Topology.ONE_LAYER)
         with pytest.raises(ShapeError):
             backward(stacked, forward(stacked, x), y[:, :5])
+
+
+class TestOutBuffers:
+    """forward/backward with ``out=`` overwrite the given arrays with a fresh call's bits."""
+
+    @staticmethod
+    def models():
+        one = build_model(Rng(60), Topology.THREE_LAYER, KAIMING_NORMAL)
+        models = [build_model(Rng(61 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
+        for k, model in enumerate(models):
+            for layer in model.layers:  # nonzero biases, different per fold
+                layer.bias[:] = Rng(70 + k).normal(layer.bias.size)
+        return [one, stack_models(models)]
+
+    @staticmethod
+    def batch(model, seed, rows):
+        batches = [random_batch(seed + k, n=rows) for k in range(3)]
+        if model.folds == ():
+            return batches[0]
+        return np.stack([b[0] for b in batches]), np.stack([b[1] for b in batches])
+
+    @staticmethod
+    def arrays(fwd, grads):
+        return fwd.activations + fwd.pre_activations + grads.d_weights + grads.d_bias
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3fold"])
+    def test_full_and_short_batches_in_turn_match_fresh_calls(self, stacked):
+        model = self.models()[stacked]
+        outs = {rows: (ForwardPass.empty(model, rows), Gradients.empty(model, rows))
+                for rows in (8, 3)}
+        for step, rows in enumerate((8, 3, 8, 3)):
+            x, y = self.batch(model, 100 + 10 * step, rows)
+            fwd_out, grads_out = outs[rows]
+            given = [id(a) for a in self.arrays(fwd_out, grads_out)[1:]]
+            fwd = forward(model, x, out=fwd_out)
+            grads = backward(model, fwd, y, out=grads_out)
+            assert fwd is fwd_out and grads is grads_out
+            assert [id(a) for a in self.arrays(fwd, grads)[1:]] == given
+            assert fwd.activations[0] is x
+            fresh_fwd = forward(model, x)
+            fresh = self.arrays(fresh_fwd, backward(model, fresh_fwd, y))
+            for got, want in zip(self.arrays(fwd, grads), fresh):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_wrong_shaped_out_rejected(self):
+        one, stacked = self.models()
+        x, y = self.batch(one, 5, 8)
+        fwd = forward(one, x)
+        with pytest.raises(ShapeError, match="batches of shape"):
+            forward(one, x, out=ForwardPass.empty(one, 3))
+        with pytest.raises(ShapeError, match="batches of shape"):
+            forward(one, x, out=ForwardPass.empty(stacked, 8))
+        two_layer = build_model(Rng(1), Topology.TWO_LAYER, KAIMING_NORMAL)
+        with pytest.raises(ShapeError, match="2-layer pass"):
+            forward(one, x, out=ForwardPass.empty(two_layer, 8))
+        with pytest.raises(ShapeError, match="outputs of shape"):
+            backward(one, fwd, y, out=Gradients.empty(one, 3))
+        with pytest.raises(ShapeError, match="outputs of shape"):
+            backward(one, fwd, y, out=Gradients.empty(stacked, 8))
+        no_scratch = Gradients(d_weights=[l.weights.copy() for l in one.layers],
+                               d_bias=[l.bias.copy() for l in one.layers])
+        with pytest.raises(ShapeError, match="0-layer gradients"):
+            backward(one, fwd, y, out=no_scratch)
 
 
 def test_single_sgd_step_decreases_loss_on_fresh_models():

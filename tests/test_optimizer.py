@@ -123,6 +123,25 @@ class TestSgdStep:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
 
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_update_through_scratch_equals_plain_formula(self, folds):
+        # w - lr * (m * v + g), with fresh arrays at every step, bit for bit
+        models = [build_model(Rng(20 + k), Topology.TWO_LAYER, KAIMING_NORMAL)
+                  for k in range(folds)]
+        model = models[0] if folds == 1 else stack_models(models)
+        params = [p.copy() for p in model.parameter_arrays()]
+        velocity = [np.zeros_like(p) for p in params]
+        state = SgdMomentumState(model)
+        hp = Hyperparams(8, 0.0123, 0.7)
+        rng = Rng(97)
+        for _ in range(4):
+            g = [rng.normal(p.size).reshape(p.shape) for p in params]
+            sgd_step(state, model, Gradients(d_weights=g[0::2], d_bias=g[1::2]), hp)
+            velocity = [hp.momentum * v + d for v, d in zip(velocity, g)]
+            params = [p - hp.learning_rate * v for p, v in zip(params, velocity)]
+        for got, want in zip(model.parameter_arrays(), params):
+            assert got.tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self):
         model = build_model(Rng(6), Topology.ONE_LAYER, KAIMING_NORMAL)
         other = build_model(Rng(6), Topology.TWO_LAYER, KAIMING_NORMAL)
