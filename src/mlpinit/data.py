@@ -121,8 +121,9 @@ def load_csv(path) -> Dataset:
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
-    of columns (naming the row), and ParseError for a non-numeric feature or
-    an unknown label token (naming row and column).
+    of columns (naming the row), and ParseError for a non-numeric feature, a
+    participant id that is not an int64 or an unknown label token (naming
+    row and column).
     """
     path = Path(path)
     try:
@@ -152,11 +153,16 @@ def load_csv(path) -> Dataset:
                 f"expected {len(CSV_HEADER)}"
             )
         try:
-            participants.append(int(parts[0]))
+            participant = int(parts[0])
         except ValueError:
             raise ParseError(
                 f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
             ) from None
+        if not -(2**63) <= participant < 2**63:
+            raise ParseError(
+                f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
+            )
+        participants.append(participant)
         labels.append(_parse_label(parts[1], lineno))
         feats = np.empty(N_FEATURES, dtype=np.float64)
         for j, cell in enumerate(parts[2:]):

@@ -11,12 +11,16 @@ all-but-one trainval record classifies the held-out record correctly. The
 reported model is then retrained on the full trainval split and evaluated
 once on the untouched holdout set. One training loop serves both: LOO folds
 train in lockstep groups of ``LOO_GROUP_SIZE`` stacked models, the final
-training as a group of one.
+training as a group of one. On Linux the LOO groups run in forked worker
+processes, one per CPU the process may use; results do not depend on it.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -195,6 +199,49 @@ def _train(
     return model
 
 
+def _loo_group(
+    config: ExperimentConfig,
+    features: np.ndarray,
+    labels: np.ndarray,
+    loo_root: int,
+    first: int,
+) -> list[bool]:
+    """Train LOO folds ``first`` .. ``first + LOO_GROUP_SIZE - 1`` in lockstep.
+
+    Fold k trains on every row but row k, from the sub-stream ``k`` of
+    ``loo_root``. Returns, per fold, whether its model classifies row k
+    correctly.
+    """
+    all_rows = np.arange(len(labels))
+    folds = all_rows[first : first + LOO_GROUP_SIZE]
+    group = _train(
+        config,
+        features,
+        labels,
+        np.stack([np.delete(all_rows, k) for k in folds]),
+        [Rng(derive_seed(loo_root, int(k))) for k in folds],
+        [f"LOO fold {k}" for k in folds],
+    )
+    # each model predicts the one row it did not train on
+    preds = predict(group, features[folds[:, None]])[:, 0]
+    return (preds == labels[folds]).tolist()
+
+
+def _loo_workers(n_groups: int) -> int:
+    """Worker processes for ``n_groups`` LOO groups; 1 means in-process.
+
+    One per CPU this process may use, on Linux, where workers are forked.
+    A daemonic multiprocessing worker may not start children, so it trains
+    in-process; a process that never imported multiprocessing is not one.
+    """
+    if sys.platform != "linux":
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_groups)
+
+
 def _load_dataset(config: ExperimentConfig) -> Dataset:
     if config.csv_path is not None:
         return load_csv(config.csv_path)
@@ -226,34 +273,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     (trainval_std, test_std), _, _ = standardize(trainval, test)
     features, labels = trainval_std.features, trainval_std.labels
-    all_rows = np.arange(len(labels))
 
     loo_accuracy = None
     loo_outcomes = None
     if config.loo_enabled:
-        loo_root = derive_seed(config.seed, STREAM_LOO)
-        loo_outcomes = []
-        for first in range(0, len(all_rows), LOO_GROUP_SIZE):
-            # fold k trains on every trainval row but row k
-            folds = all_rows[first : first + LOO_GROUP_SIZE]
-            group = _train(
-                config,
-                features,
-                labels,
-                np.stack([np.delete(all_rows, k) for k in folds]),
-                [Rng(derive_seed(loo_root, int(k))) for k in folds],
-                [f"LOO fold {k}" for k in folds],
-            )
-            # each model predicts the one row it did not train on
-            preds = predict(group, features[folds[:, None]])[:, 0]
-            loo_outcomes += (preds == labels[folds]).tolist()
+        # The groups are independent: each fold draws from its own sub-stream.
+        # Both paths below yield their outcomes in group order.
+        group = functools.partial(
+            _loo_group, config, features, labels, derive_seed(config.seed, STREAM_LOO)
+        )
+        starts = range(0, len(labels), LOO_GROUP_SIZE)
+        workers = _loo_workers(len(starts))
+        if workers > 1:
+            # Imported here, not at the top: they add about 15 ms to importing
+            # this module, which runs without LOO would pay for nothing.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, unlike spawn and forkserver, re-imports no __main__, so
+            # caller scripts need no `if __name__ == "__main__":` guard. The
+            # first error in group order (the lowest diverged group) leaves
+            # map, which cancels the groups not yet started.
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                per_group = list(pool.map(group, starts))
+        else:
+            per_group = list(map(group, starts))
+        loo_outcomes = [ok for outcomes in per_group for ok in outcomes]
         loo_accuracy = float(np.mean(loo_outcomes))
 
     model = _train(
         config,
         features,
         labels,
-        all_rows[None, :],
+        np.arange(len(labels))[None, :],
         [Rng(derive_seed(config.seed, STREAM_FINAL))],
         ["final training"],
     ).fold(0)

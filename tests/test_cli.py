@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import mlpinit.cli as cli
-from mlpinit.data import load_csv
+from mlpinit.data import CSV_HEADER, load_csv
 from mlpinit.errors import DivergedTrainingError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -116,6 +116,18 @@ def test_non_utf8_data_file_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "not UTF-8 text at byte offset 17" in capsys.readouterr().err
+
+
+def test_participant_id_outside_int64_exits_3(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    row = ",".join(["99999999999999999999999", "None"] + ["1.0"] * 85)
+    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+    code = cli.main(
+        ["run", "--topology", "1", "--init", "xavier", "--data", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "row 2, column 'participant'" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path):

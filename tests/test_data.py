@@ -129,6 +129,17 @@ class TestCsv:
         with pytest.raises(ParseError, match="row 2.*'severe'"):
             load_csv(path)
 
+    def test_participant_outside_int64_names_row_and_column(self, tmp_path):
+        feats = ",".join(["1.0"] * 85)
+        lines = [",".join(CSV_HEADER), f"1,None,{feats}", f"{2**63},None,{feats}"]
+        path = tmp_path / "big_id.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="row 3, column 'participant'.*int64"):
+            load_csv(path)
+        lines[2] = f"{-(2**63)},None,{feats}"  # the lowest int64 still loads
+        path.write_text("\n".join(lines) + "\n")
+        assert load_csv(path).participants.tolist() == [1, -(2**63)]
+
     def test_non_finite_feature_rejected(self, tmp_path):
         cells = ["1.0"] * 85
         cells[84] = "nan"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -42,6 +43,11 @@ from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams,
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# The library forks LOO workers only on Linux; tests that force the pool
+# need the fork start method.
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
 
 # Minor page faults of one 8-fold lockstep _train at 10 and at 40 epochs,
 # after a warm-up call, and the number of extra steps the longer one takes.
@@ -120,6 +126,8 @@ class TestRunExperiment:
             return real_train(config, features, labels, rows, rngs, names)
 
         monkeypatch.setattr(harness, "_train", spy)
+        # In-process LOO: a spy in a forked worker records nothing this test sees.
+        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 1)
         config = small_config(loo_enabled=True)
         run_experiment(config)
 
@@ -135,7 +143,7 @@ class TestRunExperiment:
             for row in features:
                 assert row.tobytes() not in test_rows
 
-    def test_divergence_raises_with_epoch_and_config(self):
+    def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
         config = small_config(
             hyperparams=Hyperparams(8, 1e308, 0.6), epochs=3, seed=2
         )
@@ -143,10 +151,43 @@ class TestRunExperiment:
             DivergedTrainingError, match=r"epoch \d+.*2-layer.*final training"
         ):
             run_experiment(config)
-        with np.errstate(all="ignore"), pytest.raises(
-            DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+"
-        ):
-            run_experiment(replace(config, loo_enabled=True))
+        messages = []
+        for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
+            monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: workers)
+            with np.errstate(all="ignore"), pytest.raises(
+                DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+"
+            ) as raised:
+                run_experiment(replace(config, loo_enabled=True))
+            messages.append(str(raised.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[-1]
+
+    @needs_fork
+    def test_worker_pool_matches_in_process_loo(self, monkeypatch):
+        # 28 trainval rows: three full lockstep groups and a short one of 4.
+        # Two workers are forced, so a 1-CPU machine runs the pool too.
+        config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
+        runs = []
+        for workers in (2, 1):
+            monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: workers)
+            result = run_experiment(config)
+            assert multiprocessing.active_children() == []
+            runs.append((
+                json.dumps(result_to_dict(result), sort_keys=True),
+                result.loo_outcomes,
+                b"".join(l.weights.tobytes() + l.bias.tobytes() for l in result.model.layers),
+            ))
+        assert len(runs[0][1]) == 28
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="LOO workers are forked on Linux only")
+    def test_worker_count_follows_cpu_affinity_and_groups(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [harness._loo_workers(n) for n in (1, 3, 20)] == [1, 3, 4]
+        # multiprocessing.Pool workers are daemonic and may not start children;
+        # the forked worker sees the patched affinity too.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(harness._loo_workers, (20,)).get(timeout=60) == 1
 
     def test_loo_and_final_training_match_one_model_per_fold(self, monkeypatch):
         trained = {}  # model name -> that model's trained parameters
@@ -159,6 +200,8 @@ class TestRunExperiment:
             return stacked
 
         monkeypatch.setattr(harness, "_train", spy)
+        # In-process LOO: a spy in a forked worker records nothing this test sees.
+        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 1)
         # 28 trainval rows: three full lockstep groups and a short one of 4
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         result = run_experiment(config)
