@@ -5,8 +5,8 @@ runs the published 3-layer + Kaiming configuration through the whole
 protocol - stratified 20% holdout, train-statistics standardization, final
 training on the trainval split - and renders the per-class report. The
 leave-one-out diagnostic is skipped here to keep the demo fast; pass
-loo_enabled=True to reproduce the full protocol (about 7 s on two CPUs and
-14 s on one, measured on a 2-vCPU x86_64 box).
+loo_enabled=True to reproduce the full protocol (about 6 s on two CPUs and
+12 s on one, measured on a 2-vCPU x86_64 box).
 """
 
 import json

@@ -29,6 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
     ValidationError,
+    WorkerError,
 )
 from .evaluation import (
     ClassMetrics,
@@ -77,17 +78,7 @@ from .network import (
     grad_check,
     predict,
 )
-from .numerics import (
-    NormalDist,
-    Rng,
-    UniformDist,
-    cross_entropy,
-    derive_seed,
-    matmul,
-    relu,
-    sample,
-    softmax,
-)
+from .numerics import Rng, cross_entropy, derive_seed, relu, softmax
 from .optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
 
 __version__ = "0.1.0"

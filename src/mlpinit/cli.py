@@ -4,7 +4,8 @@ Subcommands: ``run`` (one configuration), ``suite`` (all six cells),
 ``grad-check`` (finite-difference verification), ``init-stats`` (empirical
 initializer variances), ``synth`` (write a synthetic CSV).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 diverged training.
+Exit codes: 0 success, 2 config error, 3 data error, 4 training failed (diverged,
+or a worker process died).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import synthesize_dataset, save_csv, N_FEATURES
-from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError
+from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError, WorkerError
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -243,6 +244,9 @@ def main(argv=None) -> int:
         return 3
     except DivergedTrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 4
+    except WorkerError as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
         return 4
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_NAMES, N_CLASSES
+from .data import N_CLASSES
 from .errors import ValidationError
 
 
@@ -53,10 +53,6 @@ class ConfusionMatrix:
             if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
                 raise ValidationError(f"{name} values must lie in [0, {N_CLASSES})")
         np.add.at(self.counts, (labels, preds), 1)
-
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum, for combining independently evaluated folds."""
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 def accumulate_confusion(preds, labels) -> ConfusionMatrix:
@@ -122,7 +118,3 @@ def summarize(cm: ConfusionMatrix) -> Report:
         accuracy=cm.n_correct / total,
         total=total,
     )
-
-
-def class_name(c: int) -> str:
-    return LABEL_NAMES[c]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import (
     LABEL_NAMES,
+    N_CLASSES,
     Dataset,
     holdout_split,
     load_csv,
@@ -39,10 +40,12 @@ from .errors import (
     DivergedTrainingError,
     FormatError,
     MlpInitError,
+    ShapeError,
     UnsupportedVersionError,
     ValidationError,
+    WorkerError,
 )
-from .evaluation import Report, ClassMetrics, accumulate_confusion, summarize
+from .evaluation import Report, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
 from .network import (
     ForwardPass,
@@ -50,14 +53,23 @@ from .network import (
     Layer,
     MlpModel,
     Topology,
-    backward,
+    _backward,
+    _check_batch,
+    _forward,
+    _layer_outputs,
+    backward,  # unused here; kept as a harness attribute that tracing tools wrap
     build_model,
-    forward,
+    forward,  # unused here; kept as a harness attribute that tracing tools wrap
     predict,
     stack_models,
 )
-from .numerics import Rng, derive_seed
-from .optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
+from .numerics import Rng, _check_labels, _permutations, derive_seed
+from .optimizer import (
+    Hyperparams,
+    _sgd_update,
+    preset_hyperparams,
+    sgd_step,  # unused here; kept as a harness attribute that tracing tools wrap
+)
 
 # Named sub-streams of the experiment seed (see derive_seed).
 STREAM_DATA = 1
@@ -78,7 +90,9 @@ SUITE_CELL_ORDER = tuple(SUITE_SEED_OFFSETS)
 
 # LOO folds trained together by one _train call. Larger groups spend less
 # Python time per fold step but hold more activations in memory at once.
-LOO_GROUP_SIZE = 8
+# 20 splits the default cohort's 156 folds into 8 groups, 4 per worker on
+# two CPUs.
+LOO_GROUP_SIZE = 20
 
 
 @dataclass(frozen=True)
@@ -145,6 +159,15 @@ class SuiteCell:
     error: str | None = None
 
 
+def _flat_like(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed float64 vector, and a C-contiguous view of it shaped like each
+    of ``arrays``, in order."""
+    sizes = [a.size for a in arrays]
+    flat = np.zeros(sum(sizes))
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return flat, [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+
+
 def _train(
     config: ExperimentConfig,
     features: np.ndarray,
@@ -163,8 +186,28 @@ def _train(
     """
     hp = config.resolved_hyperparams()
     model = stack_models([build_model(rng, config.topology, config.scheme) for rng in rngs])
-    state = SgdMomentumState(model)
-    n = rows.shape[1]
+    # The inputs are checked once, here; every step calls the unchecked cores.
+    features = _check_batch(model.fold(0), features)
+    labels = _check_labels(labels, features.shape[:1], N_CLASSES)
+    n = rows.shape[-1]
+    if rows.shape != (len(rngs), n) or len(names) != len(rngs) or n < 1:
+        raise ShapeError(
+            f"need one nonempty row map and name per model: {len(rngs)} models, "
+            f"{len(names)} names, row maps of shape {rows.shape}"
+        )
+    # take(mode="clip") below would silently clip an index out of range
+    if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= len(features):
+        raise ValidationError(f"row maps must hold integers in [0, {len(features)})")
+    # The parameters, their velocity, the gradients and the update scratch
+    # are one flat vector each, with every layer a view into it, so that an
+    # update is four ufunc calls for all layers and folds. Every backward
+    # overwrites all gradients, so the batch shapes share one vector.
+    params, views = _flat_like(list(model.parameter_arrays()))
+    for view, array in zip(views, model.parameter_arrays()):
+        view[...] = array
+    model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(views[0::2], views[1::2])])
+    grad, grad_views = _flat_like(views)
+    velocity, scratch = np.zeros_like(params), np.empty_like(params)
     # Every step reuses the buffers of its batch shape (full, or the short
     # last batch): freeing and re-allocating them each step would have the
     # allocator return them to the OS and page-fault them back in.
@@ -173,18 +216,18 @@ def _train(
     for start in range(0, n, hp.batch_size):
         size = min(hp.batch_size, n - start)
         if size not in buffers:
-            buffers[size] = (ForwardPass.empty(model, size), Gradients.empty(model, size))
+            grads = Gradients(grad_views[0::2], grad_views[1::2], _layer_outputs(model, size))
+            buffers[size] = (ForwardPass.empty(model, size), grads)
         fwd, grads = buffers[size]
         schedule.append((start, start + size, fwd.activations[0], fwd, grads))
     for epoch in range(config.epochs):
-        order = np.take_along_axis(rows, np.stack([rng.permutation(n) for rng in rngs]), axis=1)
+        order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
         for start, stop, batch, fwd, grads in schedule:
             idx = order[:, start:stop]
-            y = labels[idx]
             # mode="clip" gathers straight into batch; the default "raise"
-            # buffers. The row indices come from arange, so none is clipped.
+            # buffers. The row maps were range-checked above.
             features.take(idx, axis=0, out=batch, mode="clip")
-            forward(model, batch, out=fwd)
+            _forward(model, batch, fwd)
             # Divergence check. A softmax row is either all NaN or all in
             # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
             # for p in [0, 1], so a model's loss is non-finite exactly when
@@ -195,7 +238,8 @@ def _train(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            sgd_step(state, model, backward(model, fwd, y, out=grads), hp)
+            _backward(model, fwd, labels[idx], grads)
+            _sgd_update([params], [velocity], [grad], [scratch], hp)
     return model
 
 
@@ -289,15 +333,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # this module, which runs without LOO would pay for nothing.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             # fork, unlike spawn and forkserver, re-imports no __main__, so
             # caller scripts need no `if __name__ == "__main__":` guard. The
             # first error in group order (the lowest diverged group) leaves
             # map, which cancels the groups not yet started.
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                per_group = list(pool.map(group, starts))
+            try:
+                with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")
+                ) as pool:
+                    per_group = list(pool.map(group, starts))
+            except BrokenProcessPool as exc:
+                raise WorkerError(
+                    f"a LOO worker process died ({config.describe()}): {exc}"
+                ) from exc
         else:
             per_group = list(map(group, starts))
         loo_outcomes = [ok for outcomes in per_group for ok in outcomes]
@@ -445,26 +495,6 @@ def report_to_dict(report: Report) -> dict:
         "accuracy": report.accuracy,
         "total": report.total,
     }
-
-
-def report_from_dict(data: dict) -> Report:
-    per_class = tuple(
-        ClassMetrics(
-            precision=entry["precision"],
-            recall=entry["recall"],
-            f1=entry["f1"],
-            support=entry["support"],
-        )
-        for entry in data["per_class"]
-    )
-    return Report(
-        per_class=per_class,
-        macro_precision=data["macro_precision"],
-        macro_recall=data["macro_recall"],
-        macro_f1=data["macro_f1"],
-        accuracy=data["accuracy"],
-        total=data["total"],
-    )
 
 
 def result_to_dict(result: ExperimentResult) -> dict:

@@ -196,7 +196,12 @@ def forward(model: MlpModel, batch, out: ForwardPass | None = None) -> ForwardPa
             f"out holds a {len(out.pre_activations)}-layer pass over batches of shape "
             f"{out.activations[0].shape}, not {len(model.layers)} layers over {a.shape}"
         )
-    out.activations[0] = a
+    return _forward(model, a, out)
+
+
+def _forward(model: MlpModel, batch: np.ndarray, out: ForwardPass) -> ForwardPass:
+    """forward without the checks, for callers that checked their inputs once."""
+    a = out.activations[0] = batch
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=out.pre_activations[i])
@@ -240,12 +245,20 @@ def backward(
             f"out holds {len(out.deltas)}-layer gradients for outputs of shape {shape}, "
             f"not {n_layers} layers for {probs.shape}"
         )
+    return _backward(model, fwd, labels, out)
+
+
+def _backward(
+    model: MlpModel, fwd: ForwardPass, labels: np.ndarray, out: Gradients
+) -> Gradients:
+    """backward without the checks, for callers that checked their inputs once."""
+    probs = fwd.probs
     delta = out.deltas[-1]
     np.copyto(delta, probs)
     # a view of the C-contiguous delta: one row per (fold, sample)
-    delta.reshape(-1, n_classes)[np.arange(labels.size), labels.ravel()] -= 1.0
+    delta.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
     delta /= probs.shape[-2]
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(model.layers) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), fwd.activations[i], out=out.d_weights[i])
         delta.sum(axis=-2, out=out.d_bias[i])
         if i > 0:

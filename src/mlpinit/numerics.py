@@ -11,8 +11,6 @@ same stream; no platform RNG is ever consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -30,18 +28,6 @@ def as_matrix(data) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check naming both operands."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            f"inner dimensions {a.shape[1]} and {b.shape[0]} differ"
-        )
-    return a @ b
 
 
 def relu(x) -> np.ndarray:
@@ -108,30 +94,6 @@ def _check_labels(labels, expected_shape: tuple[int, ...], n_classes: int) -> np
     return labels
 
 
-@dataclass(frozen=True)
-class NormalDist:
-    """Normal distribution parameterized by mean and variance (not std)."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise ValidationError(f"variance must be positive, got {self.variance}")
-
-
-@dataclass(frozen=True)
-class UniformDist:
-    """Uniform distribution on the open-ended interval [lo, hi)."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValidationError(f"need lo < hi, got [{self.lo}, {self.hi})")
-
-
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer on a 64-bit counter value (pure Python ints)."""
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
@@ -168,10 +130,7 @@ class Rng:
         steps = np.arange(1, n + 1, dtype=np.uint64)
         counters = np.uint64(self._counter) + steps * np.uint64(_GOLDEN)
         self._counter = int(counters[-1])
-        z = counters
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        return z ^ (z >> np.uint64(31))
+        return _mix_block(counters)
 
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each built from the top 53 bits of one word."""
@@ -226,16 +185,28 @@ class Rng:
         """
         if n < 0:
             raise ValidationError(f"permutation size must be nonnegative, got {n}")
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        keys = self._next_block(n)
-        return np.argsort(keys, kind="stable")
+        return _permutations([self], n)[0]
 
 
-def sample(rng: Rng, dist, n: int) -> np.ndarray:
-    """Draw n floats from ``dist`` (NormalDist or UniformDist) using ``rng``."""
-    if isinstance(dist, NormalDist):
-        return rng.normal(n, dist.mean, dist.variance)
-    if isinstance(dist, UniformDist):
-        return rng.uniform(dist.lo, dist.hi, n)
-    raise TypeError(f"unknown distribution {dist!r}")
+def _mix_block(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on every counter value of a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def _permutations(rngs: list[Rng], n: int) -> np.ndarray:
+    """One ``Rng.permutation(n)`` per generator, as rows of a (len(rngs), n) array.
+
+    Builds every generator's next n counters in one uint64 block and mixes
+    them at once, so a training draws the epoch permutations of all its
+    models in one call (the counter-based idea of Salmon et al., SC 2011).
+    Row k equals ``rngs[k].permutation(n)``, and ``rngs[k]`` advances
+    exactly as n single draws would advance it.
+    """
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    counters = np.array([rng._counter for rng in rngs], dtype=np.uint64)[:, None] + steps
+    if n:
+        for rng, last in zip(rngs, counters[:, -1].tolist()):
+            rng._counter = last
+    return np.argsort(_mix_block(counters), axis=1, kind="stable")

@@ -75,14 +75,8 @@ def sgd_step(
             f"model has {n} layers but gradients cover {len(grads.d_weights)} "
             f"and velocity {len(state.v_weights)}"
         )
-    for layer, v_w, v_b, s_w, s_b, d_w, d_b in zip(
-        model.layers,
-        state.v_weights,
-        state.v_bias,
-        state.step_weights,
-        state.step_bias,
-        grads.d_weights,
-        grads.d_bias,
+    for layer, v_w, v_b, d_w, d_b in zip(
+        model.layers, state.v_weights, state.v_bias, grads.d_weights, grads.d_bias
     ):
         if v_w.shape != layer.weights.shape or d_w.shape != layer.weights.shape:
             raise ShapeError(
@@ -94,10 +88,24 @@ def sgd_step(
                 f"bias shapes disagree: model {layer.bias.shape}, "
                 f"gradient {d_b.shape}, velocity {v_b.shape}"
             )
+    _sgd_update(
+        [*(layer.weights for layer in model.layers), *(layer.bias for layer in model.layers)],
+        [*state.v_weights, *state.v_bias],
+        [*grads.d_weights, *grads.d_bias],
+        [*state.step_weights, *state.step_bias],
+        hp,
+    )
+
+
+def _sgd_update(params, velocity, grads, scratch, hp: Hyperparams) -> None:
+    """The momentum update over parallel lists of arrays, without checks.
+
+    ``scratch`` receives ``lr * v``. A caller that holds all its parameters
+    (and velocity, gradients, scratch) in one flat vector each passes
+    one-element lists and updates every layer and fold in four ufunc calls.
+    """
+    for p, v, g, s in zip(params, velocity, grads, scratch):
         # v * lr has the bits of lr * v: IEEE multiplication commutes
-        v_w *= hp.momentum
-        v_w += d_w
-        layer.weights -= np.multiply(v_w, hp.learning_rate, out=s_w)
-        v_b *= hp.momentum
-        v_b += d_b
-        layer.bias -= np.multiply(v_b, hp.learning_rate, out=s_b)
+        v *= hp.momentum
+        v += g
+        p -= np.multiply(v, hp.learning_rate, out=s)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import mlpinit.cli as cli
 from mlpinit.data import CSV_HEADER, load_csv
-from mlpinit.errors import DivergedTrainingError
+from mlpinit.errors import DivergedTrainingError, WorkerError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -148,6 +148,19 @@ def test_diverged_training_exits_4(monkeypatch, tmp_path):
          "--out", str(tmp_path / "o")]
     )
     assert code == 4
+
+
+def test_dead_worker_exits_4(monkeypatch, tmp_path, capsys):
+    def boom(config):
+        raise WorkerError("a LOO worker process died (stub)")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    code = cli.main(
+        ["run", "--topology", "1", "--init", "xavier", "--synthetic",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 4
+    assert "worker process died" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_topology():

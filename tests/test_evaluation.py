@@ -67,13 +67,6 @@ class TestAccumulate:
         with pytest.raises(ValidationError):
             accumulate_confusion([0, -1], [0, 1])
 
-    def test_merged_adds_counts(self):
-        a = accumulate_confusion([0, 1], [0, 1])
-        b = accumulate_confusion([2, 3], [2, 2])
-        merged = a.merged(b)
-        assert merged.total == 4
-        assert merged.n_correct == 3
-
 
 class TestPerClassMetrics:
     def test_published_spot_value_f1(self):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,11 +13,14 @@ import pytest
 
 import mlpinit.harness as harness
 from mlpinit.data import standardize, holdout_split
+from mlpinit import network, numerics
 from mlpinit.errors import (
     DivergedTrainingError,
     FormatError,
+    ShapeError,
     UnsupportedVersionError,
     ValidationError,
+    WorkerError,
 )
 from mlpinit.evaluation import ConfusionMatrix, summarize
 from mlpinit.harness import (
@@ -27,7 +31,6 @@ from mlpinit.harness import (
     SyntheticSpec,
     load_model,
     render_report,
-    report_from_dict,
     report_to_dict,
     result_to_dict,
     run_experiment,
@@ -36,7 +39,14 @@ from mlpinit.harness import (
     suite_to_dict,
     _load_dataset,
 )
-from mlpinit.initializers import KAIMING_NORMAL, XAVIER_UNIFORM, Family, InitScheme, DistKind
+from mlpinit.initializers import (
+    KAIMING_NORMAL,
+    XAVIER_NORMAL,
+    XAVIER_UNIFORM,
+    DistKind,
+    Family,
+    InitScheme,
+)
 from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
 from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
@@ -49,7 +59,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
 
-# Minor page faults of one 8-fold lockstep _train at 10 and at 40 epochs,
+# Minor page faults of one full lockstep group's _train at 10 and at 40 epochs,
 # after a warm-up call, and the number of extra steps the longer one takes.
 FAULT_PROBE = """
 import json, resource
@@ -79,6 +89,34 @@ def faults(epochs):
 faults(10)  # warm-up
 print(json.dumps([faults(10), faults(40), 30 * steps_per_epoch]))
 """
+
+# One pooled LOO experiment with two forced workers. Python 3.12 and later
+# warn when a process that has threads (OpenBLAS keeps some) forks.
+FORK_PROBE = """
+from mlpinit import harness
+from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
+from mlpinit.initializers import KAIMING_NORMAL
+from mlpinit.network import Topology
+
+harness._loo_workers = lambda n_groups: 2
+run_experiment(ExperimentConfig(
+    topology=Topology.TWO_LAYER, scheme=KAIMING_NORMAL, seed=13, epochs=2,
+    synthetic=SyntheticSpec(participants=4, records_per_participant=8),
+))
+"""
+
+_TEST_PID = os.getpid()
+_real_loo_group = harness._loo_group
+
+
+def _loo_group_dying_after_first(config, features, labels, loo_root, first):
+    """_loo_group, except that the 3-layer Xavier config's worker process
+    dies at every group but the first. Module-level, so that a worker pool
+    can pickle it; it never ends the test process itself."""
+    xavier3 = config.topology is Topology.THREE_LAYER and config.scheme.family is Family.XAVIER
+    if xavier3 and first > 0 and os.getpid() != _TEST_PID:
+        os._exit(9)
+    return _real_loo_group(config, features, labels, loo_root, first)
 
 
 def small_config(**overrides):
@@ -164,7 +202,7 @@ class TestRunExperiment:
 
     @needs_fork
     def test_worker_pool_matches_in_process_loo(self, monkeypatch):
-        # 28 trainval rows: three full lockstep groups and a short one of 4.
+        # 28 trainval rows: one full lockstep group of 20 and a short one of 8.
         # Two workers are forced, so a 1-CPU machine runs the pool too.
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         runs = []
@@ -202,7 +240,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_train", spy)
         # In-process LOO: a spy in a forked worker records nothing this test sees.
         monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 1)
-        # 28 trainval rows: three full lockstep groups and a short one of 4
+        # 28 trainval rows: one full lockstep group of 20 and a short one of 8
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         result = run_experiment(config)
         hp = config.resolved_hyperparams()
@@ -244,6 +282,70 @@ class TestRunExperiment:
         final = train_alone(Rng(derive_seed(config.seed, harness.STREAM_FINAL)), np.arange(n))
         assert_same(trained["final training"], final)
         assert_same(result.model, final)
+
+    def test_train_checks_its_inputs_once(self, monkeypatch):
+        # Every step calls the unchecked forward/backward cores, so a
+        # training checks its labels and features once, not once per step.
+        calls = dict.fromkeys(("_check_labels", "_check_batch"), 0)
+
+        def counting(name, real):
+            def check(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return check
+
+        for module in (numerics, network, harness):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        n = 40
+        features = Rng(3).normal(n * 85).reshape(n, 85)
+        labels = np.arange(n) % 4
+        # 5 steps per epoch over 39 rows
+        config = small_config(epochs=3, hyperparams=Hyperparams(8, 0.01, 0.6))
+        for folds in (1, 3):
+            calls.update(dict.fromkeys(calls, 0))
+            harness._train(
+                config, features, labels,
+                np.stack([np.delete(np.arange(n), k) for k in range(folds)]),
+                [Rng(k) for k in range(folds)], [f"model {k}" for k in range(folds)],
+            )
+            assert all(count <= 1 for count in calls.values()), calls
+
+    def test_train_rejects_bad_inputs_up_front(self):
+        n = 12
+        features = Rng(3).normal(n * 85).reshape(n, 85)
+        labels = np.arange(n) % 4
+        rows = np.stack([np.delete(np.arange(n), k) for k in range(2)])
+        rngs, names = [Rng(0), Rng(1)], ["model 0", "model 1"]
+        config = small_config()
+        with pytest.raises(ValidationError, match=r"row maps.*\[0, 12\)"):
+            harness._train(config, features, labels, rows + 1, rngs, names)
+        with pytest.raises(ShapeError, match="row maps"):
+            harness._train(config, features, labels, rows[:1], rngs, names)
+        with pytest.raises(ValidationError, match="label 4"):
+            harness._train(config, features, labels + 1, rows, rngs, names)
+        with pytest.raises(ShapeError, match="features"):
+            harness._train(config, features[:, :84], labels, rows, rngs, names)
+
+    @needs_fork
+    def test_dead_worker_raises_library_error_naming_config(self, monkeypatch):
+        monkeypatch.setattr(harness, "_loo_group", _loo_group_dying_after_first)
+        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 2)
+        config = small_config(topology=Topology.THREE_LAYER, scheme=XAVIER_NORMAL, loo_enabled=True)
+        with pytest.raises(WorkerError, match=re.escape(config.describe())):
+            run_experiment(config)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_pooled_loo_raises_no_deprecation_warning(self):
+        # Shows, on Python 3.12 and later, the fork-with-threads warning
+        # that the worker pool has yet to avoid.
+        done = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", FORK_PROBE],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_lockstep_steps_take_no_page_faults(self):
         # Steps reuse their buffers, so training longer adds no minor page
@@ -323,6 +425,18 @@ class TestRunSuite:
         assert "injected failure" in failed[0].error
         assert sum(c.result is not None for c in cells) == 5
 
+    @needs_fork
+    def test_dead_worker_fails_only_its_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "_loo_group", _loo_group_dying_after_first)
+        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 2)
+        cells = run_suite(small_config(loo_enabled=True))
+        failed = [c for c in cells if c.error is not None]
+        assert [(c.topology, c.family) for c in failed] == [(Topology.THREE_LAYER, Family.XAVIER)]
+        assert failed[0].error.startswith("WorkerError: ")
+        assert "3-layer" in failed[0].error and f"seed={failed[0].seed}" in failed[0].error
+        assert sum(c.result is not None for c in cells) == 5
+        assert multiprocessing.active_children() == []
+
     def test_dist_variant_carries_into_cells(self):
         cells = run_suite(small_config(scheme=XAVIER_UNIFORM))
         for cell in cells:
@@ -363,8 +477,14 @@ class TestRendering:
     def test_report_json_round_trip_is_exact(self):
         result = run_experiment(small_config())
         blob = json.dumps(result_to_dict(result), sort_keys=True)
-        parsed = report_from_dict(json.loads(blob)["holdout"])
-        assert parsed == result.holdout
+        parsed = json.loads(blob)["holdout"]
+        report = result.holdout
+        for name in ("macro_precision", "macro_recall", "macro_f1", "accuracy", "total"):
+            assert parsed[name] == getattr(report, name)
+        for entry, metrics in zip(parsed["per_class"], report.per_class, strict=True):
+            assert [entry[k] for k in ("precision", "recall", "f1", "support")] == [
+                metrics.precision, metrics.recall, metrics.f1, metrics.support
+            ]
 
     def test_report_dict_full_precision(self):
         result = run_experiment(small_config())

@@ -4,46 +4,7 @@ import numpy as np
 import pytest
 
 from mlpinit.errors import ShapeError, ValidationError
-from mlpinit.numerics import (
-    NormalDist,
-    Rng,
-    UniformDist,
-    cross_entropy,
-    derive_seed,
-    matmul,
-    relu,
-    sample,
-    softmax,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = matmul(np.eye(2), [[3, 4], [5, 6]])
-        np.testing.assert_array_equal(out, [[3, 4], [5, 6]])
-
-    def test_hand_multiplied(self):
-        # [[1,2],[3,4]] @ [[5],[6]] worked out by hand
-        out = matmul([[1, 2], [3, 4]], [[5], [6]])
-        np.testing.assert_array_equal(out, [[17], [39]])
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match="2x3 by 2x3"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_associativity_on_random_triples(self):
-        rng = Rng(101)
-        for _ in range(10):
-            a = rng.normal(12).reshape(3, 4)
-            b = rng.normal(20).reshape(4, 5)
-            c = rng.normal(10).reshape(5, 2)
-            np.testing.assert_allclose(
-                matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-9
-            )
+from mlpinit.numerics import Rng, _permutations, cross_entropy, derive_seed, relu, softmax
 
 
 class TestRelu:
@@ -176,6 +137,11 @@ class TestRng:
         draws = Rng(12).normal(100_000)
         assert draws.var() == pytest.approx(1.0, rel=0.03)
 
+    def test_normal_mean_and_variance_parameters(self):
+        draws = Rng(77).normal(100_000, 3.0, 4.0)
+        assert draws.mean() == pytest.approx(3.0, abs=0.02)
+        assert draws.var() == pytest.approx(4.0, rel=0.03)
+
     def test_permutation_is_a_permutation(self):
         perm = Rng(8).permutation(100)
         assert sorted(perm.tolist()) == list(range(100))
@@ -195,25 +161,32 @@ class TestRng:
             Rng(0).randbelow(0)
 
 
-class TestSample:
-    def test_deterministic_per_seed(self):
-        d = NormalDist(0.0, 1.0)
-        np.testing.assert_array_equal(sample(Rng(1), d, 50), sample(Rng(1), d, 50))
+class TestPermutations:
+    @pytest.mark.parametrize("count", [1, 3, 20])
+    @pytest.mark.parametrize("n", [1, 2, 155])
+    def test_rows_equal_per_rng_permutations(self, count, n):
+        seeds = [derive_seed(41, k) for k in range(count)]
+        together, alone = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
+        for _ in range(3):
+            got = _permutations(together, n)
+            want = np.stack([rng.permutation(n) for rng in alone])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # normal draws in between start where each permutation left off
+            for a, b in zip(together, alone):
+                assert a.normal(3).tobytes() == b.normal(3).tobytes()
+        assert [r._counter for r in together] == [r._counter for r in alone]
 
-    def test_normal_dist_moments(self):
-        draws = sample(Rng(77), NormalDist(3.0, 4.0), 100_000)
-        assert draws.mean() == pytest.approx(3.0, abs=0.02)
-        assert draws.var() == pytest.approx(4.0, rel=0.03)
-
-    def test_uniform_dist_bounds(self):
-        draws = sample(Rng(77), UniformDist(2.0, 5.0), 10_000)
-        assert draws.min() >= 2.0 and draws.max() < 5.0
-
-    def test_invalid_distributions(self):
-        with pytest.raises(ValidationError):
-            NormalDist(0.0, 0.0)
-        with pytest.raises(ValidationError):
-            UniformDist(1.0, -1.0)
+    @pytest.mark.parametrize("n", [1, 2, 155])
+    def test_stable_argsort_of_reference_words(self, n):
+        seeds = (5, 6, 7)
+        rows = _permutations([Rng(s) for s in seeds], n)
+        rngs = [Rng(s) for s in seeds]
+        _permutations(rngs, n)
+        for seed, row, rng in zip(seeds, rows, rngs):
+            words = _splitmix_reference(seed, n + 1)
+            assert row.tolist() == sorted(range(n), key=lambda i: (words[i], i))
+            # exactly n words consumed: the next draw is word n
+            assert rng.random(1)[0] == (words[n] >> 11) * 2.0**-53
 
 
 def test_derive_seed_spreads_streams():

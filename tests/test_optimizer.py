@@ -7,7 +7,14 @@ from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, Family
 from mlpinit.network import Gradients, Topology, build_model, stack_models
 from mlpinit.numerics import Rng
-from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
+from mlpinit.harness import _flat_like
+from mlpinit.optimizer import (
+    Hyperparams,
+    SgdMomentumState,
+    _sgd_update,
+    preset_hyperparams,
+    sgd_step,
+)
 
 
 def constant_grads(model, value):
@@ -141,6 +148,38 @@ class TestSgdStep:
             params = [p - hp.learning_rate * v for p, v in zip(params, velocity)]
         for got, want in zip(model.parameter_arrays(), params):
             assert got.tobytes() == want.tobytes()
+
+    def test_flat_update_equals_per_layer_step(self):
+        # the training loop's layout: one vector each for parameters,
+        # velocity, gradients and scratch, every layer a view into it
+        stacked = stack_models(
+            [build_model(Rng(30 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
+        )
+        rng = Rng(96)
+        for layer in stacked.layers:
+            layer.bias[...] = rng.normal(layer.bias.size).reshape(layer.bias.shape)
+        arrays = list(stacked.parameter_arrays())
+        params, views = _flat_like(arrays)
+        for view, array in zip(views, arrays):
+            view[...] = array
+        velocity, velocity_views = _flat_like(arrays)
+        grad, grad_views = _flat_like(arrays)
+        scratch = np.empty_like(params)
+        state = SgdMomentumState(stacked)
+        hp = Hyperparams(8, 0.0123, 0.7)
+        for _ in range(5):
+            for view in grad_views:
+                view[...] = rng.normal(view.size).reshape(view.shape)
+            sgd_step(state, stacked, Gradients(
+                d_weights=[g.copy() for g in grad_views[0::2]],
+                d_bias=[g.copy() for g in grad_views[1::2]],
+            ), hp)
+            _sgd_update([params], [velocity], [grad], [scratch], hp)
+        for got, want in zip(views, stacked.parameter_arrays()):
+            assert got.tobytes() == want.tobytes()
+        for k, (v_w, v_b) in enumerate(zip(state.v_weights, state.v_bias)):
+            assert velocity_views[2 * k].tobytes() == v_w.tobytes()
+            assert velocity_views[2 * k + 1].tobytes() == v_b.tobytes()
 
     def test_shape_mismatch_rejected(self):
         model = build_model(Rng(6), Topology.ONE_LAYER, KAIMING_NORMAL)
