@@ -2,9 +2,12 @@
 
 Runs the full suite on a synthetic cohort, each cell with its published
 hyperparameter preset and a seed derived from the base seed by a fixed
-offset, then prints a compact comparison. Epochs are reduced and the
-leave-one-out diagnostic disabled so the demo finishes in seconds; drop
-those overrides to reproduce the full protocol.
+offset, then prints a compact comparison. On Linux the six cells' trainings
+run in one pool of forked worker processes, one per CPU, started once for the
+whole suite; fork needs no `if __name__ == "__main__":` guard, so this script
+runs as it stands. Epochs are reduced and the leave-one-out diagnostic
+disabled so the demo finishes in seconds; drop those overrides to reproduce
+the full protocol, whose LOO groups then share the same pool.
 """
 
 from mlpinit import ExperimentConfig, KAIMING_NORMAL, SyntheticSpec, Topology, run_suite

@@ -122,8 +122,8 @@ def load_csv(path) -> Dataset:
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
     of columns (naming the row), and ParseError for a non-numeric feature, a
-    participant id that is not an int64 or an unknown label token (naming
-    row and column).
+    participant id that is not an int64, an unknown label token or a cell
+    with an underscore (naming row and column).
     """
     path = Path(path)
     try:
@@ -151,6 +151,14 @@ def load_csv(path) -> Dataset:
             raise FormatError(
                 f"{path}: row {lineno} has {len(parts)} columns, "
                 f"expected {len(CSV_HEADER)}"
+            )
+        # int() and float() accept digit-group underscores ("1_0.5" is
+        # 10.5); the contract's plain decimals have none.
+        if "_" in line:
+            j = next(j for j, cell in enumerate(parts) if "_" in cell)
+            raise ParseError(
+                f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
+                f"contains '_', which plain decimal numbers do not"
             )
         try:
             participant = int(parts[0])

@@ -11,13 +11,15 @@ all-but-one trainval record classifies the held-out record correctly. The
 reported model is then retrained on the full trainval split and evaluated
 once on the untouched holdout set. One training loop serves both: LOO folds
 train in lockstep groups of ``LOO_GROUP_SIZE`` stacked models, the final
-training as a group of one. On Linux the LOO groups run in forked worker
-processes, one per CPU the process may use; results do not depend on it.
+training as a group of one. Each group and each final training is an
+independent task. A ``run_experiment`` or ``run_suite`` call maps all its
+tasks, of every cell, through one pool of forked worker processes, started
+once per call, on Linux and with one worker per CPU the process may use. A
+call with one task or one CPU trains in-process. Results do not depend on it.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 import sys
@@ -271,8 +273,30 @@ def _loo_group(
     return (preds == labels[folds]).tolist()
 
 
-def _loo_workers(n_groups: int) -> int:
-    """Worker processes for ``n_groups`` LOO groups; 1 means in-process.
+def _final_training(config: ExperimentConfig, features: np.ndarray, labels: np.ndarray) -> MlpModel:
+    """Train the reported model on every trainval row."""
+    return _train(
+        config,
+        features,
+        labels,
+        np.arange(len(labels))[None, :],
+        [Rng(derive_seed(config.seed, STREAM_FINAL))],
+        ["final training"],
+    ).fold(0)
+
+
+def _run_task(task):
+    """Call one training task. A library error is returned, not raised, so
+    that it stays its own cell's error while the other tasks run on."""
+    fn, args = task
+    try:
+        return fn(*args)
+    except MlpInitError as exc:
+        return exc
+
+
+def _loo_workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` independent trainings; 1 means in-process.
 
     One per CPU this process may use, on Linux, where workers are forked.
     A daemonic multiprocessing worker may not start children, so it trains
@@ -283,7 +307,7 @@ def _loo_workers(n_groups: int) -> int:
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.current_process().daemon:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_groups)
+    return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
@@ -298,15 +322,8 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one configuration end-to-end and report holdout metrics.
-
-    Pipeline: load or synthesize -> stratified holdout split -> standardize
-    with trainval statistics -> optional leave-one-out diagnostic over
-    trainval -> final training on all of trainval -> evaluate once on the
-    holdout set.
-    """
-    started = time.perf_counter()
+def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Load or synthesize, split, and standardize with trainval statistics."""
     dataset = _load_dataset(config)
     trainval, test = holdout_split(
         dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
@@ -316,61 +333,106 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"holdout split left no test samples ({config.describe()})"
         )
     (trainval_std, test_std), _, _ = standardize(trainval, test)
-    features, labels = trainval_std.features, trainval_std.labels
+    return trainval_std, test_std
 
-    loo_accuracy = None
-    loo_outcomes = None
-    if config.loo_enabled:
-        # The groups are independent: each fold draws from its own sub-stream.
-        # Both paths below yield their outcomes in group order.
-        group = functools.partial(
-            _loo_group, config, features, labels, derive_seed(config.seed, STREAM_LOO)
-        )
-        starts = range(0, len(labels), LOO_GROUP_SIZE)
-        workers = _loo_workers(len(starts))
-        if workers > 1:
-            # Imported here, not at the top: they add about 15 ms to importing
-            # this module, which runs without LOO would pay for nothing.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
 
-            # fork, unlike spawn and forkserver, re-imports no __main__, so
-            # caller scripts need no `if __name__ == "__main__":` guard. The
-            # first error in group order (the lowest diverged group) leaves
-            # map, which cancels the groups not yet started.
-            try:
-                with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")
-                ) as pool:
-                    per_group = list(pool.map(group, starts))
-            except BrokenProcessPool as exc:
-                raise WorkerError(
-                    f"a LOO worker process died ({config.describe()}): {exc}"
-                ) from exc
-        else:
-            per_group = list(map(group, starts))
-        loo_outcomes = [ok for outcomes in per_group for ok in outcomes]
-        loo_accuracy = float(np.mean(loo_outcomes))
+def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exception]:
+    """Run each config end to end; per config its result, or the library or
+    OS error that stopped it.
 
-    model = _train(
-        config,
-        features,
-        labels,
-        np.arange(len(labels))[None, :],
-        [Rng(derive_seed(config.seed, STREAM_FINAL))],
-        ["final training"],
-    ).fold(0)
-    preds = predict(model, test_std.features)
-    report = summarize(accumulate_confusion(preds, test_std.labels))
-    return ExperimentResult(
-        config=config,
-        holdout=report,
-        loo_accuracy=loo_accuracy,
-        loo_outcomes=loo_outcomes,
-        wall_time=time.perf_counter() - started,
-        model=model,
-    )
+    Every config's trainings are independent tasks, each drawing from its
+    own sub-stream: its LOO groups, then its final training. All tasks of
+    all configs go through one map, on a fork pool started once when more
+    than one CPU can take them. A config's error is that of its lowest
+    failing task. A worker that dies breaks the pool; each config left
+    unfinished then reruns alone, so only the one whose worker dies again
+    gets the ``WorkerError``.
+    """
+    started = time.perf_counter()
+    tests, spans, tasks = [], [], []  # per config: its test split or error, its task indices
+    for config in configs:
+        try:
+            trainval, test = _prepare(config)
+        except (MlpInitError, OSError) as exc:
+            tests.append(exc)
+            spans.append(range(0))
+            continue
+        features, labels = trainval.features, trainval.labels
+        first = len(tasks)
+        if config.loo_enabled:
+            loo_root = derive_seed(config.seed, STREAM_LOO)
+            tasks += [
+                (_loo_group, (config, features, labels, loo_root, start))
+                for start in range(0, len(labels), LOO_GROUP_SIZE)
+            ]
+        tasks.append((_final_training, (config, features, labels)))
+        tests.append(test)
+        spans.append(range(first, len(tasks)))
+
+    outputs, broken = [], None
+    workers = _loo_workers(len(tasks))
+    if workers > 1:
+        # Imported here, not at the top: they add about 15 ms to importing
+        # this module, which one-task runs would pay for nothing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, unlike spawn and forkserver, re-imports no __main__, so
+        # caller scripts need no `if __name__ == "__main__":` guard. map
+        # yields in task order; a dead worker ends it at the first task
+        # not yet returned.
+        try:
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                for output in pool.map(_run_task, tasks):
+                    outputs.append(output)
+        except BrokenProcessPool as exc:
+            broken = exc
+    else:
+        outputs = list(map(_run_task, tasks))
+
+    results = []
+    for config, test, span in zip(configs, tests, spans):
+        if isinstance(test, Exception):
+            results.append(test)
+            continue
+        done = [outputs[t] for t in span if t < len(outputs)]
+        error = next((out for out in done if isinstance(out, Exception)), None)
+        if error is None and len(done) < len(span):  # a dead worker left it unfinished
+            if len(configs) > 1:
+                results.append(_run_configs([config])[0])
+                continue
+            error = WorkerError(f"a worker process died ({config.describe()}): {broken}")
+        if error is not None:
+            results.append(error)
+            continue
+        *per_group, model = done
+        loo_outcomes = [ok for outcomes in per_group for ok in outcomes] if config.loo_enabled else None
+        results.append(ExperimentResult(
+            config=config,
+            holdout=summarize(accumulate_confusion(predict(model, test.features), test.labels)),
+            loo_accuracy=None if loo_outcomes is None else float(np.mean(loo_outcomes)),
+            loo_outcomes=loo_outcomes,
+            wall_time=time.perf_counter() - started,
+            model=model,
+        ))
+    return results
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run one configuration end-to-end and report holdout metrics.
+
+    Pipeline: load or synthesize -> stratified holdout split -> standardize
+    with trainval statistics -> optional leave-one-out diagnostic over
+    trainval -> final training on all of trainval -> evaluate once on the
+    holdout set.
+    """
+    [result] = _run_configs([config])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
@@ -378,24 +440,25 @@ def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
 
     Each cell uses its published hyperparameter preset and the base config's
     distribution variant, data source, epochs and protocol flags. A failing
-    cell is recorded with its error message; the other cells still run.
+    cell is recorded with its error message; the other cells still run. The
+    cells' trainings share one worker pool.
     """
-    cells = []
+    cells, configs = [], []
     for topology, family in SUITE_CELL_ORDER:
         seed = base_config.seed + SUITE_SEED_OFFSETS[(topology, family)]
-        cell = SuiteCell(topology=topology, family=family, seed=seed)
-        config = replace(
+        cells.append(SuiteCell(topology=topology, family=family, seed=seed))
+        configs.append(replace(
             base_config,
             topology=topology,
             scheme=InitScheme(family, base_config.scheme.dist),
             hyperparams=None,
             seed=seed,
-        )
-        try:
-            cell.result = run_experiment(config)
-        except (MlpInitError, OSError) as exc:
-            cell.error = f"{type(exc).__name__}: {exc}"
-        cells.append(cell)
+        ))
+    for cell, result in zip(cells, _run_configs(configs)):
+        if isinstance(result, Exception):
+            cell.error = f"{type(result).__name__}: {result}"
+        else:
+            cell.result = result
     return cells
 
 

@@ -22,14 +22,6 @@ _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to a 2-D float64 array, the library's sole container."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
 def relu(x) -> np.ndarray:
     """Elementwise max(0, x)."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
@@ -67,7 +59,9 @@ def cross_entropy(probs, labels) -> float:
     class probability is clamped to 1e-15 before the log so a confident wrong
     prediction yields a large finite loss instead of infinity.
     """
-    probs = as_matrix(probs)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix of probabilities, got shape {probs.shape}")
     labels = _check_labels(labels, probs.shape[:1], probs.shape[1])
     row_sums = probs.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-8):

@@ -130,6 +130,41 @@ def test_participant_id_outside_int64_exits_3(tmp_path, capsys):
     assert "row 2, column 'participant'" in capsys.readouterr().err
 
 
+def test_underscore_in_a_number_exits_3(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    row = ",".join(["1", "None"] + ["1.0"] * 84 + ["1_0.5"])
+    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+    code = cli.main(
+        ["run", "--topology", "1", "--init", "xavier", "--data", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "row 2, column 'st_22': '1_0.5'" in capsys.readouterr().err
+
+
+def test_csv_with_byte_order_mark_exits_3(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    row = ",".join(["1", "None"] + ["1.0"] * 85)
+    path.write_bytes(("\ufeff" + ",".join(CSV_HEADER) + "\n" + row + "\n").encode("utf-8"))
+    code = cli.main(
+        ["run", "--topology", "3", "--init", "kaiming", "--data", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "header" in capsys.readouterr().err
+
+
+def test_suite_records_a_data_error_per_cell_and_exits_1(tmp_path):
+    path = tmp_path / "cohort.csv"
+    row = ",".join(["1", "None"] + ["1.0"] * 84 + ["nan"])
+    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+    code = cli.main(["suite", "--data", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    cells = json.loads((tmp_path / "o" / "result.json").read_text())["cells"]
+    assert len(cells) == 6
+    assert all(c["error"].startswith("ParseError: row 2, column 'st_22'") for c in cells)
+
+
 def test_bad_config_exits_2(tmp_path):
     code = cli.main(
         ["run", "--topology", "1", "--init", "xavier", "--synthetic",

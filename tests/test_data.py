@@ -12,7 +12,7 @@ from mlpinit.data import (
     standardize,
     synthesize_dataset,
 )
-from mlpinit.errors import FormatError, ParseError, ValidationError
+from mlpinit.errors import DataError, FormatError, ParseError, ValidationError
 
 
 def tiny_dataset(n=8, seed=0):
@@ -156,6 +156,47 @@ class TestCsv:
         path.write_bytes(header + b"\n" + row)
         offset = len(header) + 1 + row.index(b"\xff")
         with pytest.raises(FormatError, match=rf"latin\.csv: not UTF-8 .* offset {offset}$"):
+            load_csv(path)
+
+    def test_underscore_in_a_number_names_row_and_column(self, tmp_path):
+        # int("1_0") is 10 and float("1_0.5") is 10.5 in Python
+        feats = ["1.0"] * 85
+        feats[3] = "1_0.5"
+        lines = [",".join(CSV_HEADER), "1,None," + ",".join(["1.0"] * 85),
+                 "2,Mild," + ",".join(feats)]
+        path = tmp_path / "underscore.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'gsr_03': '1_0\.5'"):
+            load_csv(path)
+        lines[2] = "1_0,Mild," + ",".join(["1.0"] * 85)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'participant': '1_0'"):
+            load_csv(path)
+        lines[2] = "2,0_1," + ",".join(["1.0"] * 85)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'label': '0_1'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["bom", "blank_line", "nan", "inf", "-inf", "1e999", "short_row", "long_row"],
+    )
+    def test_malformed_csv_raises_a_data_error(self, tmp_path, case):
+        row = "1,None," + ",".join(["1.0"] * 85)
+        lines = [",".join(CSV_HEADER), row, row, row]
+        if case == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        elif case == "blank_line":
+            lines[2] = ""
+        elif case in ("nan", "inf", "-inf", "1e999"):
+            lines[2] = "1,None," + ",".join(["1.0"] * 40 + [case] + ["1.0"] * 44)
+        elif case == "short_row":
+            lines[2] = row.rsplit(",", 1)[0]
+        else:
+            lines[2] = row + ",1.0"
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(DataError):
             load_csv(path)
 
     def test_header_only_is_an_error(self, tmp_path):

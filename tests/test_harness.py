@@ -105,6 +105,20 @@ run_experiment(ExperimentConfig(
 ))
 """
 
+# A run without LOO has one task: whether the pool modules were imported.
+NO_POOL_PROBE = """
+import sys
+from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
+from mlpinit.initializers import KAIMING_NORMAL
+from mlpinit.network import Topology
+
+run_experiment(ExperimentConfig(
+    topology=Topology.TWO_LAYER, scheme=KAIMING_NORMAL, seed=13, epochs=2,
+    synthetic=SyntheticSpec(participants=4, records_per_participant=8), loo_enabled=False,
+))
+print("multiprocessing" in sys.modules, "concurrent.futures.process" in sys.modules)
+"""
+
 _TEST_PID = os.getpid()
 _real_loo_group = harness._loo_group
 
@@ -411,19 +425,92 @@ class TestRunSuite:
         assert result_to_dict(alone) == result_to_dict(cell.result)
 
     def test_cell_errors_do_not_abort_suite(self, monkeypatch):
-        real = harness.run_experiment
+        real = harness._load_dataset
 
         def flaky(config):
             if config.topology is Topology.TWO_LAYER and config.scheme.family is Family.XAVIER:
                 raise ValidationError("injected failure")
             return real(config)
 
-        monkeypatch.setattr(harness, "run_experiment", flaky)
+        monkeypatch.setattr(harness, "_load_dataset", flaky)
         cells = run_suite(small_config())
         failed = [c for c in cells if c.error is not None]
         assert len(failed) == 1
         assert "injected failure" in failed[0].error
         assert sum(c.result is not None for c in cells) == 5
+
+    @needs_fork
+    def test_worker_pool_matches_in_process_suite(self, monkeypatch):
+        # 28 trainval rows per cell: two LOO groups and the final training,
+        # 18 tasks in all. Two workers are forced, so a 1-CPU machine runs
+        # the pool too.
+        runs = []
+        for workers in (2, 1):
+            monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: workers)
+            cells = run_suite(small_config(loo_enabled=True))
+            assert multiprocessing.active_children() == []
+            runs.append((
+                json.dumps(suite_to_dict(13, cells), sort_keys=True),
+                [c.result.loo_outcomes for c in cells],
+                [b"".join(l.weights.tobytes() + l.bias.tobytes() for l in c.result.model.layers)
+                 for c in cells],
+            ))
+        assert all(len(outcomes) == 28 for outcomes in runs[0][1])
+        assert runs[0] == runs[1]
+
+    @needs_fork
+    def test_loo_suite_starts_one_pool(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: 2)
+        cells = run_suite(small_config(loo_enabled=True))
+        assert all(c.error is None for c in cells)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_run_without_loo_never_imports_multiprocessing(self):
+        # One task (the final training) trains in-process, so the pool
+        # modules stay unimported whatever the CPU count.
+        done = subprocess.run(
+            [sys.executable, "-c", NO_POOL_PROBE],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
+
+    def test_diverging_cell_fails_alone(self, monkeypatch):
+        real = harness.preset_hyperparams
+
+        def preset(topology, family):
+            hp = real(topology, family)
+            if (topology, family) == (Topology.TWO_LAYER, Family.XAVIER):
+                return replace(hp, learning_rate=1e308)
+            return hp
+
+        monkeypatch.setattr(harness, "preset_hyperparams", preset)
+        errors = []
+        for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
+            monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: workers)
+            with np.errstate(all="ignore"):
+                cells = run_suite(small_config(loo_enabled=True))
+            failed = [c for c in cells if c.error is not None]
+            assert [(c.topology, c.family) for c in failed] == [(Topology.TWO_LAYER, Family.XAVIER)]
+            assert re.fullmatch(
+                r"DivergedTrainingError: non-finite loss at epoch \d+ "
+                r"\(2-layer xavier-normal .*, LOO fold \d+\)", failed[0].error
+            ), failed[0].error
+            assert sum(c.result is not None for c in cells) == 5
+            assert multiprocessing.active_children() == []
+            errors.append(failed[0].error)
+        assert errors[0] == errors[-1]
 
     @needs_fork
     def test_dead_worker_fails_only_its_cell(self, monkeypatch):
@@ -528,6 +615,18 @@ class TestModelSerialization:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_model(path)
+
+    def test_truncation_at_every_byte_offset_rejected(self, tmp_path):
+        # one layer keeps the sweep short: 2,780 bytes of magic, version,
+        # topology, layer count, dimensions, weights and bias
+        model = build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                load_model(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         model = build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL)

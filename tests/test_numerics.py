@@ -85,6 +85,12 @@ class TestCrossEntropy:
         loss = cross_entropy([[0.0, 1.0]], [0])
         assert loss == pytest.approx(-math.log(1e-15))
 
+    def test_rejects_probs_that_are_not_a_matrix(self):
+        with pytest.raises(ShapeError, match=r"2-D.*\(4,\)"):
+            cross_entropy([0.25] * 4, [0])
+        with pytest.raises(ShapeError, match=r"2-D.*\(1, 1, 4\)"):
+            cross_entropy([[[0.25] * 4]], [0])
+
 
 def _splitmix_reference(seed, n):
     """Independent pure-int SplitMix64: counter + finalizer, one word per draw."""
