@@ -34,8 +34,6 @@ from .initializers import ALL_SCHEMES, DistKind, Family, InitScheme, target_vari
 from .network import Topology, build_model, grad_check
 from .numerics import Rng, derive_seed
 
-_TOPOLOGIES = {1: Topology.ONE_LAYER, 2: Topology.TWO_LAYER, 3: Topology.THREE_LAYER}
-
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
@@ -93,7 +91,7 @@ def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> N
 
 
 def _cmd_run(args) -> int:
-    config = _base_config(args, _TOPOLOGIES[args.topology], Family(args.init))
+    config = _base_config(args, Topology(args.topology), Family(args.init))
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])
@@ -129,7 +127,7 @@ def _cmd_grad_check(args) -> int:
     batch = rng.normal(8 * N_FEATURES).reshape(8, N_FEATURES)
     labels = np.array([rng.randbelow(4) for _ in range(8)])
     worst = 0.0
-    for topology in _TOPOLOGIES.values():
+    for topology in Topology:
         for family in Family:
             scheme = InitScheme(family, DistKind(args.dist))
             model = build_model(Rng(derive_seed(args.seed, topology.value)), topology, scheme)

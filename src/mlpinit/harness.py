@@ -121,6 +121,14 @@ class ExperimentConfig:
     loo_enabled: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.topology, Topology):
+            raise ValidationError(f"topology must be a Topology, got {self.topology!r}")
+        if not isinstance(self.scheme, InitScheme):
+            raise ValidationError(f"scheme must be an InitScheme, got {self.scheme!r}")
+        for name in ("seed", "epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if (self.csv_path is None) == (self.synthetic is None):
             raise ValidationError(
                 "config needs exactly one data source: csv_path or synthetic"
@@ -209,22 +217,23 @@ def _train(
         view[...] = array
     model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(views[0::2], views[1::2])])
     grad, grad_views = _flat_like(views)
+    grads = Gradients(grad_views[0::2], grad_views[1::2])
     velocity, scratch = np.zeros_like(params), np.empty_like(params)
-    # Every step reuses the buffers of its batch shape (full, or the short
-    # last batch): freeing and re-allocating them each step would have the
-    # allocator return them to the OS and page-fault them back in.
+    # Every step reuses the forward pass and backward scratch of its batch
+    # shape (full, or the short last batch): freeing and re-allocating them
+    # each step would have the allocator return them to the OS and
+    # page-fault them back in.
     buffers = {}
     schedule = []
     for start in range(0, n, hp.batch_size):
         size = min(hp.batch_size, n - start)
         if size not in buffers:
-            grads = Gradients(grad_views[0::2], grad_views[1::2], _layer_outputs(model, size))
-            buffers[size] = (ForwardPass.empty(model, size), grads)
-        fwd, grads = buffers[size]
-        schedule.append((start, start + size, fwd.activations[0], fwd, grads))
+            buffers[size] = (ForwardPass.empty(model, size), _layer_outputs(model, size))
+        fwd, deltas = buffers[size]
+        schedule.append((start, start + size, fwd.activations[0], fwd, deltas))
     for epoch in range(config.epochs):
         order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
-        for start, stop, batch, fwd, grads in schedule:
+        for start, stop, batch, fwd, deltas in schedule:
             idx = order[:, start:stop]
             # mode="clip" gathers straight into batch; the default "raise"
             # buffers. The row maps were range-checked above.
@@ -240,7 +249,7 @@ def _train(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            _backward(model, fwd, labels[idx], grads)
+            _backward(model, fwd, labels[idx], grads, deltas)
             _sgd_update([params], [velocity], [grad], [scratch], hp)
     return model
 
@@ -688,6 +697,8 @@ def load_model(path) -> MlpModel:
     if reader.take(len(_MODEL_MAGIC)) != _MODEL_MAGIC:
         raise FormatError(f"{path}: not a model file (bad magic)")
     version = reader.u32()
+    if version < 1:
+        raise FormatError(f"{path}: file format version {version} was never written")
     if version > _MODEL_VERSION:
         raise UnsupportedVersionError(
             f"{path}: file format version {version}, this library supports "

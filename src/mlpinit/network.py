@@ -15,7 +15,7 @@ the same call gives for fold k alone, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,10 +42,6 @@ class Topology(Enum):
             Topology.TWO_LAYER: (N_FEATURES, HIDDEN_1, N_CLASSES),
             Topology.THREE_LAYER: (N_FEATURES, HIDDEN_1, HIDDEN_2, N_CLASSES),
         }[self]
-
-    @property
-    def n_weight_layers(self) -> int:
-        return len(self.layer_dims) - 1
 
 
 @dataclass
@@ -89,24 +85,10 @@ class MlpModel:
 
 @dataclass
 class Gradients:
-    """Loss gradients, shape-congruent with the model they came from.
-
-    ``deltas[i]`` is backward's scratch for the loss gradient at layer i's
-    output; it is empty for gradients that ``backward`` did not fill.
-    """
+    """Loss gradients, shape-congruent with the model they came from."""
 
     d_weights: list[np.ndarray]
     d_bias: list[np.ndarray]
-    deltas: list[np.ndarray] = field(default_factory=list, repr=False)
-
-    @classmethod
-    def empty(cls, model: MlpModel, rows: int) -> "Gradients":
-        """Uninitialized arrays for ``backward(..., out=)`` on batches of ``rows``."""
-        return cls(
-            d_weights=[np.empty(layer.weights.shape) for layer in model.layers],
-            d_bias=[np.empty(layer.bias.shape) for layer in model.layers],
-            deltas=_layer_outputs(model, rows),
-        )
 
 
 @dataclass
@@ -122,10 +104,10 @@ class ForwardPass:
 
     @classmethod
     def empty(cls, model: MlpModel, rows: int) -> "ForwardPass":
-        """Uninitialized arrays for ``forward(..., out=)`` on batches of ``rows``.
+        """Uninitialized arrays for ``_forward`` on batches of ``rows``.
 
         ``activations[0]`` is a batch-shaped buffer that a caller may fill and
-        pass as the batch; forward stores whatever batch it gets there.
+        pass as the batch; ``_forward`` stores whatever batch it gets there.
         """
         return cls(
             activations=[np.empty(model.folds + (rows, model.n_features))]
@@ -180,27 +162,18 @@ def _check_batch(model: MlpModel, batch) -> np.ndarray:
     return batch
 
 
-def forward(model: MlpModel, batch, out: ForwardPass | None = None) -> ForwardPass:
-    """Run the batch through the network, retaining intermediates for backprop.
-
-    ``out`` is a ForwardPass from an earlier call with a model of the same
-    topology and a batch of the same shape (or from ``ForwardPass.empty``).
-    Its arrays are overwritten and it is returned, so a training loop need
-    not allocate them at every step; the batch itself is stored, not copied.
-    """
-    a = _check_batch(model, batch)
-    if out is None:
-        out = ForwardPass.empty(model, a.shape[-2])
-    elif len(out.pre_activations) != len(model.layers) or out.activations[0].shape != a.shape:
-        raise ShapeError(
-            f"out holds a {len(out.pre_activations)}-layer pass over batches of shape "
-            f"{out.activations[0].shape}, not {len(model.layers)} layers over {a.shape}"
-        )
-    return _forward(model, a, out)
+def forward(model: MlpModel, batch) -> ForwardPass:
+    """Run the batch through the network, retaining intermediates for backprop."""
+    batch = _check_batch(model, batch)
+    return _forward(model, batch, ForwardPass.empty(model, batch.shape[-2]))
 
 
 def _forward(model: MlpModel, batch: np.ndarray, out: ForwardPass) -> ForwardPass:
-    """forward without the checks, for callers that checked their inputs once."""
+    """forward without the checks, for callers that checked their inputs once.
+
+    Overwrites the arrays of ``out`` (see ``ForwardPass.empty``) and returns
+    it; the batch itself is stored, not copied.
+    """
     a = out.activations[0] = batch
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -214,15 +187,12 @@ def _forward(model: MlpModel, batch: np.ndarray, out: ForwardPass) -> ForwardPas
     return out
 
 
-def backward(
-    model: MlpModel, fwd: ForwardPass, labels, out: Gradients | None = None
-) -> Gradients:
+def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
     """Gradients of the mean cross-entropy loss for the cached forward pass.
 
     The output delta is (probs - one_hot) / batch_size; the ReLU gate passes
     gradient only where the pre-activation was strictly positive (subgradient
-    0 at exactly 0). ``out`` is a Gradients from an earlier call with the
-    same shapes (or from ``Gradients.empty``); it is overwritten and returned.
+    0 at exactly 0).
     """
     probs = fwd.probs
     n_classes = probs.shape[-1]
@@ -237,23 +207,27 @@ def backward(
                 f"cached activation {layer_input.shape} does not match "
                 f"layer {i} weights {weights.shape}"
             )
-    if out is None:
-        out = Gradients.empty(model, probs.shape[-2])
-    elif len(out.deltas) != n_layers or out.deltas[-1].shape != probs.shape:
-        shape = out.deltas[-1].shape if out.deltas else None
-        raise ShapeError(
-            f"out holds {len(out.deltas)}-layer gradients for outputs of shape {shape}, "
-            f"not {n_layers} layers for {probs.shape}"
-        )
-    return _backward(model, fwd, labels, out)
+    out = Gradients(
+        d_weights=[np.empty(layer.weights.shape) for layer in model.layers],
+        d_bias=[np.empty(layer.bias.shape) for layer in model.layers],
+    )
+    return _backward(model, fwd, labels, out, _layer_outputs(model, probs.shape[-2]))
 
 
 def _backward(
-    model: MlpModel, fwd: ForwardPass, labels: np.ndarray, out: Gradients
+    model: MlpModel,
+    fwd: ForwardPass,
+    labels: np.ndarray,
+    out: Gradients,
+    deltas: list[np.ndarray],
 ) -> Gradients:
-    """backward without the checks, for callers that checked their inputs once."""
+    """backward without the checks, for callers that checked their inputs once.
+
+    Overwrites the arrays of ``out`` and returns it. ``deltas[i]`` is scratch
+    for the loss gradient at layer i's output (see ``_layer_outputs``).
+    """
     probs = fwd.probs
-    delta = out.deltas[-1]
+    delta = deltas[-1]
     np.copyto(delta, probs)
     # a view of the C-contiguous delta: one row per (fold, sample)
     delta.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
@@ -262,7 +236,7 @@ def _backward(
         np.matmul(delta.swapaxes(-1, -2), fwd.activations[i], out=out.d_weights[i])
         delta.sum(axis=-2, out=out.d_bias[i])
         if i > 0:
-            delta = np.matmul(delta, model.layers[i].weights, out=out.deltas[i - 1])
+            delta = np.matmul(delta, model.layers[i].weights, out=deltas[i - 1])
             delta *= fwd.pre_activations[i - 1] > 0.0
     return out
 

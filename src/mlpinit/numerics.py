@@ -1,12 +1,14 @@
-"""Dense float64 matrix helpers, activations, and a seeded deterministic RNG.
+"""Activations, cross-entropy, and a seeded deterministic RNG.
 
 Numeric state lives in ``numpy`` arrays of 64-bit floats: 2-D matrices for
 one model, with a leading fold axis when several models train in lockstep
-(see ``network``). Randomness
-comes from :class:`Rng`, a counter-based SplitMix64 generator implemented with
-pure unsigned 64-bit integer arithmetic, so a given seed produces bit-identical
-streams on every platform. Normal draws use the Box-Muller transform over that
-same stream; no platform RNG is ever consulted.
+(see ``network``). Randomness comes from :class:`Rng`, a counter-based
+SplitMix64 generator implemented with pure unsigned 64-bit integer
+arithmetic, so a given seed produces bit-identical words, uniform draws and
+permutations on every platform; no platform RNG is ever consulted. Normal
+draws use the Box-Muller transform over that same stream. It goes through
+numpy's ``log``, whose last bit can depend on the SIMD code path numpy
+picks for the CPU, so normal draws are bit-identical per numpy SIMD path.
 """
 
 from __future__ import annotations
@@ -88,37 +90,27 @@ def _check_labels(labels, expected_shape: tuple[int, ...], n_classes: int) -> np
     return labels
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit counter value (pure Python ints)."""
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(seed: int, stream: int) -> int:
     """Derive a decorrelated child seed for a named sub-stream.
 
     Used by the harness so data synthesis, splitting, per-fold training, etc.
     each get an independent generator from one experiment seed.
     """
-    return _mix64((seed + stream * _GOLDEN) & _MASK64)
+    counter = np.array([(seed + stream * _GOLDEN) & _MASK64], dtype=np.uint64)
+    return int(_mix_block(counter)[0])
 
 
 class Rng:
     """Counter-based SplitMix64 stream of 64-bit words.
 
-    Every draw advances a counter by a fixed odd constant and mixes it, so the
-    k-th output is a pure function of (seed, k). Bulk draws vectorize the same
-    arithmetic in uint64 numpy ops; scalar and bulk paths share one counter, so
-    interleaving them never reuses or skips state.
+    Every word advances a counter by a fixed odd constant and mixes it, so the
+    k-th output is a pure function of (seed, k). Draws mix blocks of counter
+    values in uint64 numpy ops, a block of one for a scalar draw, so
+    interleaving scalar and bulk draws never reuses or skips state.
     """
 
     def __init__(self, seed: int):
         self._counter = int(seed) & _MASK64
-
-    def _next_u64(self) -> int:
-        self._counter = (self._counter + _GOLDEN) & _MASK64
-        return _mix64(self._counter)
 
     def _next_block(self, n: int) -> np.ndarray:
         steps = np.arange(1, n + 1, dtype=np.uint64)
@@ -162,11 +154,11 @@ class Rng:
         if bound <= 0:
             raise ValidationError(f"bound must be positive, got {bound}")
         if bound == 1:
-            self._next_u64()
+            self._next_block(1)
             return 0
         mask = (1 << (bound - 1).bit_length()) - 1
         while True:
-            r = self._next_u64() & mask
+            r = int(self._next_block(1)[0]) & mask
             if r < bound:
                 return r
 

@@ -48,17 +48,11 @@ def preset_hyperparams(topology: Topology, family: Family) -> Hyperparams:
 
 
 class SgdMomentumState:
-    """Per-parameter velocity buffers, zero-initialized to match a model.
-
-    ``step_weights``/``step_bias`` are scratch for ``lr * v``, so that an
-    update allocates nothing.
-    """
+    """Per-parameter velocity buffers, zero-initialized to match a model."""
 
     def __init__(self, model: MlpModel):
         self.v_weights = [np.zeros_like(layer.weights) for layer in model.layers]
         self.v_bias = [np.zeros_like(layer.bias) for layer in model.layers]
-        self.step_weights = [np.empty_like(v) for v in self.v_weights]
-        self.step_bias = [np.empty_like(v) for v in self.v_bias]
 
 
 def sgd_step(
@@ -88,11 +82,12 @@ def sgd_step(
                 f"bias shapes disagree: model {layer.bias.shape}, "
                 f"gradient {d_b.shape}, velocity {v_b.shape}"
             )
+    params = [*(layer.weights for layer in model.layers), *(layer.bias for layer in model.layers)]
     _sgd_update(
-        [*(layer.weights for layer in model.layers), *(layer.bias for layer in model.layers)],
+        params,
         [*state.v_weights, *state.v_bias],
         [*grads.d_weights, *grads.d_bias],
-        [*state.step_weights, *state.step_bias],
+        [np.empty_like(p) for p in params],
         hp,
     )
 

@@ -379,6 +379,22 @@ class TestRunExperiment:
         short, long, steps = json.loads(done.stdout)
         assert (long - short) / steps < 0.2, f"{long - short} more faults over {steps} steps"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 2.5),
+            ("epochs", True),
+            ("seed", "7"),
+            ("seed", np.int64(3)),
+            ("topology", 3),
+            ("scheme", "kaiming"),
+        ],
+        ids=["float-epochs", "bool-epochs", "str-seed", "numpy-seed", "int-topology", "str-scheme"],
+    )
+    def test_config_rejects_wrong_field_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            small_config(**{field: value})
+
     def test_config_requires_exactly_one_source(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(
@@ -605,6 +621,16 @@ class TestModelSerialization:
         blob[8:12] = struct.pack("<I", 9)
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError, match="version 9.*1"):
+            load_model(path)
+
+    def test_version_zero_rejected_naming_version(self, tmp_path):
+        model = build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL)
+        path = tmp_path / "zero.bin"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="version 0"):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
