@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,20 +36,33 @@ from .network import Topology, build_model, grad_check
 from .numerics import Rng, derive_seed
 
 
+def _add_cohort_args(parser: argparse.ArgumentParser) -> None:
+    """The shape of a synthetic cohort, with SyntheticSpec's defaults."""
+    spec = SyntheticSpec()
+    parser.add_argument("--participants", type=int, default=spec.participants)
+    parser.add_argument(
+        "--records", type=int, default=spec.records_per_participant,
+        help="records per participant",
+    )
+    parser.add_argument("--separation", type=float, default=spec.separation)
+
+
+def _cohort(args) -> SyntheticSpec:
+    return SyntheticSpec(args.participants, args.records, args.separation)
+
+
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", metavar="CSV", help="dataset CSV path")
     source.add_argument(
         "--synthetic", action="store_true", help="generate a synthetic cohort"
     )
-    parser.add_argument("--participants", type=int, default=16)
-    parser.add_argument("--records", type=int, default=12, help="records per participant")
-    parser.add_argument("--separation", type=float, default=2.0)
+    _add_cohort_args(parser)
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=200)
+    parser.add_argument("--epochs", type=int, default=ExperimentConfig.epochs)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
         "--dist", choices=["normal", "uniform"], default="normal",
@@ -60,20 +74,13 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args, topology: Topology, family: Family) -> ExperimentConfig:
-    synthetic = None
-    if args.synthetic:
-        synthetic = SyntheticSpec(
-            participants=args.participants,
-            records_per_participant=args.records,
-            separation=args.separation,
-        )
     return ExperimentConfig(
         topology=topology,
         scheme=InitScheme(family, DistKind(args.dist)),
         seed=args.seed,
         epochs=args.epochs,
         csv_path=args.data,
-        synthetic=synthetic,
+        synthetic=_cohort(args) if args.synthetic else None,
         loo_enabled=not args.no_loo,
     )
 
@@ -176,12 +183,7 @@ def _cmd_init_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    dataset = synthesize_dataset(
-        seed=args.seed,
-        participants=args.participants,
-        records_per_participant=args.records,
-        separation=args.separation,
-    )
+    dataset = synthesize_dataset(seed=args.seed, **asdict(_cohort(args)))
     save_csv(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
@@ -222,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write a synthetic cohort CSV")
     p_synth.add_argument("--out", required=True, metavar="CSV")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--participants", type=int, default=16)
-    p_synth.add_argument("--records", type=int, default=12)
-    p_synth.add_argument("--separation", type=float, default=2.0)
+    _add_cohort_args(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
     return parser

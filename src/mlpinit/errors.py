@@ -17,6 +17,16 @@ class ShapeError(MlpInitError, ValueError):
     """Matrix or parameter shapes are incompatible."""
 
 
+def _check_types(obj, fields) -> None:
+    """Raise ValidationError for the first ``(name, kinds, what)`` of ``fields``
+    whose attribute of ``obj`` is no instance of ``kinds``; a bool passes only
+    where ``kinds`` names bool, although bool is an int."""
+    for name, kinds, what in fields:
+        value = getattr(obj, name)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
 class DataError(MlpInitError):
     """Base class for dataset ingestion problems."""
 

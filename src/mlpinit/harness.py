@@ -24,7 +24,9 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
     WorkerError,
+    _check_types,
 )
 from .evaluation import Report, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
@@ -105,30 +108,40 @@ class SyntheticSpec:
     records_per_participant: int = 12
     separation: float = 2.0
 
+    def __post_init__(self):
+        # synthesize_dataset checks the ranges
+        _check_types(self, (
+            ("participants", (int,), "an int"),
+            ("records_per_participant", (int,), "an int"),
+            ("separation", (Real,), "a real number"),
+        ))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines one experiment, bit for bit."""
+    """Everything that determines one experiment, bit for bit. Every cell
+    trains with its published preset and holds out a fixed fraction."""
+
+    holdout_fraction: ClassVar[float] = 0.2
 
     topology: Topology
     scheme: InitScheme
     seed: int
     epochs: int = 200
-    hyperparams: Hyperparams | None = None  # None -> published preset
     csv_path: str | None = None
     synthetic: SyntheticSpec | None = None
-    holdout_fraction: float = 0.2
     loo_enabled: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.topology, Topology):
-            raise ValidationError(f"topology must be a Topology, got {self.topology!r}")
-        if not isinstance(self.scheme, InitScheme):
-            raise ValidationError(f"scheme must be an InitScheme, got {self.scheme!r}")
-        for name in ("seed", "epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an int, got {value!r}")
+        _check_types(self, (
+            ("topology", (Topology,), "a Topology"),
+            ("scheme", (InitScheme,), "an InitScheme"),
+            ("seed", (int,), "an int"),
+            ("epochs", (int,), "an int"),
+            ("csv_path", (str, type(None)), "a str"),
+            ("synthetic", (SyntheticSpec, type(None)), "a SyntheticSpec"),
+            ("loo_enabled", (bool,), "a bool"),
+        ))
         if (self.csv_path is None) == (self.synthetic is None):
             raise ValidationError(
                 "config needs exactly one data source: csv_path or synthetic"
@@ -137,8 +150,6 @@ class ExperimentConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
 
     def resolved_hyperparams(self) -> Hyperparams:
-        if self.hyperparams is not None:
-            return self.hyperparams
         return preset_hyperparams(self.topology, self.scheme.family)
 
     def describe(self) -> str:
@@ -322,13 +333,7 @@ def _loo_workers(n_tasks: int) -> int:
 def _load_dataset(config: ExperimentConfig) -> Dataset:
     if config.csv_path is not None:
         return load_csv(config.csv_path)
-    spec = config.synthetic
-    return synthesize_dataset(
-        seed=derive_seed(config.seed, STREAM_DATA),
-        participants=spec.participants,
-        records_per_participant=spec.records_per_participant,
-        separation=spec.separation,
-    )
+    return synthesize_dataset(seed=derive_seed(config.seed, STREAM_DATA), **asdict(config.synthetic))
 
 
 def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -460,7 +465,6 @@ def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
             base_config,
             topology=topology,
             scheme=InitScheme(family, base_config.scheme.dist),
-            hyperparams=None,
             seed=seed,
         ))
     for cell, result in zip(cells, _run_configs(configs)):
@@ -520,33 +524,21 @@ def render_report(results) -> str:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    hp = config.resolved_hyperparams()
-    out = {
+    return {
         "topology": config.topology.value,
         "family": config.scheme.family.value,
         "dist": config.scheme.dist.value,
         "seed": config.seed,
         "epochs": config.epochs,
-        "hyperparams": {
-            "batch_size": hp.batch_size,
-            "learning_rate": hp.learning_rate,
-            "momentum": hp.momentum,
-        },
+        "hyperparams": asdict(config.resolved_hyperparams()),
         "holdout_fraction": config.holdout_fraction,
         "loo_enabled": config.loo_enabled,
+        "data": (
+            {"csv_path": config.csv_path}
+            if config.csv_path is not None
+            else {"synthetic": asdict(config.synthetic)}
+        ),
     }
-    if config.csv_path is not None:
-        out["data"] = {"csv_path": config.csv_path}
-    else:
-        spec = config.synthetic
-        out["data"] = {
-            "synthetic": {
-                "participants": spec.participants,
-                "records_per_participant": spec.records_per_participant,
-                "separation": spec.separation,
-            }
-        }
-    return out
 
 
 def report_to_dict(report: Report) -> dict:

@@ -8,10 +8,11 @@ gradient descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _check_types
 from .initializers import Family
 from .network import Gradients, MlpModel, Topology
 
@@ -23,7 +24,12 @@ class Hyperparams:
     momentum: float
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        _check_types(self, (
+            ("batch_size", (int,), "a positive integer"),
+            ("learning_rate", (Real,), "a real number"),
+            ("momentum", (Real,), "a real number"),
+        ))
+        if self.batch_size < 1:
             raise ValidationError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not self.learning_rate > 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")

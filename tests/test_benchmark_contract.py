@@ -1,0 +1,32 @@
+"""The benchmark in perfbench/ still runs against this library.
+
+perfbench relies on library names and shapes that nothing else uses: its
+tracer wraps ``harness.forward``, ``backward``, ``sgd_step`` and
+``loo_splits``, and its workloads read ``config.holdout_fraction`` and
+``resolved_hyperparams()`` and unpack the 3-tuple ``standardize`` returns.
+One short traced run per workload, at the self-test sizes, breaks when any
+of them goes.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ["loo3", "suite-noloo", "cohort-io"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_without_failed_ops(workload):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "0.1", "--tiny", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["attempted"] >= 1
+    assert result["failed"] == 0, done.stdout

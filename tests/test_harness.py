@@ -5,7 +5,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from mlpinit.harness import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticSpec,
+    config_to_dict,
     load_model,
     render_report,
     report_to_dict,
@@ -196,9 +197,8 @@ class TestRunExperiment:
                 assert row.tobytes() not in test_rows
 
     def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
-        config = small_config(
-            hyperparams=Hyperparams(8, 1e308, 0.6), epochs=3, seed=2
-        )
+        monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 1e308, 0.6))
+        config = small_config(epochs=3, seed=2)
         with np.errstate(all="ignore"), pytest.raises(
             DivergedTrainingError, match=r"epoch \d+.*2-layer.*final training"
         ):
@@ -316,7 +316,8 @@ class TestRunExperiment:
         features = Rng(3).normal(n * 85).reshape(n, 85)
         labels = np.arange(n) % 4
         # 5 steps per epoch over 39 rows
-        config = small_config(epochs=3, hyperparams=Hyperparams(8, 0.01, 0.6))
+        monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 0.01, 0.6))
+        config = small_config(epochs=3)
         for folds in (1, 3):
             calls.update(dict.fromkeys(calls, 0))
             harness._train(
@@ -388,12 +389,34 @@ class TestRunExperiment:
             ("seed", np.int64(3)),
             ("topology", 3),
             ("scheme", "kaiming"),
+            ("participants", 2.5),
+            ("separation", "2"),
+            ("records_per_participant", True),
+            ("synthetic", {"participants": 4}),
+            ("csv_path", 123),
+            ("csv_path", Path("x.csv")),
+            ("loo_enabled", "no"),
         ],
-        ids=["float-epochs", "bool-epochs", "str-seed", "numpy-seed", "int-topology", "str-scheme"],
+        ids=[
+            "float-epochs", "bool-epochs", "str-seed", "numpy-seed", "int-topology",
+            "str-scheme", "float-participants", "str-separation", "bool-records",
+            "dict-synthetic", "int-csv-path", "path-csv-path", "str-loo-enabled",
+        ],
     )
     def test_config_rejects_wrong_field_types(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be"):
-            small_config(**{field: value})
+            if field in {f.name for f in fields(SyntheticSpec)}:
+                SyntheticSpec(**{field: value})
+            else:
+                small_config(**{field: value})
+
+    def test_config_has_no_override_or_holdout_knob(self):
+        # every cell trains with its preset and holds out a fixed 20%
+        with pytest.raises(TypeError):
+            small_config(hyperparams=Hyperparams(8, 0.01, 0.6))
+        with pytest.raises(TypeError):
+            small_config(holdout_fraction=0.3)
+        assert small_config().holdout_fraction == 0.2
 
     def test_config_requires_exactly_one_source(self):
         with pytest.raises(ValidationError):
@@ -547,6 +570,31 @@ class TestRunSuite:
 
 
 class TestRendering:
+    def test_config_dict_is_pinned(self):
+        # the exact config JSON that result.json holds, for each data source
+        csv = ExperimentConfig(
+            Topology.TWO_LAYER, XAVIER_UNIFORM, seed=7, epochs=5,
+            csv_path="cohort.csv", loo_enabled=False,
+        )
+        synthetic = ExperimentConfig(
+            Topology.THREE_LAYER, KAIMING_NORMAL, seed=3,
+            synthetic=SyntheticSpec(participants=6, records_per_participant=8, separation=1.5),
+        )
+        expected = [
+            {"topology": 2, "family": "xavier", "dist": "uniform", "seed": 7, "epochs": 5,
+             "hyperparams": {"batch_size": 24, "learning_rate": 0.006, "momentum": 0.7},
+             "holdout_fraction": 0.2, "loo_enabled": False,
+             "data": {"csv_path": "cohort.csv"}},
+            {"topology": 3, "family": "kaiming", "dist": "normal", "seed": 3, "epochs": 200,
+             "hyperparams": {"batch_size": 36, "learning_rate": 0.0002, "momentum": 0.6},
+             "holdout_fraction": 0.2, "loo_enabled": True,
+             "data": {"synthetic": {"participants": 6, "records_per_participant": 8,
+                                    "separation": 1.5}}},
+        ]
+        for config, want in zip((csv, synthetic), expected):
+            # the JSON text also pins each value's type: 2 and 2.0 are equal dict values
+            assert json.dumps(config_to_dict(config)) == json.dumps(want)
+
     def test_report_layout(self):
         result = run_experiment(small_config(loo_enabled=True))
         text = render_report([result])

@@ -54,6 +54,10 @@ class TestHyperparams:
             Hyperparams(8, 0.1, 1.0)
         with pytest.raises(ValidationError):
             Hyperparams(8, 0.1, -0.1)
+        for bad in ((True, 0.1, 0.5), (8, "0.1", 0.5), (8, True, 0.5),
+                    (8, 0.1, None), (8, 0.1, False)):
+            with pytest.raises(ValidationError):
+                Hyperparams(*bad)
 
 
 class TestSgdStep:
