@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ValidationError
+from .errors import DataError, FormatError, ParseError, ValidationError
 from .numerics import Rng
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
@@ -121,9 +121,11 @@ def load_csv(path) -> Dataset:
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
-    of columns (naming the row), and ParseError for a non-numeric feature, a
-    participant id that is not an int64, an unknown label token or a cell
-    with an underscore (naming row and column).
+    of columns (naming the row), and ParseError for a non-numeric or
+    non-finite feature, a participant id that is not an int64, an unknown
+    label token or a cell with an underscore (naming row and column). The
+    error names the first faulty row in file order; within a row a
+    non-finite feature is reported only when every other check passes.
     """
     path = Path(path)
     try:
@@ -144,66 +146,82 @@ def load_csv(path) -> Dataset:
             f"{path}: header column names do not match the "
             f"participant,label,gsr_00..st_22 contract"
         )
-    participants, labels, rows = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER):
-            raise FormatError(
-                f"{path}: row {lineno} has {len(parts)} columns, "
-                f"expected {len(CSV_HEADER)}"
-            )
-        # int() and float() accept digit-group underscores ("1_0.5" is
-        # 10.5); the contract's plain decimals have none.
-        if "_" in line:
-            j = next(j for j, cell in enumerate(parts) if "_" in cell)
-            raise ParseError(
-                f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
-                f"contains '_', which plain decimal numbers do not"
-            )
-        try:
-            participant = int(parts[0])
-        except ValueError:
-            raise ParseError(
-                f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
-            ) from None
-        if not -(2**63) <= participant < 2**63:
-            raise ParseError(
-                f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
-            )
-        participants.append(participant)
-        labels.append(_parse_label(parts[1], lineno))
-        feats = np.empty(N_FEATURES, dtype=np.float64)
-        for j, cell in enumerate(parts[2:]):
+    features = np.empty((len(lines) - 1, N_FEATURES))
+    participants, labels = [], []
+    try:
+        for i, line in enumerate(lines[1:]):
+            lineno = i + 2
+            parts = line.split(",")
+            if len(parts) != len(CSV_HEADER):
+                raise FormatError(
+                    f"{path}: row {lineno} has {len(parts)} columns, "
+                    f"expected {len(CSV_HEADER)}"
+                )
+            # int() and float() accept digit-group underscores ("1_0.5" is
+            # 10.5); the contract's plain decimals have none.
+            if "_" in line:
+                j = next(j for j, cell in enumerate(parts) if "_" in cell)
+                raise ParseError(
+                    f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
+                    f"contains '_', which plain decimal numbers do not"
+                )
             try:
-                feats[j] = float(cell)
+                participant = int(parts[0])
             except ValueError:
                 raise ParseError(
-                    f"row {lineno}, column {FEATURE_NAMES[j]!r}: "
-                    f"{cell!r} is not a number"
+                    f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
                 ) from None
-        if not np.all(np.isfinite(feats)):
-            j = int(np.flatnonzero(~np.isfinite(feats))[0])
-            raise ParseError(
-                f"row {lineno}, column {FEATURE_NAMES[j]!r}: value is not finite"
-            )
-        rows.append(feats)
-    if not rows:
+            if not -(2**63) <= participant < 2**63:
+                raise ParseError(
+                    f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
+                )
+            participants.append(participant)
+            labels.append(_parse_label(parts[1], lineno))
+            try:
+                features[i] = list(map(float, parts[2:]))
+            except ValueError:
+                for j, cell in enumerate(parts[2:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"row {lineno}, column {FEATURE_NAMES[j]!r}: {cell!r} is not a number"
+                        ) from None
+    except DataError:
+        # A non-finite value in an earlier row is the first fault in file order.
+        _check_finite(features[:i], ParseError)
+        raise
+    if not participants:
         raise FormatError(f"{path}: no data rows")
-    return Dataset(np.vstack(rows), labels, participants, provenance=str(path))
+    _check_finite(features, ParseError)
+    return Dataset(features, labels, participants, provenance=str(path))
+
+
+def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` naming the CSV row and column of the first NaN or inf."""
+    bad = ~np.isfinite(features)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise error(f"row {i + 2}, column {FEATURE_NAMES[j]!r}: value is not finite")
 
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write ``dataset`` in the same CSV contract ``load_csv`` reads.
 
     Features are written with repr precision so a round trip is bit-exact.
+    Raises ValidationError, naming the first row and column in file order,
+    for a feature that is NaN or infinite, which ``load_csv`` would reject;
+    the check runs before the file is opened, so no partial file is left.
     """
     path = Path(path)
-    out = [",".join(CSV_HEADER)]
-    for i in range(len(dataset)):
-        cells = [str(int(dataset.participants[i])), LABEL_NAMES[dataset.labels[i]]]
-        cells.extend(repr(float(v)) for v in dataset.features[i])
-        out.append(",".join(cells))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    _check_finite(dataset.features, ValidationError)
+    labels = [LABEL_NAMES[k] for k in dataset.labels.tolist()]
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(CSV_HEADER) + "\n")
+        for participant, label, row in zip(
+            dataset.participants.tolist(), labels, dataset.features
+        ):
+            out.write(f"{participant},{label},{','.join(map(repr, row.tolist()))}\n")
 
 
 def synthesize_dataset(
@@ -230,27 +248,18 @@ def synthesize_dataset(
     if separation < 0:
         raise ValidationError(f"separation must be nonnegative, got {separation}")
     rng = Rng(seed)
-    class_means = np.zeros((N_CLASSES, N_FEATURES))
-    for c in range(N_CLASSES):
-        direction = rng.normal(N_FEATURES)
+    class_means = rng._normal_rows(N_CLASSES, N_FEATURES, 0.0, 1.0)
+    for c, direction in enumerate(class_means):
         direction /= np.linalg.norm(direction)
-        class_means[c] = direction * (separation * c / 3.0)
-    offsets = np.vstack(
-        [rng.normal(N_FEATURES, 0.0, _PARTICIPANT_OFFSET_STD**2) for _ in range(participants)]
-    )
+        direction *= separation * c / 3.0
+    offsets = rng._normal_rows(participants, N_FEATURES, 0.0, _PARTICIPANT_OFFSET_STD**2)
     n = participants * records_per_participant
-    features = np.empty((n, N_FEATURES))
-    labels = np.empty(n, dtype=np.int64)
-    pids = np.empty(n, dtype=np.int64)
-    i = 0
-    for p in range(participants):
-        for r in range(records_per_participant):
-            label = r % N_CLASSES
-            noise = rng.normal(N_FEATURES, 0.0, _NOISE_STD**2)
-            features[i] = class_means[label] + offsets[p] + noise
-            labels[i] = label
-            pids[i] = p
-            i += 1
+    noise = rng._normal_rows(n, N_FEATURES, 0.0, _NOISE_STD**2)
+    labels = np.tile(np.arange(records_per_participant) % N_CLASSES, participants)
+    pids = np.repeat(np.arange(participants), records_per_participant)
+    features = class_means[labels]
+    features += offsets[pids]
+    features += noise
     provenance = (
         f"synthetic(seed={seed}, participants={participants}, "
         f"records_per_participant={records_per_participant}, separation={separation})"

@@ -6,9 +6,11 @@ one model, with a leading fold axis when several models train in lockstep
 SplitMix64 generator implemented with pure unsigned 64-bit integer
 arithmetic, so a given seed produces bit-identical words, uniform draws and
 permutations on every platform; no platform RNG is ever consulted. Normal
-draws use the Box-Muller transform over that same stream. It goes through
-numpy's ``log``, whose last bit can depend on the SIMD code path numpy
-picks for the CPU, so normal draws are bit-identical per numpy SIMD path.
+draws use the Box-Muller transform over that same stream, in one block
+routine (``Rng._normal_rows``) that serves ``Rng.normal`` and draws many rows
+at once with the bits of one call per row. It goes through numpy's ``log``,
+whose last bit can depend on the SIMD code path numpy picks for the CPU, so
+normal draws are bit-identical per numpy SIMD path.
 """
 
 from __future__ import annotations
@@ -133,21 +135,56 @@ class Rng:
         return lo + (hi - lo) * self.random(n)
 
     def normal(self, n: int, mean: float = 0.0, variance: float = 1.0) -> np.ndarray:
-        """n normal draws via Box-Muller over this stream's uniforms."""
+        """n normal draws via Box-Muller over this stream's uniforms.
+
+        Takes ceil(n / 2) words for u1 and the next ceil(n / 2) for u2; this
+        is the one-row case of ``_normal_rows``.
+        """
         if not variance > 0:
             raise ValidationError(f"variance must be positive, got {variance}")
         if n < 0:
             raise ValidationError(f"draw count must be nonnegative, got {n}")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
+        return self._normal_rows(1, n, mean, variance)[0]
+
+    def _normal_rows(self, rows: int, n: int, mean: float, variance: float) -> np.ndarray:
+        """``rows`` consecutive ``normal(n, mean, variance)`` draws as a (rows, n) array.
+
+        Row k equals the k-th of those calls bit for bit, and the counter
+        advances exactly as they would advance it: each row takes a block of
+        ceil(n / 2) words for its u1 and the next such block for its u2. All
+        rows' words are mixed in one uint64 block and go through numpy's
+        ``log``, ``cos`` and ``sin`` at once.
+        """
         pairs = (n + 1) // 2
+        # words[h, k, j] is row k's j-th u1 (h = 0) or u2 (h = 1) word, so
+        # each half is one contiguous (rows, pairs) array. Work is done in
+        # place where the bits allow, to keep a big block's peak memory low.
+        words = (
+            np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(2 * pairs)
+            + np.arange(1, pairs + 1, dtype=np.uint64)
+            + np.array([0, pairs], dtype=np.uint64)[:, None, None]
+        )
+        words *= np.uint64(_GOLDEN)
+        words += np.uint64(self._counter)
+        if words.size:
+            self._counter = int(words[1, -1, -1])
+        words = _mix_block(words)
+        words >>= np.uint64(11)
         # u1 lands in (0, 1] so the log below is always finite.
-        u1 = ((self._next_block(pairs) >> np.uint64(11)) + np.uint64(1)) * _INV_2_53
-        u2 = (self._next_block(pairs) >> np.uint64(11)) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]
-        return mean + np.sqrt(variance) * z
+        words[0] += np.uint64(1)
+        radius, theta = words * _INV_2_53
+        del words
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta *= 2.0 * np.pi
+        z = np.empty((rows, 2 * pairs))
+        np.multiply(np.cos(theta), radius, out=z[:, :pairs])
+        np.multiply(np.sin(theta), radius, out=z[:, pairs:])
+        del radius, theta
+        out = np.multiply(z[:, :n], np.sqrt(variance))
+        out += mean
+        return out
 
     def randbelow(self, bound: int) -> int:
         """One integer uniform on [0, bound), by masked rejection (unbiased)."""
@@ -175,10 +212,17 @@ class Rng:
 
 
 def _mix_block(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on every counter value of a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on every counter value of a uint64 array.
+
+    Returns a new array and leaves ``z`` as it is; the steps after the first
+    work in place, so a block needs one temporary of its size.
+    """
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_MIX_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_B)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _permutations(rngs: list[Rng], n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from mlpinit.data import (
     synthesize_dataset,
 )
 from mlpinit.errors import DataError, FormatError, ParseError, ValidationError
+from mlpinit.numerics import Rng
 
 
 def tiny_dataset(n=8, seed=0):
@@ -53,6 +54,32 @@ class TestSynthesize:
         ds = synthesize_dataset(seed=0, participants=4, records_per_participant=8)
         assert len(ds) == 32
         np.testing.assert_array_equal(ds.class_counts(), [8, 8, 8, 8])
+
+    @pytest.mark.parametrize(
+        "seed, participants, records, separation",
+        [(0, 16, 12, 2.0), (2**64 - 1, 3, 5, 0.5), (9, 2, 1, 0.0), (4, 7, 9, 3.0)],
+    )
+    def test_matches_the_record_by_record_reference(
+        self, seed, participants, records, separation
+    ):
+        # reference: one Rng.normal call per class, participant and record
+        rng = Rng(seed)
+        means = []
+        for c in range(4):
+            direction = rng.normal(85)
+            direction /= np.linalg.norm(direction)
+            means.append(direction * (separation * c / 3.0))
+        offsets = [rng.normal(85, 0.0, (0.2 / np.sqrt(85)) ** 2) for _ in range(participants)]
+        rows, labels, pids = [], [], []
+        for p in range(participants):
+            for r in range(records):
+                noise = rng.normal(85, 0.0, (0.2 / np.sqrt(85)) ** 2)
+                rows.append(means[r % 4] + offsets[p] + noise)
+                labels.append(r % 4)
+                pids.append(p)
+        ds = synthesize_dataset(seed, participants, records, separation)
+        assert ds.features.tobytes() == np.array(rows).tobytes()
+        assert ds.labels.tolist() == labels and ds.participants.tolist() == pids
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -198,6 +225,49 @@ class TestCsv:
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
         with pytest.raises(DataError):
             load_csv(path)
+
+    def test_earlier_non_finite_row_wins_over_later_non_number(self, tmp_path):
+        cells = ["1.0"] * 85
+        cells[10] = "inf"
+        later = ["1.0"] * 85
+        later[3] = "oops"
+        lines = [",".join(CSV_HEADER), "1,None," + ",".join(["1.0"] * 85),
+                 "1,Mild," + ",".join(cells), "2,Severe," + ",".join(later)]
+        path = tmp_path / "order.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"^row 3, column 'gsr_10': value is not finite$"):
+            load_csv(path)
+        # a row of the wrong width after the non-finite one loses too
+        lines[3] = "2,Severe,1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"^row 3, column 'gsr_10': value is not finite$"):
+            load_csv(path)
+
+    def test_non_number_wins_over_earlier_inf_in_its_row(self, tmp_path):
+        cells = ["1.0"] * 85
+        cells[2] = "-inf"
+        cells[60] = "1.0.0"
+        lines = [",".join(CSV_HEADER), "1,None," + ",".join(["1.0"] * 85),
+                 "1,Mild," + ",".join(cells)]
+        path = tmp_path / "row.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ParseError, match=rf"^row 3, column '{FEATURE_NAMES[60]}': '1\.0\.0' is not a number$"
+        ):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_features_before_writing(self, tmp_path, value):
+        ds = tiny_dataset()
+        features = ds.features.copy()
+        features[5, 40] = value
+        features[6, 2] = np.nan
+        path = tmp_path / "bad.csv"
+        with pytest.raises(
+            ValidationError, match=rf"^row 7, column '{FEATURE_NAMES[40]}': value is not finite$"
+        ):
+            save_csv(Dataset(features, ds.labels, ds.participants), path)
+        assert not path.exists()
 
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -79,13 +79,16 @@ rows = np.stack([np.delete(np.arange(n), k) for k in range(harness.LOO_GROUP_SIZ
 config = ExperimentConfig(topology=Topology.THREE_LAYER, scheme=KAIMING_NORMAL, seed=1,
                           synthetic=SyntheticSpec(), loo_enabled=False)
 steps_per_epoch = -(-(n - 1) // config.resolved_hyperparams().batch_size)
+# Only this thread's faults: the training runs here, and OpenBLAS's idle
+# threads fault on their own schedule (Linux has RUSAGE_THREAD).
+WHO = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
 
 def faults(epochs):
     rngs = [Rng(k) for k in range(len(rows))]
     names = [f"fold {k}" for k in range(len(rows))]
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(WHO).ru_minflt
     harness._train(replace(config, epochs=epochs), features, labels, rows, rngs, names)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return resource.getrusage(WHO).ru_minflt - before
 
 faults(10)  # warm-up
 print(json.dumps([faults(10), faults(40), 30 * steps_per_epoch]))
@@ -364,10 +367,10 @@ class TestRunExperiment:
 
     def test_lockstep_steps_take_no_page_faults(self):
         # Steps reuse their buffers, so training longer adds no minor page
-        # faults: only the first touches of a new model and its buffers
-        # fault. A fresh interpreter without MALLOC_* tunables runs the count,
-        # because the allocator's thresholds in this process depend on what
-        # earlier tests freed.
+        # faults in the training thread: only the first touches of a new
+        # model and its buffers fault. A fresh interpreter without MALLOC_*
+        # tunables runs the count, because the allocator's thresholds in this
+        # process depend on what earlier tests freed.
         resource = pytest.importorskip("resource")
         if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
             pytest.skip("getrusage reports no minor page faults here")

@@ -7,10 +7,15 @@ through ``Rng.normal``, whose ``log`` can differ in the last bit). Each case
 hashes one output with sha256 and compares it with the digest recorded when
 the case was written; a change to any of them changes the bits of every
 experiment that uses it. Training is bit-identical
-only per BLAS kernel, so no trained weights appear here.
+only per BLAS kernel, so no trained weights appear here. On a machine where
+numpy dispatches to AVX-512, one more test reruns this file with those
+targets disabled, so both recorded paths are checked on every run.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,6 +95,16 @@ def _synthesis():
     return b"".join(out)
 
 
+def _synthesis_at_workload_size():
+    # the cohort-io benchmark's 384 x 12 cohort: one block of 4,608 records
+    out = []
+    for seed in (0, 2**64 - 1):
+        ds = synthesize_dataset(seed, 384, 12, 2.0)
+        out += [_f64(ds.features), ds.labels.astype("<i8").tobytes(),
+                ds.participants.astype("<i8").tobytes(), ds.provenance.encode()]
+    return b"".join(out)
+
+
 def _holdout_indices():
     # participant ids are the row numbers, so each split's ids are its indices
     out = []
@@ -128,6 +143,7 @@ CASES = {
     "derive-seed": _derive_seed,
     **{f"initialize-{scheme}": _initialize(scheme) for scheme in ALL_SCHEMES},
     "synthesize-dataset": _synthesis,
+    "synthesize-dataset-384x12": _synthesis_at_workload_size,
     "holdout-split-indices": _holdout_indices,
     "save-csv-bytes": _csv_bytes,
     "save-model-bytes": _model_bytes,
@@ -157,6 +173,10 @@ EXPECTED = {
         "9eabbe4991d05efe97b9ac479a86c2b9fda15dc1381207ea0ac329c2aedccf14",
         "511d2ebe981d3ccf6e147258772d36c9202147cd7b12121c53e9426a728b83bc",
     ),
+    "synthesize-dataset-384x12": (
+        "cfcd8f2ea9aabb9c0fea01f20764a193f4c1f03c41aa29acd891189e5147949c",
+        "f766adcc94949cc4c941fd1b5db7b18fbeb3a573539a33bee8e6bebe4226840f",
+    ),
     "holdout-split-indices": ("84230a10c27e921974c924826ab5cbd92037a89cca3d5cf4ac32260e8bd96d74",),
     "save-csv-bytes": ("607d16605b19d948adc318cc2bdb435d2133a9d7f7669ce61adba67cffeeb62b",),
     "save-model-bytes": (
@@ -169,3 +189,42 @@ EXPECTED = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_known_answer(name):
     assert hashlib.sha256(CASES[name]()).hexdigest() in EXPECTED[name]
+
+
+# numpy's AVX-512 dispatch targets; disabling them makes numpy take its AVX2
+# loops, the second path the digests above record.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+CHILD = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[t] for t in {targets!r}), "AVX-512 is still on"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not avx2_path", {path!r}]))
+"""
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+def test_known_answers_hold_on_the_numpy_avx2_path():
+    features = _cpu_features()
+    if not all(t in features for t in AVX512_TARGETS) or not any(
+        features[t] for t in AVX512_TARGETS
+    ):
+        pytest.skip("numpy reports no AVX-512 dispatch target to disable here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
+    )
+    child = CHILD.format(targets=AVX512_TARGETS, path=__file__)
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(CASES)} passed" in done.stdout, done.stdout

@@ -167,6 +167,37 @@ class TestRng:
             Rng(0).randbelow(0)
 
 
+class TestNormalRows:
+    @pytest.mark.parametrize("rows", [1, 3, 20])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 85])
+    def test_rows_equal_box_muller_per_call(self, rows, n):
+        # oracle: each row is one call's Box-Muller over its own slice of the
+        # reference stream, computed on that row's 1-D arrays alone
+        pairs = (n + 1) // 2
+        words = _splitmix_reference(2**64 - 3, rows * 2 * pairs + 1)
+        want = []
+        for k in range(rows):
+            block = words[k * 2 * pairs:(k + 1) * 2 * pairs]
+            u1 = np.array([((w >> 11) + 1) * 2.0**-53 for w in block[:pairs]])
+            u2 = np.array([(w >> 11) * 2.0**-53 for w in block[pairs:]])
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+            want.append(-1.5 + np.sqrt(0.3) * z)
+        rng = Rng(2**64 - 3)
+        got = rng._normal_rows(rows, n, -1.5, 0.3)
+        assert got.shape == (rows, n) and got.flags.c_contiguous
+        assert got.tobytes() == np.array(want).reshape(rows, n).tobytes()
+        # the counter advanced by exactly the words the rows used
+        assert rng.random(1)[0] == (words[rows * 2 * pairs] >> 11) * 2.0**-53
+
+    def test_normal_is_its_one_row_case(self):
+        a, b = Rng(9), Rng(9)
+        for n in (5, 85, 0, 4):
+            assert a.normal(n, 2.0, 0.5).tobytes() == b._normal_rows(1, n, 2.0, 0.5)[0].tobytes()
+        assert a._counter == b._counter
+
+
 class TestPermutations:
     @pytest.mark.parametrize("count", [1, 3, 20])
     @pytest.mark.parametrize("n", [1, 2, 155])
