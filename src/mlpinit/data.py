@@ -9,7 +9,10 @@ integers 0-3, features as plain decimal floats, no quoting.
 
 from __future__ import annotations
 
+import io
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +39,10 @@ CSV_HEADER = ("participant", "label") + FEATURE_NAMES
 # budgets reach >=0.90 holdout accuracy on a 192-record desk-scale cohort.
 _NOISE_STD = 0.2 / np.sqrt(N_FEATURES)
 _PARTICIPANT_OFFSET_STD = 0.2 / np.sqrt(N_FEATURES)
+# Rows of record noise drawn at once. A block's temporaries are about three
+# times its rows of features; 256 rows keep them near 0.5 MB, and the 192-row
+# default cohort is one block.
+_SYNTH_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -116,89 +123,133 @@ def _parse_label(token: str, lineno: int) -> int:
     return value
 
 
+def _text_lines(file, path):
+    """Yield the lines of the binary ``file``'s UTF-8 text, as ``str.splitlines`` splits it.
+
+    Decodes one ``\\n``-ended line of bytes at a time. No UTF-8 sequence
+    contains the byte ``\\n``, and each such line but the last ends in a line
+    break, so no text line spans two of them. Raises FormatError naming the
+    file offset of the first byte that is not UTF-8.
+    """
+    offset = 0
+    for raw in file:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text at byte offset {offset + exc.start}"
+            ) from None
+        offset += len(raw)
+        yield from text.splitlines()
+
+
+def _drain(lines) -> None:
+    """Decode the rest of the file: bytes that are not UTF-8 are its first fault."""
+    for _ in lines:
+        pass
+
+
+def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
+    """One data row's participant id, label and 85 features, or a DataError."""
+    parts = line.split(",")
+    if len(parts) != len(CSV_HEADER):
+        raise FormatError(
+            f"{path}: row {lineno} has {len(parts)} columns, expected {len(CSV_HEADER)}"
+        )
+    # int() and float() accept digit-group underscores ("1_0.5" is 10.5); the
+    # contract's plain decimals have none.
+    if "_" in line:
+        j = next(j for j, cell in enumerate(parts) if "_" in cell)
+        raise ParseError(
+            f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
+            f"contains '_', which plain decimal numbers do not"
+        )
+    try:
+        participant = int(parts[0])
+    except ValueError:
+        raise ParseError(
+            f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
+        ) from None
+    if not -(2**63) <= participant < 2**63:
+        raise ParseError(
+            f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
+        )
+    label = _parse_label(parts[1], lineno)
+    try:
+        return participant, label, list(map(float, parts[2:]))
+    except ValueError:
+        for j, cell in enumerate(parts[2:]):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"row {lineno}, column {FEATURE_NAMES[j]!r}: {cell!r} is not a number"
+                ) from None
+        raise
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset from the documented 87-column CSV contract.
+
+    Streams the file: it reads one line of bytes at a time and appends each
+    row's features to one growing float64 buffer, which becomes the
+    dataset's feature matrix without a copy. Peak memory is that matrix (with
+    the buffer's few percent of spare capacity) plus one line's temporaries.
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
     of columns (naming the row), and ParseError for a non-numeric or
     non-finite feature, a participant id that is not an int64, an unknown
-    label token or a cell with an underscore (naming row and column). The
-    error names the first faulty row in file order; within a row a
+    label token or a cell with an underscore (naming row and column). Bytes
+    that are not UTF-8 anywhere in the file are reported first; otherwise the
+    error names the first faulty row in file order, and within a row a
     non-finite feature is reported only when every other check passes.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(f"{path}: file is empty")
-    header = tuple(lines[0].split(","))
-    if header != CSV_HEADER:
-        n_feat = len(header) - 2
-        if n_feat != N_FEATURES:
-            raise FormatError(
-                f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}"
-            )
-        raise FormatError(
-            f"{path}: header column names do not match the "
-            f"participant,label,gsr_00..st_22 contract"
-        )
-    features = np.empty((len(lines) - 1, N_FEATURES))
-    participants, labels = [], []
-    try:
-        for i, line in enumerate(lines[1:]):
-            lineno = i + 2
-            parts = line.split(",")
-            if len(parts) != len(CSV_HEADER):
+    features = array("d")
+    participants, labels = array("q"), array("q")
+    # A fixed read buffer: the file system's preferred block size can be MBs.
+    with path.open("rb", buffering=io.DEFAULT_BUFFER_SIZE) as file:
+        lines = _text_lines(file, path)
+        first = next(lines, None)
+        if first is None:
+            raise FormatError(f"{path}: file is empty")
+        header = tuple(first.split(","))
+        if header != CSV_HEADER:
+            _drain(lines)
+            n_feat = len(header) - 2
+            if n_feat != N_FEATURES:
                 raise FormatError(
-                    f"{path}: row {lineno} has {len(parts)} columns, "
-                    f"expected {len(CSV_HEADER)}"
+                    f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}"
                 )
-            # int() and float() accept digit-group underscores ("1_0.5" is
-            # 10.5); the contract's plain decimals have none.
-            if "_" in line:
-                j = next(j for j, cell in enumerate(parts) if "_" in cell)
-                raise ParseError(
-                    f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
-                    f"contains '_', which plain decimal numbers do not"
-                )
+            raise FormatError(
+                f"{path}: header column names do not match the "
+                f"participant,label,gsr_00..st_22 contract"
+            )
+        for lineno, line in enumerate(lines, start=2):
             try:
-                participant = int(parts[0])
-            except ValueError:
-                raise ParseError(
-                    f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
-                ) from None
-            if not -(2**63) <= participant < 2**63:
-                raise ParseError(
-                    f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
-                )
+                participant, label, row = _parse_row(line, lineno, path)
+            except DataError:
+                _drain(lines)
+                # A non-finite value in an earlier row is the first fault in file order.
+                _check_finite(np.frombuffer(features).reshape(-1, N_FEATURES), ParseError)
+                raise
             participants.append(participant)
-            labels.append(_parse_label(parts[1], lineno))
-            try:
-                features[i] = list(map(float, parts[2:]))
-            except ValueError:
-                for j, cell in enumerate(parts[2:]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"row {lineno}, column {FEATURE_NAMES[j]!r}: {cell!r} is not a number"
-                        ) from None
-    except DataError:
-        # A non-finite value in an earlier row is the first fault in file order.
-        _check_finite(features[:i], ParseError)
-        raise
+            labels.append(label)
+            features.extend(row)
     if not participants:
         raise FormatError(f"{path}: no data rows")
+    features = np.frombuffer(features).reshape(-1, N_FEATURES)
     _check_finite(features, ParseError)
     return Dataset(features, labels, participants, provenance=str(path))
 
 
 def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
     """Raise ``error`` naming the CSV row and column of the first NaN or inf."""
+    # min and max are finite exactly when every value is; they need no
+    # temporary the size of the matrix.
+    if np.isfinite(features.min(initial=0.0)) and np.isfinite(features.max(initial=0.0)):
+        return
     bad = ~np.isfinite(features)
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
@@ -225,19 +276,21 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def synthesize_dataset(
-    seed: int,
-    participants: int = 16,
-    records_per_participant: int = 12,
-    separation: float = 2.0,
+    seed: int, participants: int, records_per_participant: int, separation: float
 ) -> Dataset:
     """Generate a synthetic cohort shaped like the study data.
 
     Each class c gets a mean vector: a random unit-norm direction scaled by
     ``separation * c / 3`` (class 0 sits at the origin). Every record adds a
     per-participant offset and observation noise (expected norm 0.2 each).
-    Labels cycle 0,1,2,3 within each participant's records, so with the
-    16 x 12 default every participant covers all four classes and the cohort
-    is exactly class-balanced. Deterministic per seed.
+    Labels cycle 0,1,2,3 within each participant's records, so with
+    ``SyntheticSpec``'s 16 x 12 default every participant covers all four
+    classes and the cohort is exactly class-balanced. Deterministic per seed.
+
+    The record noise is drawn into the preallocated feature matrix in blocks
+    of rows, so peak memory is the output plus one block's temporaries.
+    Raises ValidationError for fewer than 2 participants, no records, or a
+    separation that is negative, NaN or infinite.
     """
     if participants < 2:
         raise ValidationError(f"need at least 2 participants, got {participants}")
@@ -245,8 +298,10 @@ def synthesize_dataset(
         raise ValidationError(
             f"need at least 1 record per participant, got {records_per_participant}"
         )
-    if separation < 0:
-        raise ValidationError(f"separation must be nonnegative, got {separation}")
+    if not 0 <= separation < math.inf:
+        raise ValidationError(
+            f"separation must be finite and nonnegative, got {separation}"
+        )
     rng = Rng(seed)
     class_means = rng._normal_rows(N_CLASSES, N_FEATURES, 0.0, 1.0)
     for c, direction in enumerate(class_means):
@@ -254,12 +309,16 @@ def synthesize_dataset(
         direction *= separation * c / 3.0
     offsets = rng._normal_rows(participants, N_FEATURES, 0.0, _PARTICIPANT_OFFSET_STD**2)
     n = participants * records_per_participant
-    noise = rng._normal_rows(n, N_FEATURES, 0.0, _NOISE_STD**2)
     labels = np.tile(np.arange(records_per_participant) % N_CLASSES, participants)
     pids = np.repeat(np.arange(participants), records_per_participant)
-    features = class_means[labels]
-    features += offsets[pids]
-    features += noise
+    features = np.empty((n, N_FEATURES))
+    # Row k of a block of normal rows has the bits of the k-th normal call,
+    # so block by block the noise is the same stream as one draw of n rows.
+    for start in range(0, n, _SYNTH_BLOCK_ROWS):
+        rows = slice(start, start + _SYNTH_BLOCK_ROWS)
+        block = features[rows]
+        np.add(class_means[labels[rows]], offsets[pids[rows]], out=block)
+        block += rng._normal_rows(len(block), N_FEATURES, 0.0, _NOISE_STD**2)
     provenance = (
         f"synthetic(seed={seed}, participants={participants}, "
         f"records_per_participant={records_per_participant}, separation={separation})"
@@ -273,15 +332,17 @@ def standardize(train: Dataset, *others: Dataset):
     Returns ``(datasets, mean, std)`` where ``datasets[0]`` is the
     standardized train split followed by the other splits in order. The
     per-feature std is floored at 1e-8 so constant features map to 0 instead
-    of dividing by zero. Test statistics are never consulted.
+    of dividing by zero. Test statistics are never consulted. Each split is
+    centred into its new matrix and scaled in place, so a split costs its
+    output and no temporary.
     """
     mean = train.features.mean(axis=0)
     std = np.maximum(train.features.std(axis=0), 1e-8)
 
     def apply(ds: Dataset) -> Dataset:
-        return Dataset(
-            (ds.features - mean) / std, ds.labels, ds.participants, ds.provenance
-        )
+        features = ds.features - mean
+        features /= std
+        return Dataset(features, ds.labels, ds.participants, ds.provenance)
 
     return [apply(train)] + [apply(ds) for ds in others], mean, std
 

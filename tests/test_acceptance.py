@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def test_criterion_5_published_presets():
 
 
 def test_criterion_6_split_protocol():
-    dataset = synthesize_dataset(seed=6)
+    dataset = synthesize_dataset(seed=6, **asdict(SyntheticSpec()))
     trainval, test = holdout_split(dataset, 0.2, seed=6)
     assert len(test) == 36 and len(trainval) == 156
     np.testing.assert_array_equal(test.class_counts(), [9, 9, 9, 9])

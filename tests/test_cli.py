@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mlpinit.cli as cli
 from mlpinit.data import CSV_HEADER, load_csv
 from mlpinit.errors import DivergedTrainingError, WorkerError
@@ -171,6 +173,20 @@ def test_bad_config_exits_2(tmp_path):
          "--epochs", "0", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_separation_exits_2(tmp_path, capsys, value):
+    csv_path = tmp_path / "cohort.csv"
+    for argv in (["synth", "--out", str(csv_path)],
+                 ["run", "--topology", "1", "--init", "xavier", "--synthetic",
+                  "--out", str(tmp_path / "o")]):
+        code = cli.main(argv + ["--separation", value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: separation must be finite and nonnegative, got {value}"
+        )
+    assert not csv_path.exists()
 
 
 def test_diverged_training_exits_4(monkeypatch, tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,10 @@ from mlpinit.data import (
     synthesize_dataset,
 )
 from mlpinit.errors import DataError, FormatError, ParseError, ValidationError
+from mlpinit.harness import SyntheticSpec
 from mlpinit.numerics import Rng
+
+DEFAULT_COHORT = asdict(SyntheticSpec())
 
 
 def tiny_dataset(n=8, seed=0):
@@ -28,36 +34,37 @@ def tiny_dataset(n=8, seed=0):
 
 class TestSynthesize:
     def test_default_shape(self):
-        ds = synthesize_dataset(seed=3)
+        ds = synthesize_dataset(seed=3, **DEFAULT_COHORT)
         assert len(ds) == 192
         assert len(set(ds.participants.tolist())) == 16
         np.testing.assert_array_equal(ds.class_counts(), [48, 48, 48, 48])
 
     def test_every_participant_covers_all_classes(self):
-        ds = synthesize_dataset(seed=3)
+        ds = synthesize_dataset(seed=3, **DEFAULT_COHORT)
         for p in range(16):
             labels = set(ds.labels[ds.participants == p].tolist())
             assert labels == {0, 1, 2, 3}
 
     def test_deterministic(self):
-        a = synthesize_dataset(seed=11)
-        b = synthesize_dataset(seed=11)
+        a = synthesize_dataset(seed=11, **DEFAULT_COHORT)
+        b = synthesize_dataset(seed=11, **DEFAULT_COHORT)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_data(self):
-        a = synthesize_dataset(seed=1)
-        b = synthesize_dataset(seed=2)
+        a = synthesize_dataset(seed=1, **DEFAULT_COHORT)
+        b = synthesize_dataset(seed=2, **DEFAULT_COHORT)
         assert not np.array_equal(a.features, b.features)
 
     def test_custom_shape(self):
-        ds = synthesize_dataset(seed=0, participants=4, records_per_participant=8)
+        ds = synthesize_dataset(0, 4, 8, 2.0)
         assert len(ds) == 32
         np.testing.assert_array_equal(ds.class_counts(), [8, 8, 8, 8])
 
     @pytest.mark.parametrize(
         "seed, participants, records, separation",
-        [(0, 16, 12, 2.0), (2**64 - 1, 3, 5, 0.5), (9, 2, 1, 0.0), (4, 7, 9, 3.0)],
+        [(0, 16, 12, 2.0), (2**64 - 1, 3, 5, 0.5), (9, 2, 1, 0.0), (4, 7, 9, 3.0),
+         (5, 40, 13, 1.0)],  # 520 rows: two full noise blocks and a partial one
     )
     def test_matches_the_record_by_record_reference(
         self, seed, participants, records, separation
@@ -83,16 +90,21 @@ class TestSynthesize:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            synthesize_dataset(seed=0, participants=1)
+            synthesize_dataset(0, 1, 12, 2.0)
         with pytest.raises(ValidationError):
-            synthesize_dataset(seed=0, records_per_participant=0)
+            synthesize_dataset(0, 16, 0, 2.0)
         with pytest.raises(ValidationError):
-            synthesize_dataset(seed=0, separation=-0.5)
+            synthesize_dataset(0, 16, 12, -0.5)
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected_naming_it(self, separation):
+        with pytest.raises(ValidationError, match="^separation must be finite and nonneg"):
+            synthesize_dataset(0, 16, 12, separation)
 
 
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
-        ds = synthesize_dataset(seed=5, participants=3, records_per_participant=4)
+        ds = synthesize_dataset(5, 3, 4, 2.0)
         path = tmp_path / "cohort.csv"
         save_csv(ds, path)
         loaded = load_csv(path)
@@ -276,9 +288,61 @@ class TestCsv:
             load_csv(path)
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak bytes that tracemalloc saw allocated during the call.
+
+    numpy registers its data buffers with tracemalloc, so the peak counts
+    arrays as well as Python objects, and repeats exactly from run to run.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """The 4,608-row cohort of the cohort-io benchmark workload, as a CSV."""
+    path = tmp_path_factory.mktemp("wide") / "cohort.csv"
+    save_csv(synthesize_dataset(7, 384, 12, 2.0), path)
+    return path
+
+
+class TestPeakMemory:
+    def test_load_csv_holds_about_its_output(self, wide_csv):
+        ds, peak = traced_peak(lambda: load_csv(wide_csv))
+        assert len(ds) == 4608
+        assert peak <= 1.5 * ds.features.nbytes
+
+    def test_load_csv_of_a_small_file_stays_small(self, tmp_path):
+        # the read buffer must not dominate: 48 rows are 33 KB of features
+        path = tmp_path / "small.csv"
+        save_csv(synthesize_dataset(7, 4, 12, 2.0), path)
+        ds, peak = traced_peak(lambda: load_csv(path))
+        assert len(ds) == 48
+        assert peak <= 96 * 1024
+
+    def test_synthesize_holds_about_its_output(self):
+        ds, peak = traced_peak(lambda: synthesize_dataset(7, 384, 12, 2.0))
+        assert peak <= 1.5 * ds.features.nbytes
+
+    def test_standardize_makes_no_temporary_per_split(self, wide_csv):
+        ds = load_csv(wide_csv)
+        # two outputs of the train split's size; the std's own pass needs one
+        _, peak = traced_peak(lambda: standardize(ds, ds))
+        assert peak <= 2.25 * ds.features.nbytes
+
+
 class TestStandardize:
     def test_train_becomes_zero_mean_unit_std(self):
-        ds = synthesize_dataset(seed=9)
+        ds = synthesize_dataset(seed=9, **DEFAULT_COHORT)
         (std_ds,), mean, std = standardize(ds)
         np.testing.assert_allclose(std_ds.features.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(std_ds.features.std(axis=0), 1.0, atol=1e-10)
@@ -303,7 +367,7 @@ class TestStandardize:
 
 class TestHoldoutSplit:
     def test_stratified_floor_counts_on_default_cohort(self):
-        ds = synthesize_dataset(seed=4)
+        ds = synthesize_dataset(seed=4, **DEFAULT_COHORT)
         trainval, test = holdout_split(ds, 0.2, seed=0)
         assert len(test) == 36 and len(trainval) == 156
         np.testing.assert_array_equal(test.class_counts(), [9, 9, 9, 9])
@@ -311,7 +375,7 @@ class TestHoldoutSplit:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_disjoint_and_complete(self, seed):
-        ds = synthesize_dataset(seed=8)
+        ds = synthesize_dataset(seed=8, **DEFAULT_COHORT)
         trainval, test = holdout_split(ds, 0.2, seed=seed)
         combined = np.vstack([trainval.features, test.features])
         assert combined.shape[0] == len(ds)
@@ -322,7 +386,7 @@ class TestHoldoutSplit:
         assert set(recovered) == original
 
     def test_deterministic_per_seed(self):
-        ds = synthesize_dataset(seed=8)
+        ds = synthesize_dataset(seed=8, **DEFAULT_COHORT)
         a1, b1 = holdout_split(ds, 0.2, seed=5)
         a2, b2 = holdout_split(ds, 0.2, seed=5)
         np.testing.assert_array_equal(b1.features, b2.features)

@@ -119,7 +119,7 @@ def _holdout_indices():
 def _csv_bytes():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
-        save_csv(synthesize_dataset(5, participants=4, records_per_participant=3), path)
+        save_csv(synthesize_dataset(5, 4, 3, 2.0), path)
         return path.read_bytes()
 
 
