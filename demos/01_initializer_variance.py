@@ -17,7 +17,7 @@ print("scheme            fan_in   target var   empirical var      error")
 for scheme in ALL_SCHEMES:
     for fan_in in (20, 50, 85, 256):
         rows = -(-100_000 // fan_in)
-        w = initialize(rng, scheme, fan_in=fan_in, rows=rows, cols=fan_in)
+        w = initialize(rng, scheme, rows=rows, cols=fan_in)
         target = target_variance(scheme, fan_in)
         rel = w.var() / target - 1.0
         print(
@@ -28,7 +28,7 @@ print("\nuniform variants stay inside their bounds:")
 for scheme in ALL_SCHEMES:
     if scheme.dist is not DistKind.UNIFORM:
         continue
-    w = initialize(rng, scheme, fan_in=85, rows=1000, cols=85)
+    w = initialize(rng, scheme, rows=1000, cols=85)
     bound = uniform_bound(scheme, 85)
     print(f"  {scheme}: max |w| = {np.abs(w).max():.6f} <= bound {bound:.6f}")
 

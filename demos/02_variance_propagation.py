@@ -20,7 +20,7 @@ def propagate(scheme, seed):
     ratios = []
     signal = x
     for _ in range(DEPTH):
-        w = initialize(rng, scheme, fan_in=WIDTH, rows=WIDTH, cols=WIDTH)
+        w = initialize(rng, scheme, rows=WIDTH, cols=WIDTH)
         signal = relu(signal) @ w.T
         ratios.append(signal.var() / x.var())
     return ratios

@@ -155,7 +155,7 @@ def _cmd_init_stats(args) -> int:
     for scheme in ALL_SCHEMES:
         for d in (20, 50, 85, 256):
             rows = max(1, args.draws // d)
-            w = initialize(rng, scheme, fan_in=d, rows=rows, cols=d)
+            w = initialize(rng, scheme, rows=rows, cols=d)
             entry = {
                 "scheme": str(scheme),
                 "fan_in": d,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParseError, ValidationError
+from .errors import DataError, FormatError, ParseError, ValidationError, _check_int
 from .numerics import Rng
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
@@ -289,15 +289,12 @@ def synthesize_dataset(
 
     The record noise is drawn into the preallocated feature matrix in blocks
     of rows, so peak memory is the output plus one block's temporaries.
-    Raises ValidationError for fewer than 2 participants, no records, or a
-    separation that is negative, NaN or infinite.
+    Raises ValidationError for a seed or count that is no integer (or is a
+    bool), fewer than 2 participants, no records, or a separation that is
+    negative, NaN or infinite.
     """
-    if participants < 2:
-        raise ValidationError(f"need at least 2 participants, got {participants}")
-    if records_per_participant < 1:
-        raise ValidationError(
-            f"need at least 1 record per participant, got {records_per_participant}"
-        )
+    participants = _check_int("participants", participants, 2)
+    records_per_participant = _check_int("records_per_participant", records_per_participant, 1)
     if not 0 <= separation < math.inf:
         raise ValidationError(
             f"separation must be finite and nonnegative, got {separation}"

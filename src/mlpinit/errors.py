@@ -4,6 +4,8 @@ The CLI maps these onto exit codes, so data-file problems, config problems
 and training divergence stay distinguishable.
 """
 
+from numbers import Integral
+
 
 class MlpInitError(Exception):
     """Base class for every error raised by this library."""
@@ -25,6 +27,16 @@ def _check_types(obj, fields) -> None:
         value = getattr(obj, name)
         if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ValidationError unless it is an integer, not a
+    bool, and at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class DataError(MlpInitError):

@@ -219,17 +219,17 @@ def _train(
     # take(mode="clip") below would silently clip an index out of range
     if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= len(features):
         raise ValidationError(f"row maps must hold integers in [0, {len(features)})")
-    # The parameters, their velocity, the gradients and the update scratch
-    # are one flat vector each, with every layer a view into it, so that an
-    # update is four ufunc calls for all layers and folds. Every backward
-    # overwrites all gradients, so the batch shapes share one vector.
+    # The parameters, their velocity and the gradients are one flat vector
+    # each, every layer a view into it, so an update is four ufunc calls for
+    # all layers and folds. Every backward overwrites all gradients, so the
+    # batch shapes share one vector, and the update may use it as scratch.
     params, views = _flat_like(list(model.parameter_arrays()))
     for view, array in zip(views, model.parameter_arrays()):
         view[...] = array
     model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(views[0::2], views[1::2])])
     grad, grad_views = _flat_like(views)
     grads = Gradients(grad_views[0::2], grad_views[1::2])
-    velocity, scratch = np.zeros_like(params), np.empty_like(params)
+    velocity = np.zeros_like(params)
     # Every step reuses the forward pass and backward scratch of its batch
     # shape (full, or the short last batch): freeing and re-allocating them
     # each step would have the allocator return them to the OS and
@@ -261,7 +261,7 @@ def _train(
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
             _backward(model, fwd, labels[idx], grads, deltas)
-            _sgd_update([params], [velocity], [grad], [scratch], hp)
+            _sgd_update(params, velocity, grad, hp)
     return model
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _check_int
 from .numerics import Rng
 
 
@@ -52,21 +52,13 @@ ALL_SCHEMES = (XAVIER_NORMAL, XAVIER_UNIFORM, KAIMING_NORMAL, KAIMING_UNIFORM)
 _GAIN = {Family.XAVIER: 1.0, Family.KAIMING: 2.0}
 
 
-def _check_fan_in(fan_in) -> int:
-    if isinstance(fan_in, bool) or not isinstance(fan_in, (int, np.integer)):
-        raise ValidationError(f"fan_in must be an integer, got {fan_in!r}")
-    if fan_in < 1:
-        raise ValidationError(f"fan_in must be >= 1, got {fan_in}")
-    return int(fan_in)
-
-
 def target_variance(scheme: InitScheme, fan_in: int) -> float:
     """Weight variance the scheme aims for: 1/fan_in (Xavier) or 2/fan_in (Kaiming).
 
     Independent of the distribution variant; fan_in is the layer's input
     dimension (number of columns of W under y = W x + b).
     """
-    fan_in = _check_fan_in(fan_in)
+    fan_in = _check_int("fan_in", fan_in, 1)
     return _GAIN[scheme.family] / fan_in
 
 
@@ -76,23 +68,21 @@ def uniform_bound(scheme: InitScheme, fan_in: int) -> float:
     A Uniform(-b, b) has variance b^2/3, so b = sqrt(3 * target_variance):
     sqrt(3/fan_in) for Xavier, sqrt(6/fan_in) for Kaiming.
     """
-    fan_in = _check_fan_in(fan_in)
+    fan_in = _check_int("fan_in", fan_in, 1)
     return math.sqrt(3.0 * _GAIN[scheme.family] / fan_in)
 
 
-def initialize(rng: Rng, scheme: InitScheme, fan_in: int, rows: int, cols: int) -> np.ndarray:
+def initialize(rng: Rng, scheme: InitScheme, rows: int, cols: int) -> np.ndarray:
     """Draw a rows x cols weight matrix with i.i.d. entries per ``scheme``.
 
-    Entries have mean 0 and variance target_variance(scheme, fan_in). For a
-    weight matrix applied as W @ x, fan_in should equal cols.
+    A weight matrix is applied as W @ x, so its fan-in is ``cols``: entries
+    have mean 0 and variance target_variance(scheme, cols). ``rows`` and
+    ``cols`` must be positive integers.
     """
-    fan_in = _check_fan_in(fan_in)
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    n = rows * cols
+    n = _check_int("rows", rows, 1) * _check_int("cols", cols, 1)
     if scheme.dist is DistKind.NORMAL:
-        flat = rng.normal(n, 0.0, target_variance(scheme, fan_in))
+        flat = rng.normal(n, 0.0, target_variance(scheme, cols))
     else:
-        bound = uniform_bound(scheme, fan_in)
+        bound = uniform_bound(scheme, cols)
         flat = rng.uniform(-bound, bound, n)
     return flat.reshape(rows, cols)

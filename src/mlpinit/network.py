@@ -23,7 +23,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, _softmax, cross_entropy
+from .numerics import Rng, _check_labels, _cross_entropy, _softmax, cross_entropy
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -126,11 +126,11 @@ def _layer_outputs(model: MlpModel, rows: int) -> list[np.ndarray]:
 
 
 def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
-    """Initialize a model: weights per ``scheme`` with fan_in = input dim, biases zero."""
+    """Initialize a model: weights per ``scheme`` (fan-in = input dim), biases zero."""
     dims = topology.layer_dims
     layers = []
     for in_dim, out_dim in zip(dims[:-1], dims[1:]):
-        weights = initialize(rng, scheme, fan_in=in_dim, rows=out_dim, cols=in_dim)
+        weights = initialize(rng, scheme, rows=out_dim, cols=in_dim)
         layers.append(Layer(weights=weights, bias=np.zeros(out_dim)))
     return MlpModel(topology=topology, layers=layers)
 
@@ -227,10 +227,8 @@ def _backward(
     for the loss gradient at layer i's output (see ``_layer_outputs``).
     """
     probs = fwd.probs
-    delta = deltas[-1]
-    np.copyto(delta, probs)
-    # a view of the C-contiguous delta: one row per (fold, sample)
-    delta.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
+    # probs - one_hot(labels): the bool one-hot subtracts as 0.0 or 1.0
+    delta = np.subtract(probs, labels[..., None] == np.arange(probs.shape[-1]), out=deltas[-1])
     delta /= probs.shape[-2]
     for i in range(len(model.layers) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), fwd.activations[i], out=out.d_weights[i])
@@ -264,8 +262,16 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             f"grad_check takes one model, got a stack of shape {model.folds}; "
             f"check each model.fold(k) on its own"
         )
+    # The inputs are checked once; every perturbed loss then reuses one
+    # forward pass through the unchecked cores.
     batch = _check_batch(model, batch)
-    grads = backward(model, forward(model, batch), labels)
+    labels = _check_labels(labels, batch.shape[:1], model.layers[-1].bias.shape[-1])
+    fwd = ForwardPass.empty(model, len(batch))
+    grads = backward(model, _forward(model, batch, fwd), labels)
+
+    def loss() -> float:
+        return _cross_entropy(_forward(model, batch, fwd).probs, labels)
+
     max_err = 0.0
     for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):
         for params, analytic in ((layer.weights, d_w), (layer.bias, d_b)):
@@ -273,9 +279,9 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             for idx in range(params.size):
                 original = params.flat[idx]
                 params.flat[idx] = original + epsilon
-                loss_plus = batch_loss(model, batch, labels)
+                loss_plus = loss()
                 params.flat[idx] = original - epsilon
-                loss_minus = batch_loss(model, batch, labels)
+                loss_minus = loss()
                 params.flat[idx] = original
                 numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
                 a = flat_grad[idx]

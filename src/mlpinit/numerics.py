@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _check_int
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,6 +73,12 @@ def cross_entropy(probs, labels) -> float:
         raise ValidationError(
             f"probability rows must sum to 1; row {worst} sums to {row_sums[worst]!r}"
         )
+    return _cross_entropy(probs, labels)
+
+
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """cross_entropy without the checks, for a (rows, classes) float64
+    ``probs`` and checked int64 ``labels``."""
     p_true = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(p_true, 1e-15)).mean())
 
@@ -98,6 +104,7 @@ def derive_seed(seed: int, stream: int) -> int:
     Used by the harness so data synthesis, splitting, per-fold training, etc.
     each get an independent generator from one experiment seed.
     """
+    seed, stream = _check_int("seed", seed), _check_int("stream", stream)
     counter = np.array([(seed + stream * _GOLDEN) & _MASK64], dtype=np.uint64)
     return int(_mix_block(counter)[0])
 
@@ -108,11 +115,13 @@ class Rng:
     Every word advances a counter by a fixed odd constant and mixes it, so the
     k-th output is a pure function of (seed, k). Draws mix blocks of counter
     values in uint64 numpy ops, a block of one for a scalar draw, so
-    interleaving scalar and bulk draws never reuses or skips state.
+    interleaving scalar and bulk draws never reuses or skips state. A seed,
+    draw count, bound or permutation size that is no integer, or is a bool,
+    raises ValidationError.
     """
 
     def __init__(self, seed: int):
-        self._counter = int(seed) & _MASK64
+        self._counter = _check_int("seed", seed) & _MASK64
 
     def _next_block(self, n: int) -> np.ndarray:
         steps = np.arange(1, n + 1, dtype=np.uint64)
@@ -122,8 +131,7 @@ class Rng:
 
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each built from the top 53 bits of one word."""
-        if n < 0:
-            raise ValidationError(f"draw count must be nonnegative, got {n}")
+        n = _check_int("draw count", n, 0)
         if n == 0:
             return np.empty(0, dtype=np.float64)
         return (self._next_block(n) >> np.uint64(11)) * _INV_2_53
@@ -142,8 +150,7 @@ class Rng:
         """
         if not variance > 0:
             raise ValidationError(f"variance must be positive, got {variance}")
-        if n < 0:
-            raise ValidationError(f"draw count must be nonnegative, got {n}")
+        n = _check_int("draw count", n, 0)
         return self._normal_rows(1, n, mean, variance)[0]
 
     def _normal_rows(self, rows: int, n: int, mean: float, variance: float) -> np.ndarray:
@@ -188,8 +195,7 @@ class Rng:
 
     def randbelow(self, bound: int) -> int:
         """One integer uniform on [0, bound), by masked rejection (unbiased)."""
-        if bound <= 0:
-            raise ValidationError(f"bound must be positive, got {bound}")
+        bound = _check_int("bound", bound, 1)
         if bound == 1:
             self._next_block(1)
             return 0
@@ -206,8 +212,7 @@ class Rng:
         deterministic even in the astronomically unlikely event of a key
         collision). Consumes exactly n words of the stream.
         """
-        if n < 0:
-            raise ValidationError(f"permutation size must be nonnegative, got {n}")
+        n = _check_int("permutation size", n, 0)
         return _permutations([self], n)[0]
 
 

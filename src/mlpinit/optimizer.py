@@ -88,25 +88,23 @@ def sgd_step(
                 f"bias shapes disagree: model {layer.bias.shape}, "
                 f"gradient {d_b.shape}, velocity {v_b.shape}"
             )
-    params = [*(layer.weights for layer in model.layers), *(layer.bias for layer in model.layers)]
-    _sgd_update(
-        params,
-        [*state.v_weights, *state.v_bias],
-        [*grads.d_weights, *grads.d_bias],
-        [np.empty_like(p) for p in params],
-        hp,
-    )
+    # _sgd_update leaves lr * v in its gradient argument; the copies keep
+    # the caller's gradients as they were.
+    for layer, v_w, v_b, d_w, d_b in zip(
+        model.layers, state.v_weights, state.v_bias, grads.d_weights, grads.d_bias
+    ):
+        _sgd_update(layer.weights, v_w, d_w.copy(), hp)
+        _sgd_update(layer.bias, v_b, d_b.copy(), hp)
 
 
-def _sgd_update(params, velocity, grads, scratch, hp: Hyperparams) -> None:
-    """The momentum update over parallel lists of arrays, without checks.
+def _sgd_update(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, hp: Hyperparams) -> None:
+    """The momentum update of one array, without checks; overwrites ``grad``.
 
-    ``scratch`` receives ``lr * v``. A caller that holds all its parameters
-    (and velocity, gradients, scratch) in one flat vector each passes
-    one-element lists and updates every layer and fold in four ufunc calls.
+    ``grad`` is left holding ``lr * v``. A caller that holds all its
+    parameters, velocity and gradients in one flat vector each updates every
+    layer and fold in four ufunc calls.
     """
-    for p, v, g, s in zip(params, velocity, grads, scratch):
-        # v * lr has the bits of lr * v: IEEE multiplication commutes
-        v *= hp.momentum
-        v += g
-        p -= np.multiply(v, hp.learning_rate, out=s)
+    # v * lr has the bits of lr * v: IEEE multiplication commutes
+    velocity *= hp.momentum
+    velocity += grad
+    params -= np.multiply(velocity, hp.learning_rate, out=grad)

@@ -46,7 +46,7 @@ def test_criterion_1_initializer_variance():
         for d in fan_ins:
             rng = Rng(10_000 + d)
             rows = -(-100_000 // d)  # ceil, so we pool >= 1e5 entries
-            w = initialize(rng, scheme, fan_in=d, rows=rows, cols=d)
+            w = initialize(rng, scheme, rows=rows, cols=d)
             assert w.size >= 100_000
             target = target_variance(scheme, d)
             rel = abs(w.var() / target - 1.0)
@@ -71,7 +71,7 @@ def test_criterion_2_variance_propagation():
         x = rng.normal(batch * d).reshape(batch, d)
         signal = x
         for _ in range(depth):
-            signal = relu(signal) @ initialize(rng, scheme, d, d, d).T
+            signal = relu(signal) @ initialize(rng, scheme, d, d).T
         return signal.var() / x.var()
 
     seeds = range(20_000, 20_005)

@@ -72,7 +72,7 @@ class TestInitialize:
     def test_kaiming_normal_variance_within_3pct(self):
         rng = Rng(2001)
         pooled = np.concatenate(
-            [initialize(rng, KAIMING_NORMAL, 50, 20, 50).ravel() for _ in range(100)]
+            [initialize(rng, KAIMING_NORMAL, 20, 50).ravel() for _ in range(100)]
         )
         assert pooled.size == 100_000
         assert pooled.var() == pytest.approx(0.04, rel=0.03)
@@ -80,7 +80,7 @@ class TestInitialize:
     def test_uniform_entries_never_exceed_bound(self):
         rng = Rng(2002)
         bound = uniform_bound(XAVIER_UNIFORM, 85)
-        w = initialize(rng, XAVIER_UNIFORM, 85, 50, 85)
+        w = initialize(rng, XAVIER_UNIFORM, 50, 85)
         assert np.all(np.abs(w) <= bound)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
@@ -88,7 +88,7 @@ class TestInitialize:
         rng = Rng(2003)
         d = 85
         pooled = np.concatenate(
-            [initialize(rng, scheme, d, 100, d).ravel() for _ in range(12)]
+            [initialize(rng, scheme, 100, d).ravel() for _ in range(12)]
         )
         n = pooled.size
         assert n >= 100_000
@@ -100,20 +100,33 @@ class TestInitialize:
         rng = Rng(2004)
         d = 20
         pooled = np.concatenate(
-            [initialize(rng, scheme, d, 250, d).ravel() for _ in range(20)]
+            [initialize(rng, scheme, 250, d).ravel() for _ in range(20)]
         )
         assert pooled.var() == pytest.approx(target_variance(scheme, d), rel=0.03)
 
     def test_deterministic_per_seed(self):
-        a = initialize(Rng(55), KAIMING_UNIFORM, 30, 10, 30)
-        b = initialize(Rng(55), KAIMING_UNIFORM, 30, 10, 30)
+        a = initialize(Rng(55), KAIMING_UNIFORM, 10, 30)
+        b = initialize(Rng(55), KAIMING_UNIFORM, 10, 30)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+    def test_fan_in_is_cols(self, scheme):
+        # the draw is exactly the scheme's distribution at fan_in = cols
+        w = initialize(Rng(56), scheme, 7, 30)
+        rng = Rng(56)
+        if scheme.dist is DistKind.NORMAL:
+            want = rng.normal(7 * 30, 0.0, target_variance(scheme, 30))
+        else:
+            bound = uniform_bound(scheme, 30)
+            want = rng.uniform(-bound, bound, 7 * 30)
+        assert w.shape == (7, 30)
+        assert w.tobytes() == want.tobytes()
+
     def test_invalid_dimensions(self):
-        with pytest.raises(ValidationError):
-            initialize(Rng(0), XAVIER_NORMAL, 10, 0, 10)
-        with pytest.raises(ValidationError):
-            initialize(Rng(0), XAVIER_NORMAL, 0, 5, 5)
+        # cols=0 is the zero fan-in case
+        for rows, cols in ((0, 5), (5, 0), (-1, 5), (2.0, 5), (5, 2.5), (True, 5), (5, True)):
+            with pytest.raises(ValidationError):
+                initialize(Rng(0), XAVIER_NORMAL, rows, cols)
 
 
 class TestVariancePropagation:
@@ -122,7 +135,7 @@ class TestVariancePropagation:
     def test_single_xavier_layer_preserves_variance(self):
         rng = Rng(3001)
         d = 256
-        w = initialize(rng, XAVIER_NORMAL, d, d, d)
+        w = initialize(rng, XAVIER_NORMAL, d, d)
         x = rng.normal(10_000 * d).reshape(10_000, d)
         y = x @ w.T
         assert y.var() == pytest.approx(x.var(), rel=0.10)
@@ -137,7 +150,7 @@ class TestVariancePropagation:
             x = rng.normal(batch * d).reshape(batch, d)
             signal = x
             for _ in range(depth):
-                signal = relu(signal) @ initialize(rng, scheme, d, d, d).T
+                signal = relu(signal) @ initialize(rng, scheme, d, d).T
             return signal.var() / x.var()
 
         seeds = range(3000, 3005)

@@ -81,8 +81,8 @@ def _derive_seed():
 def _initialize(scheme):
     def digest_input():
         rng = Rng(derive_seed(11, 3))
-        return b"".join(_f64(initialize(rng, scheme, fan_in, rows, cols))
-                        for fan_in, rows, cols in ((85, 50, 85), (50, 20, 50), (20, 4, 20)))
+        return b"".join(_f64(initialize(rng, scheme, rows, cols))
+                        for rows, cols in ((50, 85), (20, 50), (4, 20)))
     return digest_input
 
 

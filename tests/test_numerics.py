@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpinit.data import synthesize_dataset
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.numerics import Rng, _permutations, cross_entropy, derive_seed, relu, softmax
 
@@ -165,6 +166,36 @@ class TestRng:
             Rng(0).uniform(1.0, 1.0, 3)
         with pytest.raises(ValidationError):
             Rng(0).randbelow(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Rng(2.5),
+    lambda: Rng(True),
+    lambda: Rng("7"),
+    lambda: Rng(7).random(2.5),
+    lambda: Rng(7).random(True),
+    lambda: Rng(7).uniform(0.0, 1.0, 2.5),
+    lambda: Rng(7).normal(2.5),
+    lambda: Rng(7).randbelow(2.5),
+    lambda: Rng(7).randbelow(True),
+    lambda: Rng(7).permutation(2.5),
+    lambda: Rng(7).permutation(np.float64(3)),
+    lambda: derive_seed(1.5, 2),
+    lambda: derive_seed(1, 2.0),
+    lambda: synthesize_dataset(1, 2.5, 4, 2.0),
+    lambda: synthesize_dataset(1, 2, 4.0, 2.0),
+    lambda: synthesize_dataset(1.5, 2, 4, 2.0),
+    lambda: synthesize_dataset(True, 2, 4, 2.0),
+], ids=[
+    "Rng-float", "Rng-bool", "Rng-str", "random-float", "random-bool", "uniform-float",
+    "normal-float", "randbelow-float", "randbelow-bool", "permutation-float",
+    "permutation-np-float", "derive_seed-seed", "derive_seed-stream",
+    "synthesize-participants", "synthesize-records", "synthesize-seed-float",
+    "synthesize-seed-bool",
+])
+def test_non_integer_size_or_seed_rejected(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
 
 
 class TestNormalRows:

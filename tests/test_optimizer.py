@@ -136,7 +136,8 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_update_through_scratch_equals_plain_formula(self, folds):
-        # w - lr * (m * v + g), with fresh arrays at every step, bit for bit
+        # w - lr * (m * v + g), with fresh arrays at every step, bit for bit;
+        # the scratch is sgd_step's copy of each gradient
         models = [build_model(Rng(20 + k), Topology.TWO_LAYER, KAIMING_NORMAL)
                   for k in range(folds)]
         model = models[0] if folds == 1 else stack_models(models)
@@ -155,7 +156,7 @@ class TestSgdStep:
 
     def test_flat_update_equals_per_layer_step(self):
         # the training loop's layout: one vector each for parameters,
-        # velocity, gradients and scratch, every layer a view into it
+        # velocity and gradients, every layer a view into it
         stacked = stack_models(
             [build_model(Rng(30 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
         )
@@ -168,7 +169,6 @@ class TestSgdStep:
             view[...] = array
         velocity, velocity_views = _flat_like(arrays)
         grad, grad_views = _flat_like(arrays)
-        scratch = np.empty_like(params)
         state = SgdMomentumState(stacked)
         hp = Hyperparams(8, 0.0123, 0.7)
         for _ in range(5):
@@ -178,12 +178,36 @@ class TestSgdStep:
                 d_weights=[g.copy() for g in grad_views[0::2]],
                 d_bias=[g.copy() for g in grad_views[1::2]],
             ), hp)
-            _sgd_update([params], [velocity], [grad], [scratch], hp)
+            _sgd_update(params, velocity, grad, hp)
         for got, want in zip(views, stacked.parameter_arrays()):
             assert got.tobytes() == want.tobytes()
         for k, (v_w, v_b) in enumerate(zip(state.v_weights, state.v_bias)):
             assert velocity_views[2 * k].tobytes() == v_w.tobytes()
             assert velocity_views[2 * k + 1].tobytes() == v_b.tobytes()
+
+    def test_gradients_left_unchanged(self):
+        model = build_model(Rng(7), Topology.THREE_LAYER, KAIMING_NORMAL)
+        rng = Rng(95)
+        grads = Gradients(
+            d_weights=[rng.normal(l.weights.size).reshape(l.weights.shape) for l in model.layers],
+            d_bias=[rng.normal(l.bias.size) for l in model.layers],
+        )
+        before = [g.tobytes() for g in (*grads.d_weights, *grads.d_bias)]
+        state = SgdMomentumState(model)
+        for _ in range(2):
+            sgd_step(state, model, grads, Hyperparams(8, 0.01, 0.6))
+        assert [g.tobytes() for g in (*grads.d_weights, *grads.d_bias)] == before
+
+    def test_core_update_leaves_lr_times_velocity_in_grad(self):
+        rng = Rng(94)
+        params, velocity, grad = (rng.normal(50) for _ in range(3))
+        hp = Hyperparams(8, 0.0123, 0.7)
+        want_v = hp.momentum * velocity + grad
+        want_p = params - hp.learning_rate * want_v
+        _sgd_update(params, velocity, grad, hp)
+        assert velocity.tobytes() == want_v.tobytes()
+        assert grad.tobytes() == (hp.learning_rate * want_v).tobytes()
+        assert params.tobytes() == want_p.tobytes()
 
     def test_shape_mismatch_rejected(self):
         model = build_model(Rng(6), Topology.ONE_LAYER, KAIMING_NORMAL)
