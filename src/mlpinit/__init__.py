@@ -12,7 +12,6 @@ from .data import (
     N_CLASSES,
     N_FEATURES,
     Dataset,
-    Sample,
     holdout_split,
     load_csv,
     loo_splits,
@@ -72,13 +71,12 @@ from .network import (
     MlpModel,
     Topology,
     backward,
-    batch_loss,
     build_model,
     forward,
     grad_check,
     predict,
 )
 from .numerics import Rng, cross_entropy, derive_seed, relu, softmax
-from .optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
+from .optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 __version__ = "0.1.0"

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, FormatError, ParseError, ValidationError, _check_int
-from .numerics import Rng
+from .numerics import Rng, _check_labels
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
 N_CLASSES = 4
@@ -45,27 +43,20 @@ _PARTICIPANT_OFFSET_STD = 0.2 / np.sqrt(N_FEATURES)
 _SYNTH_BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One record: participant id, 85 features, severity label in {0,1,2,3}."""
-
-    participant_id: int
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Ordered, immutable-by-convention collection of samples.
 
     Stored columnar: ``features`` is (n, 85) float64, ``labels`` and
     ``participants`` are (n,) int64. ``provenance`` records where the data
-    came from (a CSV path or a synthetic-generator description).
+    came from (a CSV path or a synthetic-generator description). Labels and
+    participant ids must be given as integers: ValidationError names any
+    other dtype, bool included, rather than truncating it.
     """
 
     def __init__(self, features, labels, participants, provenance: str = ""):
         features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        participants = np.asarray(participants, dtype=np.int64)
+        labels = np.asarray(labels)
+        participants = np.asarray(participants)
         if features.ndim != 2 or features.shape[1] != N_FEATURES:
             raise ValidationError(
                 f"features must be (n, {N_FEATURES}), got shape {features.shape}"
@@ -78,22 +69,17 @@ class Dataset:
                 f"labels/participants must both have shape ({n},), got "
                 f"{labels.shape} and {participants.shape}"
             )
-        if labels.min() < 0 or labels.max() >= N_CLASSES:
-            raise ValidationError(f"labels must lie in [0, {N_CLASSES})")
+        if not np.issubdtype(participants.dtype, np.integer):
+            raise ValidationError(
+                f"participants must be integers, got dtype {participants.dtype}"
+            )
         self.features = features
-        self.labels = labels
-        self.participants = participants
+        self.labels = _check_labels(labels, (n,), N_CLASSES)
+        self.participants = participants.astype(np.int64, copy=False)
         self.provenance = provenance
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            participant_id=int(self.participants[i]),
-            features=self.features[i].copy(),
-            label=int(self.labels[i]),
-        )
 
     def subset(self, indices, provenance: str | None = None) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -349,8 +335,8 @@ def holdout_split(dataset: Dataset, fraction: float = 0.2, seed: int = 0):
 
     Returns ``(trainval, test)``; the two are disjoint and union-complete, and
     the selection is deterministic per seed. Raises ValidationError if any of
-    the four classes has no samples; warns if the floor rule leaves the test
-    set empty.
+    the four classes has no samples, or if the floor rule leaves the test set
+    empty.
     """
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must lie in (0, 1), got {fraction}")
@@ -367,28 +353,30 @@ def holdout_split(dataset: Dataset, fraction: float = 0.2, seed: int = 0):
         test_idx.extend(shuffled[:k].tolist())
     test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
     if test_idx.size == 0:
-        warnings.warn(
+        raise ValidationError(
             "holdout test set is empty: floor(fraction * class count) is 0 "
-            "for every class",
-            stacklevel=2,
+            "for every class"
         )
-        return dataset, None
     mask = np.ones(len(dataset), dtype=bool)
     mask[test_idx] = False
     trainval_idx = np.flatnonzero(mask)
     return dataset.subset(trainval_idx), dataset.subset(test_idx)
 
 
-def loo_splits(trainval: Dataset):
-    """Leave-one-record-out folds: fold k trains on everything but sample k.
+def loo_splits(n_rows: int, folds):
+    """Leave-one-record-out row maps: for each fold k of ``folds``, in order,
+    the rows ``0 .. n_rows - 1`` without row k.
 
-    Yields ``(train, validation_sample)`` pairs; every sample is the held-out
-    singleton exactly once.
+    A generator, so it checks on the first ``next()``, before any map is
+    yielded: ValidationError for fewer than 2 rows or a fold that is no
+    integer in [0, n_rows).
     """
-    n = len(trainval)
-    if n < 2:
-        raise ValidationError(f"leave-one-out needs at least 2 samples, got {n}")
-    all_idx = np.arange(n)
-    for k in range(n):
-        train = trainval.subset(np.delete(all_idx, k))
-        yield train, trainval[k]
+    n_rows = _check_int("leave-one-out rows", n_rows, 2)
+    folds = np.asarray(folds)
+    if folds.size and not (
+        np.issubdtype(folds.dtype, np.integer) and 0 <= folds.min() and folds.max() < n_rows
+    ):
+        raise ValidationError(f"LOO folds must be integers in [0, {n_rows})")
+    all_rows = np.arange(n_rows)
+    for k in folds.tolist():
+        yield np.delete(all_rows, k)

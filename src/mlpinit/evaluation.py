@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import N_CLASSES
 from .errors import ValidationError
+from .numerics import _check_labels
 
 
 class ConfusionMatrix:
@@ -41,17 +42,20 @@ class ConfusionMatrix:
         return int(np.trace(self.counts))
 
     def add(self, preds, labels) -> None:
-        """Accumulate (prediction, truth) pairs into this matrix."""
-        preds = np.asarray(preds, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        """Accumulate (prediction, truth) pairs into this matrix.
+
+        Both must be integer vectors of classes in [0, 4); ValidationError
+        names any other dtype, bool included, rather than truncating it.
+        """
+        preds = np.asarray(preds)
+        labels = np.asarray(labels)
         if preds.shape != labels.shape or preds.ndim != 1:
             raise ValidationError(
                 f"predictions and labels must be equal-length vectors, got "
                 f"shapes {preds.shape} and {labels.shape}"
             )
-        for name, arr in (("prediction", preds), ("label", labels)):
-            if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
-                raise ValidationError(f"{name} values must lie in [0, {N_CLASSES})")
+        preds = _check_labels(preds, preds.shape, N_CLASSES)
+        labels = _check_labels(labels, labels.shape, N_CLASSES)
         np.add.at(self.counts, (labels, preds), 1)
 
 

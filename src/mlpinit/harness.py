@@ -36,7 +36,7 @@ from .data import (
     Dataset,
     holdout_split,
     load_csv,
-    loo_splits,  # unused here; kept as a harness attribute that tracing tools wrap
+    loo_splits,
     standardize,
     synthesize_dataset,
 )
@@ -69,12 +69,7 @@ from .network import (
     stack_models,
 )
 from .numerics import Rng, _check_labels, _permutations, derive_seed
-from .optimizer import (
-    Hyperparams,
-    _sgd_update,
-    preset_hyperparams,
-    sgd_step,  # unused here; kept as a harness attribute that tracing tools wrap
-)
+from .optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 # Named sub-streams of the experiment seed (see derive_seed).
 STREAM_DATA = 1
@@ -261,7 +256,7 @@ def _train(
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
             _backward(model, fwd, labels[idx], grads, deltas)
-            _sgd_update(params, velocity, grad, hp)
+            sgd_step(params, velocity, grad, hp)
     return model
 
 
@@ -278,13 +273,12 @@ def _loo_group(
     ``loo_root``. Returns, per fold, whether its model classifies row k
     correctly.
     """
-    all_rows = np.arange(len(labels))
-    folds = all_rows[first : first + LOO_GROUP_SIZE]
+    folds = np.arange(first, min(first + LOO_GROUP_SIZE, len(labels)))
     group = _train(
         config,
         features,
         labels,
-        np.stack([np.delete(all_rows, k) for k in folds]),
+        np.stack(list(loo_splits(len(labels), folds))),
         [Rng(derive_seed(loo_root, int(k))) for k in folds],
         [f"LOO fold {k}" for k in folds],
     )
@@ -342,10 +336,6 @@ def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     trainval, test = holdout_split(
         dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
     )
-    if test is None:
-        raise ValidationError(
-            f"holdout split left no test samples ({config.describe()})"
-        )
     (trainval_std, test_std), _, _ = standardize(trainval, test)
     return trainval_std, test_std
 

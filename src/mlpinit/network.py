@@ -23,7 +23,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, _cross_entropy, _softmax, cross_entropy
+from .numerics import Rng, _check_labels, _cross_entropy, _softmax
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -237,11 +237,6 @@ def _backward(
             delta = np.matmul(delta, model.layers[i].weights, out=deltas[i - 1])
             delta *= fwd.pre_activations[i - 1] > 0.0
     return out
-
-
-def batch_loss(model: MlpModel, batch, labels) -> float:
-    """Mean cross-entropy of the model's predictions on ``batch``."""
-    return cross_entropy(forward(model, batch).probs, labels)
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:

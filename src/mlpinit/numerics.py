@@ -91,7 +91,7 @@ def _check_labels(labels, expected_shape: tuple[int, ...], n_classes: int) -> np
         )
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64)
+    labels = labels.astype(np.int64, copy=False)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         bad = labels[(labels < 0) | (labels >= n_classes)][0]
         raise ValidationError(f"label {bad} outside [0, {n_classes})")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError, _check_types
 from .initializers import Family
-from .network import Gradients, MlpModel, Topology
+from .network import Topology
 
 
 @dataclass(frozen=True)
@@ -53,57 +53,19 @@ def preset_hyperparams(topology: Topology, family: Family) -> Hyperparams:
     return _PRESETS[(topology, family)]
 
 
-class SgdMomentumState:
-    """Per-parameter velocity buffers, zero-initialized to match a model."""
+def sgd_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, hp: Hyperparams) -> None:
+    """One in-place momentum update of ``params`` and ``velocity``; overwrites ``grad``.
 
-    def __init__(self, model: MlpModel):
-        self.v_weights = [np.zeros_like(layer.weights) for layer in model.layers]
-        self.v_bias = [np.zeros_like(layer.bias) for layer in model.layers]
-
-
-def sgd_step(
-    state: SgdMomentumState, model: MlpModel, grads: Gradients, hp: Hyperparams
-) -> None:
-    """One in-place momentum update of every weight matrix and bias vector.
-
-    The update is elementwise, so a stacked model (see ``network``) updates
-    every fold at once, each exactly as it would update alone.
+    ``grad`` is left holding ``lr * v``. The update is elementwise, so one
+    call on flat vectors that hold every layer of every stacked fold (see
+    ``network``) updates each exactly as it would update alone. Raises
+    ShapeError, before any write, when the three shapes differ.
     """
-    n = len(model.layers)
-    if len(grads.d_weights) != n or len(state.v_weights) != n:
+    if not params.shape == velocity.shape == grad.shape:
         raise ShapeError(
-            f"model has {n} layers but gradients cover {len(grads.d_weights)} "
-            f"and velocity {len(state.v_weights)}"
+            f"shapes disagree: parameters {params.shape}, velocity "
+            f"{velocity.shape}, gradient {grad.shape}"
         )
-    for layer, v_w, v_b, d_w, d_b in zip(
-        model.layers, state.v_weights, state.v_bias, grads.d_weights, grads.d_bias
-    ):
-        if v_w.shape != layer.weights.shape or d_w.shape != layer.weights.shape:
-            raise ShapeError(
-                f"weight shapes disagree: model {layer.weights.shape}, "
-                f"gradient {d_w.shape}, velocity {v_w.shape}"
-            )
-        if v_b.shape != layer.bias.shape or d_b.shape != layer.bias.shape:
-            raise ShapeError(
-                f"bias shapes disagree: model {layer.bias.shape}, "
-                f"gradient {d_b.shape}, velocity {v_b.shape}"
-            )
-    # _sgd_update leaves lr * v in its gradient argument; the copies keep
-    # the caller's gradients as they were.
-    for layer, v_w, v_b, d_w, d_b in zip(
-        model.layers, state.v_weights, state.v_bias, grads.d_weights, grads.d_bias
-    ):
-        _sgd_update(layer.weights, v_w, d_w.copy(), hp)
-        _sgd_update(layer.bias, v_b, d_b.copy(), hp)
-
-
-def _sgd_update(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, hp: Hyperparams) -> None:
-    """The momentum update of one array, without checks; overwrites ``grad``.
-
-    ``grad`` is left holding ``lr * v``. A caller that holds all its
-    parameters, velocity and gradients in one flat vector each updates every
-    layer and fold in four ufunc calls.
-    """
     # v * lr has the bits of lr * v: IEEE multiplication commutes
     velocity *= hp.momentum
     velocity += grad

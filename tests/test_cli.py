@@ -175,6 +175,18 @@ def test_bad_config_exits_2(tmp_path):
     assert code == 2
 
 
+def test_empty_holdout_exits_2_without_a_warning(tmp_path):
+    # 2 participants x 4 records: two records per class, and floor(0.2 * 2) is 0
+    result = run_cli("run", "--topology", "1", "--init", "xavier", "--synthetic",
+                     "--participants", "2", "--records", "4", "--no-loo",
+                     "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert result.stderr == (
+        "config error: holdout test set is empty: floor(fraction * class count) "
+        "is 0 for every class\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_separation_exits_2(tmp_path, capsys, value):
     csv_path = tmp_path / "cohort.csv"

@@ -398,12 +398,10 @@ class TestHoldoutSplit:
         with pytest.raises(ValidationError, match="'Moderate'"):
             holdout_split(three_classes, 0.2, seed=0)
 
-    def test_degenerate_floor_warns_and_returns_no_test(self):
+    def test_degenerate_floor_raises(self):
         ds = tiny_dataset(n=4)  # one sample per class
-        with pytest.warns(UserWarning, match="empty"):
-            trainval, test = holdout_split(ds, 0.5, seed=0)
-        assert test is None
-        assert len(trainval) == 4
+        with pytest.raises(ValidationError, match="holdout test set is empty"):
+            holdout_split(ds, 0.5, seed=0)
 
     def test_fraction_bounds(self):
         ds = tiny_dataset()
@@ -415,38 +413,36 @@ class TestHoldoutSplit:
 
 class TestLooSplits:
     def test_fold_count_and_sizes(self):
-        ds = tiny_dataset(n=12)
-        folds = list(loo_splits(ds))
-        assert len(folds) == 12
-        for train, val in folds:
-            assert len(train) == 11
-            assert val.features.shape == (85,)
+        maps = list(loo_splits(12, range(12)))
+        assert len(maps) == 12
+        for rows in maps:
+            assert rows.shape == (11,)
 
     def test_every_sample_held_out_exactly_once(self):
-        ds = tiny_dataset(n=10, seed=3)
-        held = np.vstack([val.features for _, val in loo_splits(ds)])
-        np.testing.assert_array_equal(held, ds.features)
+        held = [set(range(10)) - set(rows.tolist()) for rows in loo_splits(10, range(10))]
+        assert held == [{k} for k in range(10)]
 
     def test_two_sample_case(self):
-        ds = tiny_dataset(n=2)
-        folds = list(loo_splits(ds))
-        assert len(folds) == 2
-        np.testing.assert_array_equal(folds[0][0].features[0], ds.features[1])
-        np.testing.assert_array_equal(folds[1][0].features[0], ds.features[0])
+        assert [rows.tolist() for rows in loo_splits(2, [0, 1])] == [[1], [0]]
+
+    def test_folds_may_be_any_subset_in_order(self):
+        maps = loo_splits(30, np.arange(20, 30))
+        for k, rows in zip(range(20, 30), maps):
+            assert rows.tolist() == [r for r in range(30) if r != k]
 
     def test_requires_two_samples(self):
         with pytest.raises(ValidationError):
-            list(loo_splits(tiny_dataset(n=1)))
+            list(loo_splits(1, [0]))
+
+    @pytest.mark.parametrize("n_rows, folds", [
+        (0, []), (5, [0, 5]), (5, [-1]), (5, [0.0]), (5.0, [0]), (True, [0]),
+    ])
+    def test_bad_rows_or_folds_raise_before_any_map(self, n_rows, folds):
+        with pytest.raises(ValidationError):
+            next(loo_splits(n_rows, folds))
 
 
 class TestDataset:
-    def test_sample_access(self):
-        ds = tiny_dataset()
-        s = ds[3]
-        assert s.label == 3
-        assert s.participant_id == 0
-        np.testing.assert_array_equal(s.features, ds.features[3])
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 84)), [0, 1], [0, 0])
@@ -454,3 +450,16 @@ class TestDataset:
             Dataset(np.zeros((0, 85)), [], [])
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 85)), [0, 9], [0, 0])
+
+    @pytest.mark.parametrize("labels, participants", [
+        ([0.7, 3.9], [1, 2]),
+        ([0, 3], [1.5, 2.2]),
+        (["1", "2"], [1, 2]),
+        ([True, False], [1, 2]),
+        ([0, 1], [True, False]),
+        ([0, 1], [2**70, 1]),
+        ([0, 1], ["1", "2"]),
+    ])
+    def test_non_integer_labels_or_participants_rejected(self, labels, participants):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Dataset(np.zeros((2, 85)), labels, participants)

@@ -67,6 +67,17 @@ class TestAccumulate:
         with pytest.raises(ValidationError):
             accumulate_confusion([0, -1], [0, 1])
 
+    @pytest.mark.parametrize("preds, labels", [
+        ([0.9, 1.7], [0, 1]),
+        ([0, 1], [0.9, 1.7]),
+        (["0", "1"], [0, 1]),
+        ([True, False], [0, 1]),
+        ([0, 1], [True, False]),
+    ])
+    def test_non_integer_classes_rejected(self, preds, labels):
+        with pytest.raises(ValidationError, match="must be integers"):
+            accumulate_confusion(preds, labels)
+
 
 class TestPerClassMetrics:
     def test_published_spot_value_f1(self):

@@ -50,7 +50,7 @@ from mlpinit.initializers import (
 )
 from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
-from mlpinit.optimizer import Hyperparams, SgdMomentumState, preset_hyperparams, sgd_step
+from mlpinit.optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -272,14 +272,18 @@ class TestRunExperiment:
 
         def train_alone(rng, rows):
             model = build_model(rng, config.topology, config.scheme)
-            state = SgdMomentumState(model)
+            velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
             x_all, y_all = features[rows], labels[rows]
             for _ in range(config.epochs):
                 order = rng.permutation(len(rows))
                 for start in range(0, len(rows), hp.batch_size):
                     idx = order[start : start + hp.batch_size]
-                    fwd = forward(model, x_all[idx])
-                    sgd_step(state, model, backward(model, fwd, y_all[idx]), hp)
+                    grads = backward(model, forward(model, x_all[idx]), y_all[idx])
+                    for layer, (v_w, v_b), d_w, d_b in zip(
+                        model.layers, velocity, grads.d_weights, grads.d_bias
+                    ):
+                        sgd_step(layer.weights, v_w, d_w, hp)
+                        sgd_step(layer.bias, v_b, d_b, hp)
             return model
 
         def assert_same(got, want):

@@ -1,27 +1,15 @@
-import copy
-
 import numpy as np
 import pytest
 
 from mlpinit.errors import ShapeError, ValidationError
-from mlpinit.initializers import KAIMING_NORMAL, Family
-from mlpinit.network import Gradients, Topology, build_model, stack_models
+from mlpinit.initializers import Family
+from mlpinit.network import Topology
 from mlpinit.numerics import Rng
-from mlpinit.harness import _flat_like
-from mlpinit.optimizer import (
-    Hyperparams,
-    SgdMomentumState,
-    _sgd_update,
-    preset_hyperparams,
-    sgd_step,
-)
+from mlpinit.optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 
-def constant_grads(model, value):
-    return Gradients(
-        d_weights=[np.full_like(layer.weights, value) for layer in model.layers],
-        d_bias=[np.full_like(layer.bias, value) for layer in model.layers],
-    )
+def normal_array(rng, shape):
+    return rng.normal(int(np.prod(shape))).reshape(shape)
 
 
 class TestPresets:
@@ -62,141 +50,75 @@ class TestHyperparams:
 
 class TestSgdStep:
     def test_zero_momentum_is_plain_gradient_descent(self):
-        model = build_model(Rng(1), Topology.TWO_LAYER, KAIMING_NORMAL)
-        reference = copy.deepcopy(model)
-        grads = constant_grads(model, 0.25)
-        hp = Hyperparams(8, 0.01, 0.0)
-        sgd_step(SgdMomentumState(model), model, grads, hp)
-        for layer, ref in zip(model.layers, reference.layers):
-            np.testing.assert_allclose(
-                layer.weights, ref.weights - 0.01 * 0.25, atol=1e-15
-            )
+        params = normal_array(Rng(1), (50, 85))
+        reference = params.copy()
+        grad = np.full_like(params, 0.25)
+        sgd_step(params, np.zeros_like(params), grad, Hyperparams(8, 0.01, 0.0))
+        np.testing.assert_allclose(params, reference - 0.01 * 0.25, atol=1e-15)
 
     def test_zero_gradient_is_a_fixed_point(self):
-        model = build_model(Rng(2), Topology.ONE_LAYER, KAIMING_NORMAL)
-        reference = copy.deepcopy(model)
-        state = SgdMomentumState(model)
-        grads = constant_grads(model, 0.0)
+        params = normal_array(Rng(2), (4, 85))
+        reference = params.copy()
+        velocity = np.zeros_like(params)
         for _ in range(5):
-            sgd_step(state, model, grads, Hyperparams(8, 0.1, 0.9))
-        for layer, ref in zip(model.layers, reference.layers):
-            np.testing.assert_array_equal(layer.weights, ref.weights)
-        for v in state.v_weights:
-            np.testing.assert_array_equal(v, 0.0)
+            sgd_step(params, velocity, np.zeros_like(params), Hyperparams(8, 0.1, 0.9))
+        np.testing.assert_array_equal(params, reference)
+        np.testing.assert_array_equal(velocity, 0.0)
 
     def test_second_update_magnitude_with_momentum(self):
         # v1 = g, v2 = 0.6 g + g = 1.6 g, so step 2 moves lr * 1.6 * g
-        model = build_model(Rng(3), Topology.ONE_LAYER, KAIMING_NORMAL)
+        params = normal_array(Rng(3), (4, 85))
+        velocity = np.zeros_like(params)
         g, lr = 0.5, 0.01
-        grads = constant_grads(model, g)
-        state = SgdMomentumState(model)
         hp = Hyperparams(8, lr, 0.6)
-        sgd_step(state, model, grads, hp)
-        after_first = model.layers[0].weights.copy()
-        sgd_step(state, model, grads, hp)
-        delta = after_first - model.layers[0].weights
-        np.testing.assert_allclose(delta, lr * 1.6 * g, atol=1e-15)
+        sgd_step(params, velocity, np.full_like(params, g), hp)
+        after_first = params.copy()
+        sgd_step(params, velocity, np.full_like(params, g), hp)
+        np.testing.assert_allclose(after_first - params, lr * 1.6 * g, atol=1e-15)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.3, 0.6, 0.9])
     def test_velocity_recurrence_under_constant_gradient(self, momentum):
-        model = build_model(Rng(4), Topology.ONE_LAYER, KAIMING_NORMAL)
+        params = normal_array(Rng(4), (4, 85))
+        velocity = np.zeros_like(params)
         g = 0.125
-        grads = constant_grads(model, g)
-        state = SgdMomentumState(model)
         hp = Hyperparams(8, 1e-3, momentum)
         k = 12
         for _ in range(k):
-            sgd_step(state, model, grads, hp)
+            sgd_step(params, velocity, np.full_like(params, g), hp)
         if momentum == 0.0:
             expected = g
         else:
             expected = g * (1.0 - momentum**k) / (1.0 - momentum)
-        np.testing.assert_allclose(state.v_weights[0], expected, atol=1e-12)
+        np.testing.assert_allclose(velocity, expected, atol=1e-12)
 
     def test_update_is_deterministic(self):
         def run():
-            model = build_model(Rng(5), Topology.THREE_LAYER, KAIMING_NORMAL)
-            state = SgdMomentumState(model)
+            params = normal_array(Rng(5), (3, 50, 86))
+            velocity = np.zeros_like(params)
             rng = Rng(99)
             for _ in range(3):
-                grads = Gradients(
-                    d_weights=[
-                        rng.normal(l.weights.size).reshape(l.weights.shape)
-                        for l in model.layers
-                    ],
-                    d_bias=[rng.normal(l.bias.size) for l in model.layers],
-                )
-                sgd_step(state, model, grads, Hyperparams(8, 0.01, 0.6))
-            return model
+                sgd_step(params, velocity, normal_array(rng, params.shape),
+                         Hyperparams(8, 0.01, 0.6))
+            return params
 
-        a, b = run(), run()
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+        assert run().tobytes() == run().tobytes()
 
-    @pytest.mark.parametrize("folds", [1, 3])
-    def test_update_through_scratch_equals_plain_formula(self, folds):
+    @pytest.mark.parametrize("shape", [(60,), (3, 4, 5)], ids=lambda shape: str(len(shape)))
+    def test_update_through_scratch_equals_plain_formula(self, shape):
         # w - lr * (m * v + g), with fresh arrays at every step, bit for bit;
-        # the scratch is sgd_step's copy of each gradient
-        models = [build_model(Rng(20 + k), Topology.TWO_LAYER, KAIMING_NORMAL)
-                  for k in range(folds)]
-        model = models[0] if folds == 1 else stack_models(models)
-        params = [p.copy() for p in model.parameter_arrays()]
-        velocity = [np.zeros_like(p) for p in params]
-        state = SgdMomentumState(model)
+        # the scratch is the gradient, which the update overwrites
+        params = normal_array(Rng(20), shape)
+        velocity = np.zeros(shape)
+        want_p, want_v = params.copy(), velocity.copy()
         hp = Hyperparams(8, 0.0123, 0.7)
         rng = Rng(97)
         for _ in range(4):
-            g = [rng.normal(p.size).reshape(p.shape) for p in params]
-            sgd_step(state, model, Gradients(d_weights=g[0::2], d_bias=g[1::2]), hp)
-            velocity = [hp.momentum * v + d for v, d in zip(velocity, g)]
-            params = [p - hp.learning_rate * v for p, v in zip(params, velocity)]
-        for got, want in zip(model.parameter_arrays(), params):
-            assert got.tobytes() == want.tobytes()
-
-    def test_flat_update_equals_per_layer_step(self):
-        # the training loop's layout: one vector each for parameters,
-        # velocity and gradients, every layer a view into it
-        stacked = stack_models(
-            [build_model(Rng(30 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
-        )
-        rng = Rng(96)
-        for layer in stacked.layers:
-            layer.bias[...] = rng.normal(layer.bias.size).reshape(layer.bias.shape)
-        arrays = list(stacked.parameter_arrays())
-        params, views = _flat_like(arrays)
-        for view, array in zip(views, arrays):
-            view[...] = array
-        velocity, velocity_views = _flat_like(arrays)
-        grad, grad_views = _flat_like(arrays)
-        state = SgdMomentumState(stacked)
-        hp = Hyperparams(8, 0.0123, 0.7)
-        for _ in range(5):
-            for view in grad_views:
-                view[...] = rng.normal(view.size).reshape(view.shape)
-            sgd_step(state, stacked, Gradients(
-                d_weights=[g.copy() for g in grad_views[0::2]],
-                d_bias=[g.copy() for g in grad_views[1::2]],
-            ), hp)
-            _sgd_update(params, velocity, grad, hp)
-        for got, want in zip(views, stacked.parameter_arrays()):
-            assert got.tobytes() == want.tobytes()
-        for k, (v_w, v_b) in enumerate(zip(state.v_weights, state.v_bias)):
-            assert velocity_views[2 * k].tobytes() == v_w.tobytes()
-            assert velocity_views[2 * k + 1].tobytes() == v_b.tobytes()
-
-    def test_gradients_left_unchanged(self):
-        model = build_model(Rng(7), Topology.THREE_LAYER, KAIMING_NORMAL)
-        rng = Rng(95)
-        grads = Gradients(
-            d_weights=[rng.normal(l.weights.size).reshape(l.weights.shape) for l in model.layers],
-            d_bias=[rng.normal(l.bias.size) for l in model.layers],
-        )
-        before = [g.tobytes() for g in (*grads.d_weights, *grads.d_bias)]
-        state = SgdMomentumState(model)
-        for _ in range(2):
-            sgd_step(state, model, grads, Hyperparams(8, 0.01, 0.6))
-        assert [g.tobytes() for g in (*grads.d_weights, *grads.d_bias)] == before
+            g = normal_array(rng, shape)
+            sgd_step(params, velocity, g.copy(), hp)
+            want_v = hp.momentum * want_v + g
+            want_p = want_p - hp.learning_rate * want_v
+        assert params.tobytes() == want_p.tobytes()
+        assert velocity.tobytes() == want_v.tobytes()
 
     def test_core_update_leaves_lr_times_velocity_in_grad(self):
         rng = Rng(94)
@@ -204,49 +126,36 @@ class TestSgdStep:
         hp = Hyperparams(8, 0.0123, 0.7)
         want_v = hp.momentum * velocity + grad
         want_p = params - hp.learning_rate * want_v
-        _sgd_update(params, velocity, grad, hp)
+        sgd_step(params, velocity, grad, hp)
         assert velocity.tobytes() == want_v.tobytes()
         assert grad.tobytes() == (hp.learning_rate * want_v).tobytes()
         assert params.tobytes() == want_p.tobytes()
 
     def test_shape_mismatch_rejected(self):
-        model = build_model(Rng(6), Topology.ONE_LAYER, KAIMING_NORMAL)
-        other = build_model(Rng(6), Topology.TWO_LAYER, KAIMING_NORMAL)
-        grads = constant_grads(other, 0.1)
-        with pytest.raises(ShapeError):
-            sgd_step(SgdMomentumState(model), model, grads, Hyperparams(8, 0.1, 0.0))
+        # any one of the three arrays off, a stack's fold axis included;
+        # nothing is written before the error
+        rng = Rng(6)
+        for shapes in (((3, 4, 5),) * 2 + ((2, 4, 5),),
+                       ((60,), (3, 4, 5), (3, 4, 5)),
+                       ((4, 85), (4, 86), (4, 85))):
+            arrays = [normal_array(rng, shape) for shape in shapes]
+            before = [a.tobytes() for a in arrays]
+            with pytest.raises(ShapeError):
+                sgd_step(*arrays, Hyperparams(8, 0.1, 0.5))
+            assert [a.tobytes() for a in arrays] == before
 
     def test_stacked_step_equals_each_slice(self):
-        models = [build_model(Rng(10 + k), Topology.THREE_LAYER, KAIMING_NORMAL) for k in range(3)]
-        stacked = stack_models(models)
-        stacked_state = SgdMomentumState(stacked)
-        states = [SgdMomentumState(model) for model in models]
+        # the update is elementwise: a stack of folds updates each fold as alone
+        stacked = normal_array(Rng(10), (3, 50, 86))
+        velocity = np.zeros_like(stacked)
+        alone = [fold.copy() for fold in stacked]
+        alone_velocity = [np.zeros_like(fold) for fold in alone]
         rng = Rng(98)
         hp = Hyperparams(8, 0.01, 0.6)
         for _ in range(3):
-            grads = Gradients(
-                d_weights=[rng.normal(l.weights.size).reshape(l.weights.shape)
-                           for l in stacked.layers],
-                d_bias=[rng.normal(l.bias.size).reshape(l.bias.shape) for l in stacked.layers],
-            )
-            sgd_step(stacked_state, stacked, grads, hp)
-            for k, (model, state) in enumerate(zip(models, states)):
-                sgd_step(state, model, Gradients(
-                    d_weights=[d[k] for d in grads.d_weights],
-                    d_bias=[d[k] for d in grads.d_bias],
-                ), hp)
-        for k, model in enumerate(models):
-            for got, want in zip(stacked.layers, model.layers):
-                assert got.weights[k].tobytes() == want.weights.tobytes()
-                assert got.bias[k].tobytes() == want.bias.tobytes()
-
-    def test_stacked_shape_mismatch_rejected(self):
-        stacked = stack_models(
-            [build_model(Rng(k), Topology.ONE_LAYER, KAIMING_NORMAL) for k in range(3)]
-        )
-        grads = Gradients(
-            d_weights=[l.weights[:2] for l in stacked.layers],
-            d_bias=[l.bias[:2] for l in stacked.layers],
-        )
-        with pytest.raises(ShapeError):
-            sgd_step(SgdMomentumState(stacked), stacked, grads, Hyperparams(8, 0.1, 0.0))
+            grad = normal_array(rng, stacked.shape)
+            for k in range(3):
+                sgd_step(alone[k], alone_velocity[k], grad[k].copy(), hp)
+            sgd_step(stacked, velocity, grad, hp)
+        for k in range(3):
+            assert stacked[k].tobytes() == alone[k].tobytes()
