@@ -82,16 +82,16 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, indices, provenance: str | None = None) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        # a cast would read a bool mask as rows 0 and 1 and truncate floats
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValidationError(f"subset indices must be integers, got dtype {indices.dtype}")
         return Dataset(
             self.features[indices],
             self.labels[indices],
             self.participants[indices],
             provenance if provenance is not None else self.provenance,
         )
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=N_CLASSES)
 
 
 def _parse_label(token: str, lineno: int) -> int:

@@ -24,7 +24,10 @@ class ConfusionMatrix:
     def __init__(self, counts=None):
         if counts is None:
             counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValidationError(f"confusion counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         if counts.shape != (N_CLASSES, N_CLASSES):
             raise ValidationError(
                 f"confusion matrix must be {N_CLASSES}x{N_CLASSES}, got {counts.shape}"

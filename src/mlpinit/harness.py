@@ -21,7 +21,6 @@ call with one task or one CPU trains in-process. Results do not depend on it.
 from __future__ import annotations
 
 import os
-import struct
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -532,23 +531,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "per_class": [
-            {
-                "class": LABEL_NAMES[c],
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-            }
-            for c, m in enumerate(report.per_class)
-        ],
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "macro_f1": report.macro_f1,
-        "accuracy": report.accuracy,
-        "total": report.total,
-    }
+    out = asdict(report)
+    out["per_class"] = [{"class": name, **m} for name, m in zip(LABEL_NAMES, out["per_class"])]
+    return out
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -584,48 +569,23 @@ def suite_to_dict(base_seed: int, cells: list[SuiteCell]) -> dict:
     return {"base_seed": base_seed, "cells": out_cells}
 
 
+# result.csv's columns, in order. Each names a field of result_to_dict: of
+# the config, the holdout report, or one class's entry in it.
+_CSV_COLUMNS = (
+    "topology", "family", "dist", "seed", "class", "precision", "recall", "f1", "support",
+    "accuracy", "macro_precision", "macro_recall", "macro_f1", "loo_accuracy",
+)
+
+
 def results_csv_rows(results) -> list[list[str]]:
     """One row per class per result, full precision, for result.csv."""
-    rows = [
-        [
-            "topology",
-            "family",
-            "dist",
-            "seed",
-            "class",
-            "precision",
-            "recall",
-            "f1",
-            "support",
-            "accuracy",
-            "macro_precision",
-            "macro_recall",
-            "macro_f1",
-            "loo_accuracy",
-        ]
-    ]
+    rows = [list(_CSV_COLUMNS)]
     for result in results:
-        cfg = result.config
-        loo = "" if result.loo_accuracy is None else repr(result.loo_accuracy)
-        for c, m in enumerate(result.holdout.per_class):
-            rows.append(
-                [
-                    str(cfg.topology.value),
-                    cfg.scheme.family.value,
-                    cfg.scheme.dist.value,
-                    str(cfg.seed),
-                    LABEL_NAMES[c],
-                    repr(m.precision),
-                    repr(m.recall),
-                    repr(m.f1),
-                    str(m.support),
-                    repr(result.holdout.accuracy),
-                    repr(result.holdout.macro_precision),
-                    repr(result.holdout.macro_recall),
-                    repr(result.holdout.macro_f1),
-                    loo,
-                ]
-            )
+        out = result_to_dict(result)
+        loo = "" if out["loo"] is None else out["loo"]["mean_accuracy"]
+        for entry in out["holdout"]["per_class"]:
+            fields = {**out["config"], **out["holdout"], **entry, "loo_accuracy": loo}
+            rows.append([str(fields[column]) for column in _CSV_COLUMNS])
     return rows
 
 
@@ -635,50 +595,61 @@ def results_csv_rows(results) -> list[list[str]]:
 
 _MODEL_MAGIC = b"MLPMODEL"
 _MODEL_VERSION = 1
+# magic, format version, topology kind, layer count
+_MODEL_HEADER = np.dtype([("magic", "S8"), ("version", "<u4"), ("kind", "<u4"), ("layers", "<u4")])
+
+
+def _model_layout(topology: Topology) -> np.dtype:
+    """The packed little-endian record a model file of ``topology`` holds:
+    the header, then per layer i its ``dims{i}`` (out, in) as uint32, its
+    row-major (out, in) ``weights{i}`` and its ``bias{i}`` as float64."""
+    dims = topology.layer_dims
+    fields = list(_MODEL_HEADER.descr)
+    for i, (in_dim, out_dim) in enumerate(zip(dims[:-1], dims[1:])):
+        fields += [
+            (f"dims{i}", "<u4", (2,)),
+            (f"weights{i}", "<f8", (out_dim, in_dim)),
+            (f"bias{i}", "<f8", (out_dim,)),
+        ]
+    return np.dtype(fields)
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the model as magic, version, topology, then per-layer arrays.
-
-    All integers are little-endian uint32; weights and biases are row-major
-    little-endian float64, so a round trip restores every parameter bit.
-    """
-    chunks = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, model.topology.value)]
-    chunks.append(struct.pack("<I", len(model.layers)))
+    """Write the model as one record of its topology's layout (see
+    _model_layout), so a round trip restores every parameter bit."""
+    layout = _model_layout(model.topology)
+    values = (_MODEL_MAGIC, _MODEL_VERSION, model.topology.value, len(model.layers))
     for layer in model.layers:
-        out_dim, in_dim = layer.weights.shape
-        chunks.append(struct.pack("<II", out_dim, in_dim))
-        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+        values += (layer.weights.shape, layer.weights, layer.bias)
+    # numpy would broadcast a misshapen array into its field
+    if [np.shape(v) for v in values] != [layout[name].shape for name in layout.names]:
+        raise ShapeError(
+            f"the model's layers do not match its {model.topology.value}-layer topology"
+        )
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(np.array(values, layout).tobytes())
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.offset = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated model file")
-        out = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+def _read_field(blob: bytes, layout: np.dtype, name: str, path):
+    """Field ``name`` of the ``layout`` record at the start of ``blob``;
+    FormatError if the file ends before the field's last byte."""
+    dtype, offset = layout.fields[name]
+    if len(blob) < offset + dtype.itemsize:
+        raise FormatError(f"{path}: truncated model file")
+    return np.frombuffer(blob, dtype, 1, offset)[0]
 
 
 def load_model(path) -> MlpModel:
-    """Read a model written by save_model, validating layout and version."""
+    """Read a model written by save_model, validating layout and version.
+
+    The fields are checked in file order, each when the file holds all of
+    it, so an error names the first fault in the file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    reader = _Reader(blob, path)
-    if reader.take(len(_MODEL_MAGIC)) != _MODEL_MAGIC:
+    if _read_field(blob, _MODEL_HEADER, "magic", path) != _MODEL_MAGIC:
         raise FormatError(f"{path}: not a model file (bad magic)")
-    version = reader.u32()
+    version = int(_read_field(blob, _MODEL_HEADER, "version", path))
     if version < 1:
         raise FormatError(f"{path}: file format version {version} was never written")
     if version > _MODEL_VERSION:
@@ -686,34 +657,35 @@ def load_model(path) -> MlpModel:
             f"{path}: file format version {version}, this library supports "
             f"up to {_MODEL_VERSION}"
         )
-    kind = reader.u32()
+    kind = int(_read_field(blob, _MODEL_HEADER, "kind", path))
     try:
         topology = Topology(kind)
     except ValueError:
         raise FormatError(f"{path}: unknown topology kind {kind}") from None
-    n_layers = reader.u32()
+    layout = _model_layout(topology)
+    n_layers = int(_read_field(blob, layout, "layers", path))
     dims = topology.layer_dims
     if n_layers != len(dims) - 1:
         raise FormatError(
             f"{path}: topology {kind} expects {len(dims) - 1} layers, file has {n_layers}"
         )
-    layers = []
     for i in range(n_layers):
-        out_dim = reader.u32()
-        in_dim = reader.u32()
+        out_dim, in_dim = _read_field(blob, layout, f"dims{i}", path).tolist()
         if (in_dim, out_dim) != (dims[i], dims[i + 1]):
             raise FormatError(
                 f"{path}: layer {i} has shape {out_dim}x{in_dim}, expected "
                 f"{dims[i + 1]}x{dims[i]}"
             )
-        weights = np.frombuffer(reader.take(8 * out_dim * in_dim), dtype="<f8")
-        bias = np.frombuffer(reader.take(8 * out_dim), dtype="<f8")
-        layers.append(
-            Layer(
-                weights=weights.reshape(out_dim, in_dim).astype(np.float64),
-                bias=bias.astype(np.float64),
-            )
+    _read_field(blob, layout, layout.names[-1], path)  # are the parameters cut short?
+    if len(blob) > layout.itemsize:
+        raise FormatError(f"{path}: {len(blob) - layout.itemsize} trailing bytes")
+    record = np.frombuffer(blob, layout, 1)[0]
+    # astype copies: the record's fields are read-only and may be unaligned
+    layers = [
+        Layer(
+            weights=record[f"weights{i}"].astype(np.float64),
+            bias=record[f"bias{i}"].astype(np.float64),
         )
-    if reader.offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - reader.offset} trailing bytes")
+        for i in range(n_layers)
+    ]
     return MlpModel(topology=topology, layers=layers)

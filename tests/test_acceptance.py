@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlpinit.data import holdout_split, loo_splits, synthesize_dataset
+from mlpinit.data import N_CLASSES, holdout_split, loo_splits, synthesize_dataset
 from mlpinit.evaluation import ConfusionMatrix, accumulate_confusion, summarize
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
 from mlpinit.initializers import (
@@ -174,7 +174,7 @@ def test_criterion_6_split_protocol():
     dataset = synthesize_dataset(seed=6, **asdict(SyntheticSpec()))
     trainval, test = holdout_split(dataset, 0.2, seed=6)
     assert len(test) == 36 and len(trainval) == 156
-    np.testing.assert_array_equal(test.class_counts(), [9, 9, 9, 9])
+    np.testing.assert_array_equal(np.bincount(test.labels, minlength=N_CLASSES), [9, 9, 9, 9])
     combined = [r.tobytes() for r in trainval.features] + [
         r.tobytes() for r in test.features
     ]

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -44,6 +45,52 @@ def test_run_writes_all_outputs(tmp_path):
     assert payload["config"]["family"] == "kaiming"
     csv_lines = (out / "result.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 5  # header + one row per class
+
+
+RESULT_CSV_HEADER = (
+    "topology,family,dist,seed,class,precision,recall,f1,support,accuracy,"
+    "macro_precision,macro_recall,macro_f1,loo_accuracy"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--topology", "3", "--init", "kaiming", "--seed", "7"],
+        ["run", "--topology", "1", "--init", "xavier", "--seed", "2", "--no-loo"],
+        ["suite", "--seed", "1", "--no-loo"],
+    ],
+    ids=["run-loo", "run-no-loo", "suite"],
+)
+def test_result_csv_cells_equal_result_json(tmp_path, argv):
+    out = tmp_path / "out"
+    code = cli.main(argv + [
+        "--synthetic", "--participants", "4", "--records", "8", "--epochs", "2",
+        "--out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads((out / "result.json").read_text())
+    results = [c["result"] for c in payload["cells"]] if "cells" in payload else [payload]
+    text = (out / "result.csv").read_text()
+    assert text.splitlines()[0] == RESULT_CSV_HEADER
+    rows = list(csv.DictReader(text.splitlines()))
+    expected = [(result, entry) for result in results for entry in result["holdout"]["per_class"]]
+    assert len(rows) == len(expected) == 4 * len(results)
+    for row, (result, entry) in zip(rows, expected):
+        want = {
+            **{k: result["config"][k] for k in ("topology", "family", "dist", "seed")},
+            **entry,
+            **{k: result["holdout"][k]
+               for k in ("accuracy", "macro_precision", "macro_recall", "macro_f1")},
+        }
+        assert set(row) == set(want) | {"loo_accuracy"}
+        for column, value in want.items():
+            # int("2") == 2 and float(text) == value hold only for exact cells
+            assert type(value)(row[column]) == value, column
+        if "--no-loo" in argv:
+            assert result["loo"] is None and row["loo_accuracy"] == ""
+        else:
+            assert float(row["loo_accuracy"]) == result["loo"]["mean_accuracy"]
 
 
 def test_rerun_produces_byte_identical_result_json(tmp_path):

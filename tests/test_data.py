@@ -7,6 +7,7 @@ import pytest
 from mlpinit.data import (
     CSV_HEADER,
     FEATURE_NAMES,
+    N_CLASSES,
     Dataset,
     holdout_split,
     load_csv,
@@ -37,7 +38,7 @@ class TestSynthesize:
         ds = synthesize_dataset(seed=3, **DEFAULT_COHORT)
         assert len(ds) == 192
         assert len(set(ds.participants.tolist())) == 16
-        np.testing.assert_array_equal(ds.class_counts(), [48, 48, 48, 48])
+        np.testing.assert_array_equal(np.bincount(ds.labels, minlength=N_CLASSES), [48, 48, 48, 48])
 
     def test_every_participant_covers_all_classes(self):
         ds = synthesize_dataset(seed=3, **DEFAULT_COHORT)
@@ -59,7 +60,7 @@ class TestSynthesize:
     def test_custom_shape(self):
         ds = synthesize_dataset(0, 4, 8, 2.0)
         assert len(ds) == 32
-        np.testing.assert_array_equal(ds.class_counts(), [8, 8, 8, 8])
+        np.testing.assert_array_equal(np.bincount(ds.labels, minlength=N_CLASSES), [8, 8, 8, 8])
 
     @pytest.mark.parametrize(
         "seed, participants, records, separation",
@@ -370,8 +371,10 @@ class TestHoldoutSplit:
         ds = synthesize_dataset(seed=4, **DEFAULT_COHORT)
         trainval, test = holdout_split(ds, 0.2, seed=0)
         assert len(test) == 36 and len(trainval) == 156
-        np.testing.assert_array_equal(test.class_counts(), [9, 9, 9, 9])
-        np.testing.assert_array_equal(trainval.class_counts(), [39, 39, 39, 39])
+        np.testing.assert_array_equal(np.bincount(test.labels, minlength=N_CLASSES), [9, 9, 9, 9])
+        np.testing.assert_array_equal(
+            np.bincount(trainval.labels, minlength=N_CLASSES), [39, 39, 39, 39]
+        )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_disjoint_and_complete(self, seed):
@@ -463,3 +466,22 @@ class TestDataset:
     def test_non_integer_labels_or_participants_rejected(self, labels, participants):
         with pytest.raises(ValidationError, match="must be integers"):
             Dataset(np.zeros((2, 85)), labels, participants)
+
+    @pytest.mark.parametrize("indices", [
+        np.array([False, True, True]),
+        [True, False],
+        [0.9, 2.7],
+        np.array([1.0, 2.0]),
+        ["1", "2"],
+        [],
+    ], ids=["bool-mask", "bool-list", "floats", "integral-floats", "strings", "empty-list"])
+    def test_subset_rejects_non_integer_indices(self, indices):
+        ds = Dataset(np.zeros((3, 85)), [0, 1, 2], [7, 8, 9])
+        with pytest.raises(ValidationError, match="subset indices must be integers"):
+            ds.subset(indices)
+
+    def test_subset_takes_integer_indices_of_any_width(self):
+        ds = Dataset(np.zeros((3, 85)), [0, 1, 2], [7, 8, 9])
+        for dtype in (np.int8, np.uint32, np.int64):
+            subset = ds.subset(np.array([2, 0], dtype=dtype))
+            np.testing.assert_array_equal(subset.participants, [9, 7])

@@ -78,6 +78,21 @@ class TestAccumulate:
         with pytest.raises(ValidationError, match="must be integers"):
             accumulate_confusion(preds, labels)
 
+    @pytest.mark.parametrize("counts", [
+        np.full((4, 4), 0.7),
+        np.eye(4),
+        np.eye(4, dtype=bool),
+        [["1"] * 4] * 4,
+    ], ids=["fractions", "integral-floats", "bool", "strings"])
+    def test_confusion_matrix_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ValidationError, match="confusion counts must be integers"):
+            ConfusionMatrix(counts)
+
+    def test_confusion_matrix_takes_integer_counts_of_any_width(self):
+        for dtype in (np.uint8, np.int32, np.int64):
+            cm = ConfusionMatrix(np.eye(4, dtype=dtype) * 3)
+            assert cm.counts.dtype == np.int64 and cm.total == 12
+
 
 class TestPerClassMetrics:
     def test_published_spot_value_f1(self):

@@ -372,13 +372,19 @@ class TestRunExperiment:
     def test_lockstep_steps_take_no_page_faults(self):
         # Steps reuse their buffers, so training longer adds no minor page
         # faults in the training thread: only the first touches of a new
-        # model and its buffers fault. A fresh interpreter without MALLOC_*
-        # tunables runs the count, because the allocator's thresholds in this
-        # process depend on what earlier tests freed.
+        # model and its buffers fault. A fresh interpreter runs the count,
+        # because the allocator's thresholds in this process depend on what
+        # earlier tests freed. It runs with glibc's default mmap threshold
+        # made static: the dynamic one rises when a large block is freed, so
+        # whether the short run reuses memory that the long one does not
+        # depends on the heap layout, down to the size of the environment.
+        # Static, it also makes any per-step allocation of 128 KiB or more
+        # fault on every step, not just the first.
         resource = pytest.importorskip("resource")
         if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
             pytest.skip("getrusage reports no minor page faults here")
         env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["MALLOC_MMAP_THRESHOLD_"] = "131072"
         env["PYTHONPATH"] = SRC
         done = subprocess.run(
             [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env=env
@@ -709,6 +715,40 @@ class TestModelSerialization:
             with pytest.raises(FormatError):
                 load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, values, kept, message",
+        [
+            ("kind", (7,), None, "unknown topology kind 7"),
+            ("kind", (0,), 0, "unknown topology kind 0"),
+            ("layers", (2,), None, "topology 3 expects 3 layers, file has 2"),
+            ("layers", (4,), 0, "topology 3 expects 3 layers, file has 4"),
+            ("dims1", (20, 51), None, "layer 1 has shape 20x51, expected 20x50"),
+            ("dims2", (4, 21), None, "layer 2 has shape 4x21, expected 4x20"),
+            # the shape fault comes first in the file, so it wins over the cut
+            ("dims1", (21, 50), 100, "layer 1 has shape 21x50, expected 20x50"),
+        ],
+        ids=["kind", "kind-then-cut", "layer-count", "layer-count-then-cut",
+             "layer-1-shape", "layer-2-shape", "layer-1-shape-then-cut"],
+    )
+    def test_header_and_dims_faults_named(self, tmp_path, field, values, kept, message):
+        # Mutate one uint32 field, then keep only ``kept`` bytes after it
+        # (None: all). Layer i's (out, in) dims follow the 20-byte header and
+        # every byte of the layers before it.
+        dims = Topology.THREE_LAYER.layer_dims
+        offsets = {"kind": 12, "layers": 16}
+        for i in range(3):
+            offsets[f"dims{i}"] = 20 + sum(
+                8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(dims[:i], dims[1 : i + 1])
+            )
+        path = tmp_path / "model.bin"
+        save_model(build_model(Rng(1), Topology.THREE_LAYER, KAIMING_NORMAL), path)
+        blob = bytearray(path.read_bytes())
+        end = offsets[field] + 4 * len(values)
+        blob[offsets[field] : end] = struct.pack(f"<{len(values)}I", *values)
+        path.write_bytes(bytes(blob if kept is None else blob[: end + kept]))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         model = build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL)
         path = tmp_path / "extra.bin"
@@ -716,3 +756,20 @@ class TestModelSerialization:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: replace(m, layers=m.layers[:-1]),
+            lambda m: replace(m, topology=Topology.TWO_LAYER),
+            lambda m: replace(m, layers=[network.Layer(m.layers[0].weights, np.zeros(1))]),
+            lambda m: network.stack_models([m, m]),
+        ],
+        ids=["missing-layer", "wrong-topology", "short-bias", "stacked"],
+    )
+    def test_save_rejects_layers_that_do_not_match_the_topology(self, tmp_path, change):
+        # numpy would broadcast a (1,) bias into the file's (4,) field
+        model = change(build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL))
+        with pytest.raises(ShapeError, match="do not match its"):
+            save_model(model, tmp_path / "model.bin")
+        assert not (tmp_path / "model.bin").exists()
