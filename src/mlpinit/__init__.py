@@ -76,7 +76,7 @@ from .network import (
     grad_check,
     predict,
 )
-from .numerics import Rng, cross_entropy, derive_seed, relu, softmax
+from .numerics import Rng, derive_seed, relu
 from .optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import synthesize_dataset, save_csv, N_FEATURES
-from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError, WorkerError
+from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError, WorkerError, _check_int
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -150,11 +150,12 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_init_stats(args) -> int:
+    draws = _check_int("draws", args.draws, 1)
     rng = Rng(args.seed)
     stats = []
     for scheme in ALL_SCHEMES:
         for d in (20, 50, 85, 256):
-            rows = max(1, args.draws // d)
+            rows = max(1, draws // d)
             w = initialize(rng, scheme, rows=rows, cols=d)
             entry = {
                 "scheme": str(scheme),
@@ -217,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("init-stats", help="empirical initializer variances")
     p_stats.add_argument("--seed", type=int, default=0)
-    p_stats.add_argument("--draws", type=int, default=100_000, help="entries per scheme/fan-in")
+    p_stats.add_argument(
+        "--draws", type=int, default=100_000,
+        help="entries per scheme/fan-in, rounded down to whole rows of the fan-in "
+        "(at least one row)",
+    )
     p_stats.add_argument("--json", action="store_true")
     p_stats.set_defaults(func=_cmd_init_stats)
 

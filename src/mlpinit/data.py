@@ -47,13 +47,12 @@ class Dataset:
     """Ordered, immutable-by-convention collection of samples.
 
     Stored columnar: ``features`` is (n, 85) float64, ``labels`` and
-    ``participants`` are (n,) int64. ``provenance`` records where the data
-    came from (a CSV path or a synthetic-generator description). Labels and
-    participant ids must be given as integers: ValidationError names any
-    other dtype, bool included, rather than truncating it.
+    ``participants`` are (n,) int64. Labels and participant ids must be
+    given as integers: ValidationError names any other dtype, bool included,
+    rather than truncating it.
     """
 
-    def __init__(self, features, labels, participants, provenance: str = ""):
+    def __init__(self, features, labels, participants):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
         participants = np.asarray(participants)
@@ -76,22 +75,16 @@ class Dataset:
         self.features = features
         self.labels = _check_labels(labels, (n,), N_CLASSES)
         self.participants = participants.astype(np.int64, copy=False)
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices, provenance: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         # a cast would read a bool mask as rows 0 and 1 and truncate floats
         if not np.issubdtype(indices.dtype, np.integer):
             raise ValidationError(f"subset indices must be integers, got dtype {indices.dtype}")
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.participants[indices],
-            provenance if provenance is not None else self.provenance,
-        )
+        return Dataset(self.features[indices], self.labels[indices], self.participants[indices])
 
 
 def _parse_label(token: str, lineno: int) -> int:
@@ -227,7 +220,7 @@ def load_csv(path) -> Dataset:
         raise FormatError(f"{path}: no data rows")
     features = np.frombuffer(features).reshape(-1, N_FEATURES)
     _check_finite(features, ParseError)
-    return Dataset(features, labels, participants, provenance=str(path))
+    return Dataset(features, labels, participants)
 
 
 def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
@@ -302,11 +295,7 @@ def synthesize_dataset(
         block = features[rows]
         np.add(class_means[labels[rows]], offsets[pids[rows]], out=block)
         block += rng._normal_rows(len(block), N_FEATURES, 0.0, _NOISE_STD**2)
-    provenance = (
-        f"synthetic(seed={seed}, participants={participants}, "
-        f"records_per_participant={records_per_participant}, separation={separation})"
-    )
-    return Dataset(features, labels, pids, provenance=provenance)
+    return Dataset(features, labels, pids)
 
 
 def standardize(train: Dataset, *others: Dataset):
@@ -325,7 +314,7 @@ def standardize(train: Dataset, *others: Dataset):
     def apply(ds: Dataset) -> Dataset:
         features = ds.features - mean
         features /= std
-        return Dataset(features, ds.labels, ds.participants, ds.provenance)
+        return Dataset(features, ds.labels, ds.participants)
 
     return [apply(train)] + [apply(ds) for ds in others], mean, std
 

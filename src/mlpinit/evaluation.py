@@ -19,22 +19,13 @@ from .numerics import _check_labels
 
 
 class ConfusionMatrix:
-    """4x4 counts where ``counts[t][p]`` is true class t predicted as p."""
+    """4x4 int64 counts where ``counts[t][p]`` is true class t predicted as p.
 
-    def __init__(self, counts=None):
-        if counts is None:
-            counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        counts = np.asarray(counts)
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValidationError(f"confusion counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
-        if counts.shape != (N_CLASSES, N_CLASSES):
-            raise ValidationError(
-                f"confusion matrix must be {N_CLASSES}x{N_CLASSES}, got {counts.shape}"
-            )
-        if counts.min() < 0:
-            raise ValidationError("confusion counts must be nonnegative")
-        self.counts = counts
+    Starts at zeros; ``add`` is the only way counts grow.
+    """
+
+    def __init__(self):
+        self.counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
 
     @property
     def total(self) -> int:

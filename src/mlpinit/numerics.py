@@ -1,4 +1,4 @@
-"""Activations, cross-entropy, and a seeded deterministic RNG.
+"""ReLU, the softmax and cross-entropy cores, and a seeded deterministic RNG.
 
 Numeric state lives in ``numpy`` arrays of 64-bit floats: 2-D matrices for
 one model, with a leading fold axis when several models train in lockstep
@@ -14,6 +14,8 @@ normal draws are bit-identical per numpy SIMD path.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,54 +33,26 @@ def relu(x) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction so large logits cannot overflow.
+def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``logits``, written into ``out`` (a
+    float64 array of the logits' shape) and returned.
 
-    ``logits`` is a (rows, classes) matrix or a (folds, rows, classes) stack;
-    each row of each fold is normalized on its own.
+    Subtracts each row's max first, so large logits cannot overflow; each
+    row of a (folds, rows, classes) stack is normalized on its own.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim not in (2, 3):
-        raise ShapeError(f"expected a 2-D matrix or 3-D stack, got shape {logits.shape}")
-    return _softmax(logits)
-
-
-def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """softmax without the shape check, for callers that checked their input.
-
-    Writes into ``out`` (a float64 array of the logits' shape) when given.
-    """
-    if out is None:
-        out = np.empty(logits.shape)
     np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def cross_entropy(probs, labels) -> float:
-    """Mean negative log-likelihood of the true classes.
-
-    ``probs`` rows must already be normalized (each summing to 1); the true
-    class probability is clamped to 1e-15 before the log so a confident wrong
-    prediction yields a large finite loss instead of infinity.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix of probabilities, got shape {probs.shape}")
-    labels = _check_labels(labels, probs.shape[:1], probs.shape[1])
-    row_sums = probs.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-8):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValidationError(
-            f"probability rows must sum to 1; row {worst} sums to {row_sums[worst]!r}"
-        )
-    return _cross_entropy(probs, labels)
-
-
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """cross_entropy without the checks, for a (rows, classes) float64
-    ``probs`` and checked int64 ``labels``."""
+    """Mean negative log-likelihood of the true classes, for a normalized
+    (rows, classes) float64 ``probs`` and checked int64 ``labels``.
+
+    The true class probability is clamped to 1e-15 before the log, so a
+    confident wrong prediction yields a large finite loss, not infinity.
+    """
     p_true = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(p_true, 1e-15)).mean())
 
@@ -137,19 +111,22 @@ class Rng:
         return (self._next_block(n) >> np.uint64(11)) * _INV_2_53
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        """n doubles uniform on [lo, hi)."""
-        if not lo < hi:
-            raise ValidationError(f"need lo < hi, got [{lo}, {hi})")
+        """n doubles uniform on [lo, hi); lo, hi and hi - lo must be finite."""
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValidationError(f"need finite lo < hi with a finite width, got [{lo}, {hi})")
         return lo + (hi - lo) * self.random(n)
 
     def normal(self, n: int, mean: float = 0.0, variance: float = 1.0) -> np.ndarray:
         """n normal draws via Box-Muller over this stream's uniforms.
 
         Takes ceil(n / 2) words for u1 and the next ceil(n / 2) for u2; this
-        is the one-row case of ``_normal_rows``.
+        is the one-row case of ``_normal_rows``. ``mean`` must be finite and
+        ``variance`` finite and positive.
         """
-        if not variance > 0:
-            raise ValidationError(f"variance must be positive, got {variance}")
+        if not (math.isfinite(mean) and 0 < variance < math.inf):
+            raise ValidationError(
+                f"need a finite mean and a finite positive variance, got {mean}, {variance}"
+            )
         n = _check_int("draw count", n, 0)
         return self._normal_rows(1, n, mean, variance)[0]
 

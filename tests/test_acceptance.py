@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mlpinit.data import N_CLASSES, holdout_split, loo_splits, synthesize_dataset
-from mlpinit.evaluation import ConfusionMatrix, accumulate_confusion, summarize
+from mlpinit.evaluation import accumulate_confusion, summarize
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
 from mlpinit.initializers import (
     ALL_SCHEMES,
@@ -107,7 +107,7 @@ def test_criterion_3_gradient_correctness():
     )
 
 
-def test_criterion_4_metrics_oracle():
+def test_criterion_4_metrics_oracle(confusion_from_counts):
     rng = Rng(424242)
     worst = 0.0
     for _ in range(1000):
@@ -141,7 +141,7 @@ def test_criterion_4_metrics_oracle():
     counts[0, 0] = 267
     counts[1, 0] = 33
     counts[0, 1] = 623
-    m = summarize(ConfusionMatrix(counts)).per_class[0]
+    m = summarize(confusion_from_counts(counts)).per_class[0]
     assert m.precision == pytest.approx(0.89, abs=1e-12)
     assert m.recall == pytest.approx(0.30, abs=1e-12)
     assert abs(m.f1 - 0.45) <= 0.005

@@ -148,6 +148,15 @@ def test_init_stats_json(capsys):
         assert abs(entry["empirical_variance"] - entry["target_variance"]) < 0.2 * entry["target_variance"]
 
 
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_init_stats_draws_below_one_is_a_config_error(draws, capsys):
+    # --help rounds draws down to whole rows of the fan-in, at least one row;
+    # a count below 1 is refused rather than silently raised to one row
+    code = cli.main(["init-stats", "--draws", draws])
+    assert code == 2
+    assert "draws must be >= 1" in capsys.readouterr().err
+
+
 def test_missing_data_file_exits_3(tmp_path):
     code = cli.main(
         ["run", "--topology", "1", "--init", "xavier", "--data",

@@ -101,7 +101,7 @@ def reference_load_csv(path) -> Dataset:
     if not participants:
         raise FormatError(f"{path}: no data rows")
     _check_finite(features, ParseError)
-    return Dataset(features, labels, participants, provenance=str(path))
+    return Dataset(features, labels, participants)
 
 
 def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
@@ -180,13 +180,13 @@ for name, char in (("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85
 
 
 def outcome(load, path):
-    """The arrays' bytes and provenance, or the exception's type and message."""
+    """The arrays' bytes, or the exception's type and message."""
     try:
         ds = load(path)
     except (DataError, OSError) as exc:
         return type(exc), str(exc)
     return (ds.features.tobytes(), ds.features.shape, ds.labels.tobytes(),
-            ds.participants.tobytes(), ds.provenance)
+            ds.participants.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -29,7 +29,6 @@ def tiny_dataset(n=8, seed=0):
         rng.normal(size=(n, 85)),
         np.arange(n) % 4,
         np.arange(n) // 4,
-        provenance="test",
     )
 
 
@@ -112,7 +111,6 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         np.testing.assert_array_equal(loaded.participants, ds.participants)
-        assert loaded.provenance == str(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -78,61 +78,52 @@ class TestAccumulate:
         with pytest.raises(ValidationError, match="must be integers"):
             accumulate_confusion(preds, labels)
 
-    @pytest.mark.parametrize("counts", [
-        np.full((4, 4), 0.7),
-        np.eye(4),
-        np.eye(4, dtype=bool),
-        [["1"] * 4] * 4,
-    ], ids=["fractions", "integral-floats", "bool", "strings"])
-    def test_confusion_matrix_rejects_non_integer_counts(self, counts):
-        with pytest.raises(ValidationError, match="confusion counts must be integers"):
-            ConfusionMatrix(counts)
-
-    def test_confusion_matrix_takes_integer_counts_of_any_width(self):
+    def test_confusion_matrix_takes_integer_classes_of_any_width(self):
         for dtype in (np.uint8, np.int32, np.int64):
-            cm = ConfusionMatrix(np.eye(4, dtype=dtype) * 3)
+            classes = np.repeat(np.arange(4, dtype=dtype), 3)
+            cm = accumulate_confusion(classes, classes)
             assert cm.counts.dtype == np.int64 and cm.total == 12
 
 
 class TestPerClassMetrics:
-    def test_published_spot_value_f1(self):
+    def test_published_spot_value_f1(self, confusion_from_counts):
         # TP=267, FP=33, FN=623 give precision 0.89 and recall 0.30 exactly;
         # the published rounded F1 for that row is 0.45
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 267
         counts[1, 0] = 33
         counts[0, 1] = 623
-        metrics = per_class_metrics(ConfusionMatrix(counts))[0]
+        metrics = per_class_metrics(confusion_from_counts(counts))[0]
         assert metrics.precision == pytest.approx(0.89, abs=1e-12)
         assert metrics.recall == pytest.approx(0.30, abs=1e-12)
         assert metrics.f1 == pytest.approx(2 * 0.89 * 0.30 / 1.19, abs=1e-12)
         assert metrics.f1 == pytest.approx(0.45, abs=0.005)
 
-    def test_empty_class_uses_zero_convention(self):
+    def test_empty_class_uses_zero_convention(self, confusion_from_counts):
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 5
-        metrics = per_class_metrics(ConfusionMatrix(counts))
+        metrics = per_class_metrics(confusion_from_counts(counts))
         for c in (1, 2, 3):
             assert metrics[c].precision == 0.0
             assert metrics[c].recall == 0.0
             assert metrics[c].f1 == 0.0
             assert metrics[c].support == 0
 
-    def test_hand_counted_two_class_case(self):
+    def test_hand_counted_two_class_case(self, confusion_from_counts):
         # [[2,1],[0,3]] padded with empty classes:
         # class 0 has TP=2, FP=0, FN=1
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 2
         counts[0, 1] = 1
         counts[1, 1] = 3
-        m0 = per_class_metrics(ConfusionMatrix(counts))[0]
+        m0 = per_class_metrics(confusion_from_counts(counts))[0]
         assert m0.precision == 1.0
         assert m0.recall == pytest.approx(2 / 3)
         assert m0.f1 == pytest.approx(0.8)
 
 
 class TestSummarize:
-    def test_published_macro_precision(self):
+    def test_published_macro_precision(self, confusion_from_counts):
         # per-class precisions {0.89, 0.08, 0, 0.38}; the published Average is 0.34
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 267  # 267/300 = 0.89
@@ -142,14 +133,14 @@ class TestSummarize:
         counts[2, 2] = 0  # never predicted: 0/0 -> 0
         counts[3, 3] = 38  # 38/100 = 0.38
         counts[0, 3] = 62
-        report = summarize(ConfusionMatrix(counts))
+        report = summarize(confusion_from_counts(counts))
         per_p = [m.precision for m in report.per_class]
         np.testing.assert_allclose(per_p, [0.89, 0.08, 0.0, 0.38], atol=1e-12)
         assert report.macro_precision == pytest.approx((0.89 + 0.08 + 0 + 0.38) / 4, abs=1e-12)
         assert report.macro_precision == pytest.approx(0.34, abs=0.005)
 
-    def test_perfect_diagonal(self):
-        cm = ConfusionMatrix(np.diag([3, 4, 5, 6]))
+    def test_perfect_diagonal(self, confusion_from_counts):
+        cm = confusion_from_counts(np.diag([3, 4, 5, 6]))
         report = summarize(cm)
         assert report.accuracy == 1.0
         assert report.macro_precision == 1.0

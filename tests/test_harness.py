@@ -22,7 +22,7 @@ from mlpinit.errors import (
     ValidationError,
     WorkerError,
 )
-from mlpinit.evaluation import ConfusionMatrix, summarize
+from mlpinit.evaluation import summarize
 from mlpinit.harness import (
     STREAM_SPLIT,
     SUITE_SEED_OFFSETS,
@@ -616,10 +616,10 @@ class TestRendering:
                       "Overall Accuracy", "LOO validation accuracy"):
             assert token in text
 
-    def test_single_class_predictions_render_zeros_not_nan(self):
+    def test_single_class_predictions_render_zeros_not_nan(self, confusion_from_counts):
         counts = np.zeros((4, 4), dtype=int)
         counts[:, 0] = [5, 5, 5, 5]  # everything predicted as class 0
-        report = summarize(ConfusionMatrix(counts))
+        report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
             loo_accuracy=None, loo_outcomes=None, wall_time=0.0,
@@ -628,10 +628,10 @@ class TestRendering:
         assert "0.00" in text
         assert "nan" not in text.lower()
 
-    def test_two_decimal_rounding(self):
+    def test_two_decimal_rounding(self, confusion_from_counts):
         counts = np.diag([1, 1, 1, 0])
         counts[3, 0] = 2  # accuracy 3/5 = 0.6
-        report = summarize(ConfusionMatrix(counts))
+        report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
             loo_accuracy=None, loo_outcomes=None, wall_time=0.0,
@@ -750,12 +750,15 @@ class TestModelSerialization:
             load_model(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
+        # load_model names "trailing bytes" as a fault, down to a single byte
         model = build_model(Rng(1), Topology.ONE_LAYER, KAIMING_NORMAL)
         path = tmp_path / "extra.bin"
         save_model(model, path)
-        path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FormatError, match="trailing"):
-            load_model(path)
+        blob = path.read_bytes()
+        for extra in (1, 2):
+            path.write_bytes(blob + b"x" * extra)
+            with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {extra} trailing bytes')}$"):
+                load_model(path)
 
     @pytest.mark.parametrize(
         "change",

@@ -91,7 +91,7 @@ def _synthesis():
     for seed, participants, records, separation in ((0, 16, 12, 2.0), (2**64 - 1, 3, 5, 0.5)):
         ds = synthesize_dataset(seed, participants, records, separation)
         out += [_f64(ds.features), ds.labels.astype("<i8").tobytes(),
-                ds.participants.astype("<i8").tobytes(), ds.provenance.encode()]
+                ds.participants.astype("<i8").tobytes()]
     return b"".join(out)
 
 
@@ -101,7 +101,7 @@ def _synthesis_at_workload_size():
     for seed in (0, 2**64 - 1):
         ds = synthesize_dataset(seed, 384, 12, 2.0)
         out += [_f64(ds.features), ds.labels.astype("<i8").tobytes(),
-                ds.participants.astype("<i8").tobytes(), ds.provenance.encode()]
+                ds.participants.astype("<i8").tobytes()]
     return b"".join(out)
 
 
@@ -170,12 +170,12 @@ EXPECTED = {
     ),
     "initialize-kaiming-uniform": ("a313903c7eede6538d32b21501d4080335c31bf86d3a7ae8a184d85f3092c828",),
     "synthesize-dataset": (
-        "9eabbe4991d05efe97b9ac479a86c2b9fda15dc1381207ea0ac329c2aedccf14",
-        "511d2ebe981d3ccf6e147258772d36c9202147cd7b12121c53e9426a728b83bc",
+        "933870b94f0b16fb1c3236a8b4895851c3b061b8d6aadfaa90c406e8f16f5869",
+        "11192bff979a120a45c35a93ae959c5bfc5f9a17589d3bad149c60808b9dc3bf",
     ),
     "synthesize-dataset-384x12": (
-        "cfcd8f2ea9aabb9c0fea01f20764a193f4c1f03c41aa29acd891189e5147949c",
-        "f766adcc94949cc4c941fd1b5db7b18fbeb3a573539a33bee8e6bebe4226840f",
+        "a286d502ee6ae138c59afc73fa39df148b5fd5f88586226de17bd67ecb895fbf",
+        "7a5ff21874e704729d14ba8fc386656385d63978299f5fc23e00d3e9db67bf68",
     ),
     "holdout-split-indices": ("84230a10c27e921974c924826ab5cbd92037a89cca3d5cf4ac32260e8bd96d74",),
     "save-csv-bytes": ("607d16605b19d948adc318cc2bdb435d2133a9d7f7669ce61adba67cffeeb62b",),

@@ -17,7 +17,7 @@ from mlpinit.network import (
     _forward,
     _layer_outputs,
 )
-from mlpinit.numerics import Rng, cross_entropy, softmax
+from mlpinit.numerics import Rng, _cross_entropy, _softmax
 from mlpinit.optimizer import Hyperparams, sgd_step
 
 
@@ -69,7 +69,8 @@ class TestForward:
     def test_one_layer_matches_direct_softmax(self):
         model = build_model(Rng(4), Topology.ONE_LAYER, XAVIER_NORMAL)
         x, _ = random_batch(11)
-        expected = softmax(x @ model.layers[0].weights.T + model.layers[0].bias)
+        logits = x @ model.layers[0].weights.T + model.layers[0].bias
+        expected = _softmax(logits, np.empty_like(logits))
         np.testing.assert_array_equal(forward(model, x).probs, expected)
 
     def test_rows_sum_to_one(self):
@@ -112,6 +113,20 @@ class TestBackward:
         doubled = backward(model, forward(model, doubled_x), doubled_y)
         for a, b in zip(single.d_weights, doubled.d_weights):
             np.testing.assert_allclose(a, b, atol=1e-15)
+
+    def test_relu_gate_is_closed_at_exactly_zero(self):
+        # backward: "passes gradient only where the pre-activation was
+        # strictly positive (subgradient 0 at exactly 0)"
+        model = build_model(Rng(23), Topology.TWO_LAYER, KAIMING_NORMAL)
+        j = 5
+        model.layers[0].weights[j, :] = 0.0
+        model.layers[0].bias[j] = 0.0
+        x, y = random_batch(24)
+        fwd = forward(model, x)
+        assert np.all(fwd.pre_activations[0][:, j] == 0.0)
+        grads = backward(model, fwd, y)
+        np.testing.assert_array_equal(grads.d_weights[0][j], 0.0)
+        assert grads.d_bias[0][j] == 0.0
 
     def test_label_length_mismatch(self):
         model = build_model(Rng(7), Topology.ONE_LAYER, XAVIER_NORMAL)
@@ -181,6 +196,19 @@ class TestGradCheck:
         x, y = random_batch(2, n=2)
         with pytest.raises(ValidationError):
             grad_check(model, x, y, epsilon=1e-2)
+
+    @pytest.mark.parametrize("epsilon, accepted", [
+        (9e-8, False), (1e-7, True), (1e-3, True), (1.1e-3, False),
+    ])
+    def test_epsilon_range_is_closed(self, epsilon, accepted):
+        # grad_check: "epsilon must lie in [1e-7, 1e-3]", both ends included
+        model = build_model(Rng(1), Topology.ONE_LAYER, XAVIER_NORMAL)
+        x, y = random_batch(2, n=2)
+        if accepted:
+            assert grad_check(model, x, y, epsilon=epsilon) < 1e-2
+        else:
+            with pytest.raises(ValidationError, match=r"epsilon must lie in \[1e-7, 1e-3\]"):
+                grad_check(model, x, y, epsilon=epsilon)
 
 
 class TestStackedModels:
@@ -297,11 +325,11 @@ def test_single_sgd_step_decreases_loss_on_fresh_models():
     for seed in range(20):
         model = build_model(Rng(seed), Topology.THREE_LAYER, KAIMING_NORMAL)
         x, y = random_batch(1000 + seed)
-        before = cross_entropy(forward(model, x).probs, y)
+        before = _cross_entropy(forward(model, x).probs, y)
         grads = backward(model, forward(model, x), y)
         for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):
             sgd_step(layer.weights, np.zeros_like(d_w), d_w, hp)
             sgd_step(layer.bias, np.zeros_like(d_b), d_b, hp)
-        if not cross_entropy(forward(model, x).probs, y) < before:
+        if not _cross_entropy(forward(model, x).probs, y) < before:
             failures += 1
     assert failures <= 1

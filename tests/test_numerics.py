@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mlpinit.data import synthesize_dataset
-from mlpinit.errors import ShapeError, ValidationError
-from mlpinit.numerics import Rng, _permutations, cross_entropy, derive_seed, relu, softmax
+from mlpinit.errors import ValidationError
+from mlpinit.numerics import Rng, _cross_entropy, _permutations, _softmax, derive_seed, relu
 
 
 class TestRelu:
@@ -23,6 +23,15 @@ class TestRelu:
         x = Rng(5).normal(40).reshape(8, 5)
         once = relu(x)
         np.testing.assert_array_equal(relu(once), once)
+
+
+def softmax(logits):
+    x = np.asarray(logits, dtype=np.float64)
+    return _softmax(x, np.empty_like(x))
+
+
+def cross_entropy(probs, labels):
+    return _cross_entropy(np.asarray(probs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
 
 
 class TestSoftmax:
@@ -55,10 +64,6 @@ class TestSoftmax:
         for k in range(3):
             assert stacked[k].tobytes() == softmax(x[k]).tobytes()
 
-    def test_rejects_vector(self):
-        with pytest.raises(ShapeError):
-            softmax([0.0, 1.0])
-
     def test_monotone_in_logits(self):
         x = np.array([[0.2, -0.4, 1.1, 0.0]])
         bumped = x.copy()
@@ -74,23 +79,9 @@ class TestCrossEntropy:
         loss = cross_entropy([[0.25] * 4], [2])
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValidationError, match="label 7"):
-            cross_entropy([[0.25] * 4], [7])
-
-    def test_rejects_unnormalized_rows(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            cross_entropy([[0.5, 0.1, 0.1, 0.1]], [0])
-
     def test_clamps_zero_probability(self):
         loss = cross_entropy([[0.0, 1.0]], [0])
         assert loss == pytest.approx(-math.log(1e-15))
-
-    def test_rejects_probs_that_are_not_a_matrix(self):
-        with pytest.raises(ShapeError, match=r"2-D.*\(4,\)"):
-            cross_entropy([0.25] * 4, [0])
-        with pytest.raises(ShapeError, match=r"2-D.*\(1, 1, 4\)"):
-            cross_entropy([[[0.25] * 4]], [0])
 
 
 def _splitmix_reference(seed, n):
@@ -166,6 +157,31 @@ class TestRng:
             Rng(0).uniform(1.0, 1.0, 3)
         with pytest.raises(ValidationError):
             Rng(0).randbelow(0)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Rng(0).uniform(0.0, INF, 3),
+    lambda: Rng(0).uniform(-INF, 0.0, 3),
+    lambda: Rng(0).uniform(NAN, 1.0, 3),
+    lambda: Rng(0).uniform(0.0, NAN, 3),
+    lambda: Rng(0).uniform(-1e308, 1e308, 3),
+    lambda: Rng(0).normal(3, 0.0, INF),
+    lambda: Rng(0).normal(3, 0.0, NAN),
+    lambda: Rng(0).normal(3, INF, 1.0),
+    lambda: Rng(0).normal(3, -INF, 1.0),
+    lambda: Rng(0).normal(3, NAN, 1.0),
+], ids=[
+    "uniform-hi-inf", "uniform-lo-inf", "uniform-lo-nan", "uniform-hi-nan",
+    "uniform-width-overflows", "normal-variance-inf", "normal-variance-nan",
+    "normal-mean-inf", "normal-mean-neg-inf", "normal-mean-nan",
+])
+def test_non_finite_draw_parameters_rejected(call):
+    # uniform: lo, hi and hi - lo finite; normal: mean finite, variance finite and positive
+    with pytest.raises(ValidationError, match="finite"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
