@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParseError, ValidationError, _check_int
+from . import _pool
+from .errors import DataError, FormatError, ParseError, ValidationError, WorkerError, _check_int
 from .numerics import Rng, _check_labels
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
@@ -29,6 +31,15 @@ FEATURE_NAMES = GSR_FEATURES + PD_FEATURES + ST_FEATURES
 N_FEATURES = len(FEATURE_NAMES)  # 85
 
 CSV_HEADER = ("participant", "label") + FEATURE_NAMES
+_HEADER_BYTES = ",".join(CSV_HEADER).encode()
+
+# save_csv and load_csv map their work through the worker pool in blocks:
+# rows per save_csv task and file bytes per load_csv task. The parent holds
+# the text of a few blocks in transit, so the blocks are small. A file of
+# fewer than two full blocks, like the 192-row default cohort (340 KB), is
+# written and read in-process: the pool's start would cost more than it saves.
+_CSV_BLOCK_ROWS = 128
+_CSV_BLOCK_BYTES = 256 * 1024
 
 # Synthetic-cohort noise geometry. Scales apply to the whole nuisance vector
 # (expected norm ~0.2 each for observation noise and the shared participant
@@ -170,10 +181,15 @@ def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
 def load_csv(path) -> Dataset:
     """Load a dataset from the documented 87-column CSV contract.
 
-    Streams the file: it reads one line of bytes at a time and appends each
-    row's features to one growing float64 buffer, which becomes the
-    dataset's feature matrix without a copy. Peak memory is that matrix (with
-    the buffer's few percent of spare capacity) plus one line's temporaries.
+    Appends each row's features to one growing float64 buffer, which
+    becomes the dataset's feature matrix without a copy. A file whose body
+    holds two or more full blocks (``_CSV_BLOCK_BYTES``) is parsed by the
+    worker pool, one byte range of whole lines per task, and the rows are
+    appended in file order. A smaller file, one that no pool can take, or
+    one with a fault is streamed in-process, one line of bytes at a time;
+    that loop reports the fault. Peak memory in the calling process is the
+    matrix (with the buffer's few percent of spare capacity) plus a few
+    blocks' rows in transit, or one line's temporaries in-process.
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
@@ -185,6 +201,9 @@ def load_csv(path) -> Dataset:
     non-finite feature is reported only when every other check passes.
     """
     path = Path(path)
+    pooled = _load_csv_blocks(path)
+    if pooled is not None:
+        return pooled
     features = array("d")
     participants, labels = array("q"), array("q")
     # A fixed read buffer: the file system's preferred block size can be MBs.
@@ -223,6 +242,75 @@ def load_csv(path) -> Dataset:
     return Dataset(features, labels, participants)
 
 
+def _load_csv_blocks(path: Path) -> Dataset | None:
+    """``load_csv`` of a file with a contract header and two or more full
+    blocks, read by the worker pool; None if the file is smaller, no pool
+    can take it, or it has a fault, which the in-process loop then reads or
+    reports.
+
+    The blocks are byte ranges of the body. Their rows come back in file
+    order and are appended to the same growing buffers as in the loop.
+    """
+    try:
+        with path.open("rb", buffering=io.DEFAULT_BUFFER_SIZE) as file:
+            header = file.readline(len(_HEADER_BYTES) + 2)
+            size = os.fstat(file.fileno()).st_size
+    except OSError:
+        return None
+    # a header that needs splitlines() to find its end is left to the loop
+    if header not in (_HEADER_BYTES + b"\n", _HEADER_BYTES + b"\r\n"):
+        return None
+    n_workers = _pool.workers((size - len(header)) // _CSV_BLOCK_BYTES)
+    if n_workers <= 1:
+        return None
+    tasks = [
+        (path, start, start + _CSV_BLOCK_BYTES)
+        for start in range(len(header), size, _CSV_BLOCK_BYTES)
+    ]
+    features = array("d")
+    participants, labels = array("q"), array("q")
+    try:
+        for block_ids, block_labels, block_rows in _pool.fork_map(
+            _parse_csv_block, tasks, n_workers
+        ):
+            participants.frombytes(block_ids)
+            labels.frombytes(block_labels)
+            features.frombytes(block_rows)
+    except (DataError, UnicodeDecodeError, OSError, WorkerError):
+        return None
+    if not participants:  # no rows at all: the loop reports it
+        return None
+    features = np.frombuffer(features).reshape(-1, N_FEATURES)
+    _check_finite(features, ParseError)
+    return Dataset(features, labels, participants)
+
+
+def _parse_csv_block(task) -> tuple[bytes, bytes, bytes]:
+    """The participant ids, labels and features, as array bytes, of the rows
+    on the lines of ``path`` that start in the byte range [start, stop).
+
+    A line starts after a ``\\n``, and a range of whole ``\\n``-ended lines
+    decodes and splits as they do one by one, so the rows are those that the
+    in-process loop reads there. A fault raises DataError or
+    UnicodeDecodeError without its row number, which the loop reports.
+    """
+    path, start, stop = task
+    with open(path, "rb") as file:
+        file.seek(start - 1)
+        file.readline()  # the line holding byte start - 1 is an earlier block's
+        pos = file.tell()
+        raw = file.read(stop - pos) if pos < stop else b""
+        if raw and not raw.endswith(b"\n"):
+            raw += file.readline()
+    participants, labels, features = array("q"), array("q"), array("d")
+    for line in raw.decode("utf-8").splitlines():
+        participant, label, row = _parse_row(line, 0, path)
+        participants.append(participant)
+        labels.append(label)
+        features.extend(row)
+    return participants.tobytes(), labels.tobytes(), features.tobytes()
+
+
 def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
     """Raise ``error`` naming the CSV row and column of the first NaN or inf."""
     # min and max are finite exactly when every value is; they need no
@@ -239,19 +327,45 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write ``dataset`` in the same CSV contract ``load_csv`` reads.
 
     Features are written with repr precision so a round trip is bit-exact.
+    The rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, by the worker
+    pool when there are two or more full blocks, and the calling process
+    writes each block's text in order as it arrives; the bytes are the same
+    either way. If a worker dies, the file is written again in-process.
     Raises ValidationError, naming the first row and column in file order,
     for a feature that is NaN or infinite, which ``load_csv`` would reject;
     the check runs before the file is opened, so no partial file is left.
     """
     path = Path(path)
     _check_finite(dataset.features, ValidationError)
-    labels = [LABEL_NAMES[k] for k in dataset.labels.tolist()]
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(CSV_HEADER) + "\n")
+    step = _CSV_BLOCK_ROWS
+    blocks = [
+        (dataset.participants[i:i + step], dataset.labels[i:i + step],
+         dataset.features[i:i + step])
+        for i in range(0, len(dataset), step)
+    ]
+    try:
+        _write_csv_blocks(path, blocks, _pool.workers(len(dataset) // step))
+    except WorkerError:
+        _write_csv_blocks(path, blocks, 1)
+
+
+def _write_csv_blocks(path: Path, blocks: list, n_workers: int) -> None:
+    """Write the header, then each block's text, formatted by ``n_workers``."""
+    with path.open("wb") as out:
+        out.write(_HEADER_BYTES + b"\n")
+        for text in _pool.fork_map(_format_csv_block, blocks, n_workers):
+            out.write(text)
+
+
+def _format_csv_block(block) -> bytes:
+    """The UTF-8 CSV lines of a block of (participants, labels, features) rows."""
+    participants, labels, features = block
+    return "".join(
+        f"{participant},{LABEL_NAMES[label]},{','.join(map(repr, row))}\n"
         for participant, label, row in zip(
-            dataset.participants.tolist(), labels, dataset.features
-        ):
-            out.write(f"{participant},{label},{','.join(map(repr, row.tolist()))}\n")
+            participants.tolist(), labels.tolist(), features.tolist()
+        )
+    ).encode("utf-8")
 
 
 def synthesize_dataset(

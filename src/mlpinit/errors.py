@@ -60,4 +60,4 @@ class DivergedTrainingError(MlpInitError, RuntimeError):
 
 
 class WorkerError(MlpInitError, RuntimeError):
-    """A worker process died before returning its training results."""
+    """A worker process died before returning its results."""

@@ -15,13 +15,14 @@ training as a group of one. Each group and each final training is an
 independent task. A ``run_experiment`` or ``run_suite`` call maps all its
 tasks, of every cell, through one pool of forked worker processes, started
 once per call, on Linux and with one worker per CPU the process may use. A
-call with one task or one CPU trains in-process. Results do not depend on it.
+call with one task or one CPU, or one that cannot fork, trains in-process.
+Results do not depend on it. The pool is ``_pool.fork_map``, the one that
+``save_csv`` and ``load_csv`` map their row blocks through. The cells of a
+call that read the same CSV path share one parse of it.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Real
@@ -29,6 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _pool
 from .data import (
     LABEL_NAMES,
     N_CLASSES,
@@ -308,30 +310,25 @@ def _run_task(task):
         return exc
 
 
-def _loo_workers(n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` independent trainings; 1 means in-process.
-
-    One per CPU this process may use, on Linux, where workers are forked.
-    A daemonic multiprocessing worker may not start children, so it trains
-    in-process; a process that never imported multiprocessing is not one.
-    """
-    if sys.platform != "linux":
-        return 1
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
-def _load_dataset(config: ExperimentConfig) -> Dataset:
-    if config.csv_path is not None:
-        return load_csv(config.csv_path)
-    return synthesize_dataset(seed=derive_seed(config.seed, STREAM_DATA), **asdict(config.synthetic))
+def _load_dataset(config: ExperimentConfig, loaded: dict) -> Dataset:
+    """The config's dataset. Each CSV path is parsed once per ``loaded``,
+    which keeps the path's dataset, or the error that parsing it raised."""
+    if config.csv_path is None:
+        return synthesize_dataset(seed=derive_seed(config.seed, STREAM_DATA), **asdict(config.synthetic))
+    if config.csv_path not in loaded:
+        try:
+            loaded[config.csv_path] = load_csv(config.csv_path)
+        except (MlpInitError, OSError) as exc:
+            loaded[config.csv_path] = exc
+    dataset = loaded[config.csv_path]
+    if isinstance(dataset, Exception):
+        raise dataset
+    return dataset
 
 
-def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+def _prepare(config: ExperimentConfig, loaded: dict) -> tuple[Dataset, Dataset]:
     """Load or synthesize, split, and standardize with trainval statistics."""
-    dataset = _load_dataset(config)
+    dataset = _load_dataset(config, loaded)
     trainval, test = holdout_split(
         dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
     )
@@ -349,13 +346,15 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
     than one CPU can take them. A config's error is that of its lowest
     failing task. A worker that dies breaks the pool; each config left
     unfinished then reruns alone, so only the one whose worker dies again
-    gets the ``WorkerError``.
+    gets the ``WorkerError``. Each distinct CSV path is parsed once, and
+    every config that names it gets its dataset, or the error parsing gave.
     """
     started = time.perf_counter()
     tests, spans, tasks = [], [], []  # per config: its test split or error, its task indices
+    loaded = {}  # per CSV path, its dataset or error: each file is parsed once
     for config in configs:
         try:
-            trainval, test = _prepare(config)
+            trainval, test = _prepare(config, loaded)
         except (MlpInitError, OSError) as exc:
             tests.append(exc)
             spans.append(range(0))
@@ -371,30 +370,14 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
         tasks.append((_final_training, (config, features, labels)))
         tests.append(test)
         spans.append(range(first, len(tasks)))
+    del loaded  # the trainings need only the splits, not the parsed files
 
     outputs, broken = [], None
-    workers = _loo_workers(len(tasks))
-    if workers > 1:
-        # Imported here, not at the top: they add about 15 ms to importing
-        # this module, which one-task runs would pay for nothing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, unlike spawn and forkserver, re-imports no __main__, so
-        # caller scripts need no `if __name__ == "__main__":` guard. map
-        # yields in task order; a dead worker ends it at the first task
-        # not yet returned.
-        try:
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                for output in pool.map(_run_task, tasks):
-                    outputs.append(output)
-        except BrokenProcessPool as exc:
-            broken = exc
-    else:
-        outputs = list(map(_run_task, tasks))
+    try:
+        for output in _pool.fork_map(_run_task, tasks, _pool.workers(len(tasks))):
+            outputs.append(output)
+    except WorkerError as exc:
+        broken = exc
 
     results = []
     for config, test, span in zip(configs, tests, spans):
@@ -407,7 +390,7 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
             if len(configs) > 1:
                 results.append(_run_configs([config])[0])
                 continue
-            error = WorkerError(f"a worker process died ({config.describe()}): {broken}")
+            error = WorkerError(f"{broken} ({config.describe()})")
         if error is not None:
             results.append(error)
             continue

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,23 @@ def confusion_from_counts():
         return cm
 
     return build
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that ``os.fork`` starts during the test.
+
+    The counting ``os.fork`` keeps the list as its ``pids``. A process forked
+    by it inherits both, so it can count its own forks in ``os.fork.pids``.
+    """
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    fork.pids = pids
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

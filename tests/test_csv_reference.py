@@ -3,7 +3,8 @@
 ``reference_load_csv`` is the loader that read the file as one string and
 split it with ``str.splitlines()``, kept verbatim with its two helpers. On
 every file of the corpus, the streamed ``load_csv`` must return the same
-array bytes or raise the same exception type with the same message.
+array bytes or raise the same exception type with the same message. So must
+the worker pool's block path, with small blocks and two workers forced.
 """
 
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlpinit import _pool, data
 from mlpinit.data import CSV_HEADER, FEATURE_NAMES, N_FEATURES, Dataset, load_csv
 from mlpinit.errors import DataError, FormatError, ParseError
 
@@ -179,6 +181,26 @@ for name, char in (("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85
     CORPUS[f"{name}-ends-header"] = HEADER + enc + ROWS + b"\n"
 
 
+# Files whose first fault sits in a later block of the pool path: the rows
+# before it parse, in blocks of their own.
+LEAD = b"\n".join([HEADER, *GOOD, *GOOD]) + b"\n"
+LATER_BLOCKS = {
+    "later-block-fault-free": LEAD + ROWS + b"\n",
+    "later-block-non-number": LEAD + row(f7="oops") + b"\n" + ROWS + b"\n",
+    "later-block-short-row": LEAD + GOOD[1].rsplit(b",", 1)[0] + b"\n" + ROWS + b"\n",
+    "later-block-blank-line": LEAD + b"\n" + ROWS + b"\n",
+    "later-block-non-finite": LEAD + row(f30="nan") + b"\n" + ROWS + b"\n",
+    "non-finite-then-later-block-label": HEADER + b"\n" + row(f2="inf") + b"\n"
+    + b"\n".join([*GOOD, *GOOD]) + b"\n" + row(label="9") + b"\n",
+    "later-block-bad-utf8": LEAD + GOOD[0][:70] + b"\xff" + GOOD[0][70:] + b"\n",
+    "bad-utf8-after-parse-error": HEADER + b"\n" + row(participant="x") + b"\n"
+    + b"\n".join([*GOOD, *GOOD]) + b"\n" + GOOD[2][:90] + b"\xc3(" + b"\n",
+    "later-block-crlf": (LEAD + ROWS + b"\n").replace(b"\n", b"\r\n"),
+    "later-block-vt": LEAD + GOOD[0] + b"\x0b" + GOOD[1] + b"\n",
+}
+FILES = {**CORPUS, **LATER_BLOCKS}
+
+
 def outcome(load, path):
     """The arrays' bytes, or the exception's type and message."""
     try:
@@ -189,11 +211,63 @@ def outcome(load, path):
             ds.participants.tobytes())
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_matches_the_whole_file_loader(tmp_path, name):
+# Load block sizes of the pool path. 150 bytes split every row from the next
+# and leave blocks in which no line starts; 1000 bytes put two rows in a
+# block and cut a row at most block ends.
+POOL_BLOCK_BYTES = (150, 1000)
+
+
+def in_process_and_pooled(argname, values):
+    """Parametrize a test over ``values``, in-process under each value's own
+    id, and on the pool path under ``<value>-pool-<block bytes>``."""
+    cases = [(v, None) for v in values]
+    ids = [str(v) for v in values]
+    for size in POOL_BLOCK_BYTES:
+        cases += [(v, size) for v in values]
+        ids += [f"{v}-pool-{size}" for v in values]
+    return pytest.mark.parametrize((argname, "pooled"), cases, ids=ids, indirect=["pooled"])
+
+
+@pytest.fixture
+def pooled(request, monkeypatch):
+    """None in-process. On the pool path, with load blocks of the given
+    bytes and two workers forced, a list of what the pool path did per
+    ``load_csv`` call: "pool" if it returned the dataset, "raised" if it
+    raised, "loop" if it left the file to the loop."""
+    if request.param is None:
+        return None
+    monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", request.param)
+    monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
+    real = data._load_csv_blocks
+    used = []
+
+    def spy(path):
+        used.append("raised")
+        dataset = real(path)
+        used[-1] = "loop" if dataset is None else "pool"
+        return dataset
+
+    monkeypatch.setattr(data, "_load_csv_blocks", spy)
+    return used
+
+
+@in_process_and_pooled("name", sorted(CORPUS) + sorted(LATER_BLOCKS))
+def test_matches_the_whole_file_loader(tmp_path, name, pooled):
+    content = FILES[name]
     path = tmp_path / "cohort.csv"
-    path.write_bytes(CORPUS[name])
-    assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+    path.write_bytes(content)
+    expected = outcome(reference_load_csv, path)
+    assert outcome(load_csv, path) == expected
+    if pooled is None:
+        return
+    # The pool reads every file that loads and has a contract header line
+    # ending in \n or \r\n; a file with another header line goes to the loop.
+    # (A file whose only fault is a non-finite value is "raised": its check
+    # runs on the matrix that the pool assembled.)
+    if not content.startswith((HEADER + b"\n", HEADER + b"\r\n")):
+        assert pooled == ["loop"]
+    elif not isinstance(expected[0], type):
+        assert pooled == ["pool"]
 
 
 def test_corpus_loads_some_files_and_rejects_others(tmp_path):
@@ -211,8 +285,8 @@ MUTATIONS = [b"\n", b"\r", b"\r\n", b",", b"_", b"", b"x", b"inf", b"nan", b"\xf
              b"\xe2\x82", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8", b"-", b"9" * 30]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_matches_the_whole_file_loader_on_mutated_files(tmp_path, seed):
+@in_process_and_pooled("seed", range(8))
+def test_matches_the_whole_file_loader_on_mutated_files(tmp_path, seed, pooled):
     # Seeded random edits of a valid file, each compared on its own.
     rng = np.random.default_rng(seed)
     base = CORPUS["lf"]

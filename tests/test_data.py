@@ -1,12 +1,19 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlpinit import _pool, data
 from mlpinit.data import (
     CSV_HEADER,
     FEATURE_NAMES,
+    LABEL_NAMES,
     N_CLASSES,
     Dataset,
     holdout_split,
@@ -21,6 +28,35 @@ from mlpinit.harness import SyntheticSpec
 from mlpinit.numerics import Rng
 
 DEFAULT_COHORT = asdict(SyntheticSpec())
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# The pool forks on Linux only; tests that force it need the fork start method.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+# import mlpinit, then a CSV round trip of the default cohort, which is
+# below two blocks each way: whether multiprocessing's pool modules were
+# imported.
+NO_POOL_CSV_PROBE = """
+import sys
+import mlpinit
+
+written = mlpinit.synthesize_dataset(3, 16, 12, 2.0)
+mlpinit.save_csv(written, sys.argv[1])
+assert mlpinit.load_csv(sys.argv[1]).features.tobytes() == written.features.tobytes()
+print("multiprocessing" in sys.modules, "concurrent.futures.process" in sys.modules)
+"""
+
+def _csv_round_trip(path) -> int:
+    """Save and reload a 12-row dataset; how many processes that forked,
+    as the ``forks`` fixture's ``os.fork`` counts them. Module-level, so
+    that a multiprocessing pool can pickle it."""
+    before = len(os.fork.pids)
+    written = tiny_dataset(12)
+    save_csv(written, path)
+    assert load_csv(path).features.tobytes() == written.features.tobytes()
+    return len(os.fork.pids) - before
 
 
 def tiny_dataset(n=8, seed=0):
@@ -328,6 +364,15 @@ class TestPeakMemory:
         assert len(ds) == 48
         assert peak <= 96 * 1024
 
+    def test_save_csv_never_holds_the_file(self, tmp_path, monkeypatch):
+        # The parent writes each block's text as it arrives, in-process and
+        # from the pool alike.
+        written = synthesize_dataset(7, 384, 12, 2.0)
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            _, peak = traced_peak(lambda: save_csv(written, tmp_path / "cohort.csv"))
+            assert peak <= 0.5 * written.features.nbytes, workers
+
     def test_synthesize_holds_about_its_output(self):
         ds, peak = traced_peak(lambda: synthesize_dataset(7, 384, 12, 2.0))
         assert peak <= 1.5 * ds.features.nbytes
@@ -337,6 +382,115 @@ class TestPeakMemory:
         # two outputs of the train split's size; the std's own pass needs one
         _, peak = traced_peak(lambda: standardize(ds, ds))
         assert peak <= 2.25 * ds.features.nbytes
+
+
+def reference_save_csv(dataset, path):
+    """``save_csv`` as a loop that wrote each line as it formatted it, kept
+    as the oracle of the bytes that the block writer must reproduce."""
+    labels = [LABEL_NAMES[k] for k in dataset.labels.tolist()]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(CSV_HEADER) + "\n")
+        for participant, label, row in zip(
+            dataset.participants.tolist(), labels, dataset.features
+        ):
+            out.write(f"{participant},{label},{','.join(map(repr, row.tolist()))}\n")
+
+
+def _dies_in_a_worker(parent, real):
+    """``real``, but a worker process that calls it dies."""
+
+    def fn(task):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(task)
+
+    return fn
+
+
+class TestCsvPool:
+    @pytest.fixture
+    def fork_maps(self, monkeypatch):
+        """The function and the worker count of each map that save_csv and
+        load_csv start."""
+        real = _pool.fork_map
+        calls = []
+
+        def spy(fn, tasks, n_workers):
+            calls.append((fn.__name__, n_workers))
+            return real(fn, tasks, n_workers)
+
+        monkeypatch.setattr(_pool, "fork_map", spy)
+        return calls
+
+    @needs_fork
+    def test_pool_writes_the_reference_bytes(self, tmp_path, monkeypatch, fork_maps):
+        # 11 rows in blocks of 3: three full blocks and a short one
+        written = tiny_dataset(11)
+        reference_save_csv(written, tmp_path / "reference.csv")
+        monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 3)
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            save_csv(written, tmp_path / "cohort.csv")
+            assert (tmp_path / "cohort.csv").read_bytes() == (
+                tmp_path / "reference.csv").read_bytes(), workers
+        assert fork_maps == [("_format_csv_block", 1), ("_format_csv_block", 2)]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_pool_writes_and_reads_the_wide_cohort(self, tmp_path, monkeypatch, fork_maps):
+        written = synthesize_dataset(7, 384, 12, 2.0)
+        reference_save_csv(written, tmp_path / "reference.csv")
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            save_csv(written, tmp_path / "cohort.csv")
+            assert (tmp_path / "cohort.csv").read_bytes() == (
+                tmp_path / "reference.csv").read_bytes(), workers
+            loaded = load_csv(tmp_path / "cohort.csv")
+            assert loaded.features.tobytes() == written.features.tobytes()
+        assert fork_maps == [
+            ("_format_csv_block", 1), ("_format_csv_block", 2), ("_parse_csv_block", 2)
+        ]
+
+    @needs_fork
+    def test_a_dead_worker_leaves_the_file_to_the_calling_process(self, tmp_path, monkeypatch,
+                                                                   fork_maps):
+        written = tiny_dataset(12)
+        reference_save_csv(written, tmp_path / "reference.csv")
+        monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", 150)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
+        for name in ("_format_csv_block", "_parse_csv_block"):
+            monkeypatch.setattr(data, name, _dies_in_a_worker(os.getpid(), getattr(data, name)))
+        save_csv(written, tmp_path / "cohort.csv")
+        assert (tmp_path / "cohort.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert load_csv(tmp_path / "cohort.csv").features.tobytes() == written.features.tobytes()
+        # save_csv writes the whole file again in-process; load_csv reads it in its loop
+        assert [n for _, n in fork_maps] == [2, 1, 2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+    def test_one_cpu_or_a_daemonic_worker_stays_in_process(self, tmp_path, monkeypatch, forks):
+        # 12 rows in blocks of 2, and 150-byte load blocks: six blocks or more
+        monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", 150)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _csv_round_trip(tmp_path / "two-cpus.csv") == 4  # two workers per call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _csv_round_trip(tmp_path / "one-cpu.csv") == 0
+        assert multiprocessing.active_children() == []
+        # multiprocessing.Pool workers are daemonic and may not start children
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_csv_round_trip, (tmp_path / "daemon.csv",)).get(60) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_small_round_trip_never_imports_multiprocessing(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-c", NO_POOL_CSV_PROBE, str(tmp_path / "cohort.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
 
 
 class TestStandardize:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import mlpinit.harness as harness
-from mlpinit.data import standardize, holdout_split
-from mlpinit import network, numerics
+from mlpinit import _pool, network, numerics
+from mlpinit.data import holdout_split, save_csv, standardize, synthesize_dataset
 from mlpinit.errors import (
     DivergedTrainingError,
     FormatError,
@@ -97,12 +97,12 @@ print(json.dumps([faults(10), faults(40), 30 * steps_per_epoch]))
 # One pooled LOO experiment with two forced workers. Python 3.12 and later
 # warn when a process that has threads (OpenBLAS keeps some) forks.
 FORK_PROBE = """
-from mlpinit import harness
+from mlpinit import _pool
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
 from mlpinit.initializers import KAIMING_NORMAL
 from mlpinit.network import Topology
 
-harness._loo_workers = lambda n_groups: 2
+_pool.workers = lambda n_tasks: 2
 run_experiment(ExperimentConfig(
     topology=Topology.TWO_LAYER, scheme=KAIMING_NORMAL, seed=13, epochs=2,
     synthetic=SyntheticSpec(participants=4, records_per_participant=8),
@@ -183,12 +183,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_train", spy)
         # In-process LOO: a spy in a forked worker records nothing this test sees.
-        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 1)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 1)
         config = small_config(loo_enabled=True)
         run_experiment(config)
 
         # rebuild the standardized test split exactly as the pipeline does
-        dataset = _load_dataset(config)
+        dataset = _load_dataset(config, {})
         trainval, test = holdout_split(
             dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
         )
@@ -208,7 +208,7 @@ class TestRunExperiment:
             run_experiment(config)
         messages = []
         for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
-            monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: workers)
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
             with np.errstate(all="ignore"), pytest.raises(
                 DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+"
             ) as raised:
@@ -224,7 +224,7 @@ class TestRunExperiment:
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         runs = []
         for workers in (2, 1):
-            monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: workers)
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
             result = run_experiment(config)
             assert multiprocessing.active_children() == []
             runs.append((
@@ -238,11 +238,11 @@ class TestRunExperiment:
     @pytest.mark.skipif(sys.platform != "linux", reason="LOO workers are forked on Linux only")
     def test_worker_count_follows_cpu_affinity_and_groups(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert [harness._loo_workers(n) for n in (1, 3, 20)] == [1, 3, 4]
+        assert [_pool.workers(n) for n in (1, 3, 20)] == [1, 3, 4]
         # multiprocessing.Pool workers are daemonic and may not start children;
         # the forked worker sees the patched affinity too.
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply_async(harness._loo_workers, (20,)).get(timeout=60) == 1
+            assert pool.apply_async(_pool.workers, (20,)).get(timeout=60) == 1
 
     def test_loo_and_final_training_match_one_model_per_fold(self, monkeypatch):
         trained = {}  # model name -> that model's trained parameters
@@ -256,12 +256,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_train", spy)
         # In-process LOO: a spy in a forked worker records nothing this test sees.
-        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 1)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 1)
         # 28 trainval rows: one full lockstep group of 20 and a short one of 8
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         result = run_experiment(config)
         hp = config.resolved_hyperparams()
-        dataset = _load_dataset(config)
+        dataset = _load_dataset(config, {})
         trainval, test = holdout_split(
             dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
         )
@@ -353,7 +353,7 @@ class TestRunExperiment:
     @needs_fork
     def test_dead_worker_raises_library_error_naming_config(self, monkeypatch):
         monkeypatch.setattr(harness, "_loo_group", _loo_group_dying_after_first)
-        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 2)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
         config = small_config(topology=Topology.THREE_LAYER, scheme=XAVIER_NORMAL, loo_enabled=True)
         with pytest.raises(WorkerError, match=re.escape(config.describe())):
             run_experiment(config)
@@ -479,10 +479,10 @@ class TestRunSuite:
     def test_cell_errors_do_not_abort_suite(self, monkeypatch):
         real = harness._load_dataset
 
-        def flaky(config):
+        def flaky(config, loaded):
             if config.topology is Topology.TWO_LAYER and config.scheme.family is Family.XAVIER:
                 raise ValidationError("injected failure")
-            return real(config)
+            return real(config, loaded)
 
         monkeypatch.setattr(harness, "_load_dataset", flaky)
         cells = run_suite(small_config())
@@ -491,6 +491,37 @@ class TestRunSuite:
         assert "injected failure" in failed[0].error
         assert sum(c.result is not None for c in cells) == 5
 
+    def test_suite_parses_each_csv_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cohort.csv"
+        save_csv(synthesize_dataset(5, 4, 8, 2.0), path)
+        real, calls = harness.load_csv, []
+
+        def counting(csv_path):
+            calls.append(csv_path)
+            return real(csv_path)
+
+        monkeypatch.setattr(harness, "load_csv", counting)
+        config = small_config(synthetic=None, csv_path=str(path))
+        cells = run_suite(config)
+        assert calls == [str(path)]
+        # each cell still gets its own result: the one it gets alone
+        for cell in cells:
+            alone = run_experiment(replace(
+                config, topology=cell.topology,
+                scheme=InitScheme(cell.family, config.scheme.dist), seed=cell.seed,
+            ))
+            assert result_to_dict(cell.result) == result_to_dict(alone)
+        # a bad or missing file gives every cell the error it gives alone
+        path.write_text("participant,label\n")
+        for csv_path in (str(path), str(tmp_path / "missing.csv")):
+            calls.clear()
+            bad = replace(config, csv_path=csv_path)
+            cells = run_suite(bad)
+            assert calls == [csv_path]
+            with pytest.raises((FormatError, OSError)) as raised:
+                run_experiment(bad)
+            assert [c.error for c in cells] == [f"{raised.type.__name__}: {raised.value}"] * 6
+
     @needs_fork
     def test_worker_pool_matches_in_process_suite(self, monkeypatch):
         # 28 trainval rows per cell: two LOO groups and the final training,
@@ -498,7 +529,7 @@ class TestRunSuite:
         # the pool too.
         runs = []
         for workers in (2, 1):
-            monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: workers)
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
             cells = run_suite(small_config(loo_enabled=True))
             assert multiprocessing.active_children() == []
             runs.append((
@@ -511,21 +542,11 @@ class TestRunSuite:
         assert runs[0] == runs[1]
 
     @needs_fork
-    def test_loo_suite_starts_one_pool(self, monkeypatch):
-        import concurrent.futures
-
-        started = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: 2)
+    def test_loo_suite_starts_one_pool(self, monkeypatch, forks):
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
         cells = run_suite(small_config(loo_enabled=True))
         assert all(c.error is None for c in cells)
-        assert len(started) == 1
+        assert len(forks) == 2  # one pool: its two workers, forked once
         assert multiprocessing.active_children() == []
 
     def test_run_without_loo_never_imports_multiprocessing(self):
@@ -550,7 +571,7 @@ class TestRunSuite:
         monkeypatch.setattr(harness, "preset_hyperparams", preset)
         errors = []
         for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
-            monkeypatch.setattr(harness, "_loo_workers", lambda n_tasks: workers)
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
             with np.errstate(all="ignore"):
                 cells = run_suite(small_config(loo_enabled=True))
             failed = [c for c in cells if c.error is not None]
@@ -567,7 +588,7 @@ class TestRunSuite:
     @needs_fork
     def test_dead_worker_fails_only_its_cell(self, monkeypatch):
         monkeypatch.setattr(harness, "_loo_group", _loo_group_dying_after_first)
-        monkeypatch.setattr(harness, "_loo_workers", lambda n_groups: 2)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
         cells = run_suite(small_config(loo_enabled=True))
         failed = [c for c in cells if c.error is not None]
         assert [(c.topology, c.family) for c in failed] == [(Topology.THREE_LAYER, Family.XAVIER)]
