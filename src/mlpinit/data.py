@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from array import array
 from pathlib import Path
 
@@ -33,11 +32,12 @@ N_FEATURES = len(FEATURE_NAMES)  # 85
 CSV_HEADER = ("participant", "label") + FEATURE_NAMES
 _HEADER_BYTES = ",".join(CSV_HEADER).encode()
 
-# save_csv and load_csv map their work through the worker pool in blocks:
-# rows per save_csv task and file bytes per load_csv task. The parent holds
-# the text of a few blocks in transit, so the blocks are small. A file of
-# fewer than two full blocks, like the 192-row default cohort (340 KB), is
-# written and read in-process: the pool's start would cost more than it saves.
+# save_csv and load_csv map their work in blocks, whether through the worker
+# pool or in-process: rows per save_csv task and file bytes per load_csv
+# task. The parent holds a few blocks' text or rows in transit, so the blocks
+# are small. A file of fewer than two full blocks, like the 192-row default
+# cohort (340 KB), maps in-process: the pool's start would cost more than it
+# saves.
 _CSV_BLOCK_ROWS = 128
 _CSV_BLOCK_BYTES = 256 * 1024
 
@@ -113,32 +113,6 @@ def _parse_label(token: str, lineno: int) -> int:
     return value
 
 
-def _text_lines(file, path):
-    """Yield the lines of the binary ``file``'s UTF-8 text, as ``str.splitlines`` splits it.
-
-    Decodes one ``\\n``-ended line of bytes at a time. No UTF-8 sequence
-    contains the byte ``\\n``, and each such line but the last ends in a line
-    break, so no text line spans two of them. Raises FormatError naming the
-    file offset of the first byte that is not UTF-8.
-    """
-    offset = 0
-    for raw in file:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}: not UTF-8 text at byte offset {offset + exc.start}"
-            ) from None
-        offset += len(raw)
-        yield from text.splitlines()
-
-
-def _drain(lines) -> None:
-    """Decode the rest of the file: bytes that are not UTF-8 are its first fault."""
-    for _ in lines:
-        pass
-
-
 def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
     """One data row's participant id, label and 85 features, or a DataError."""
     parts = line.split(",")
@@ -178,18 +152,33 @@ def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
         raise
 
 
+def _check_header(line: str, path) -> None:
+    """Raise FormatError unless ``line`` is the contract's header."""
+    header = tuple(line.split(","))
+    if header == CSV_HEADER:
+        return
+    n_feat = len(header) - 2
+    if n_feat != N_FEATURES:
+        raise FormatError(f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}")
+    raise FormatError(
+        f"{path}: header column names do not match the "
+        f"participant,label,gsr_00..st_22 contract"
+    )
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset from the documented 87-column CSV contract.
 
-    Appends each row's features to one growing float64 buffer, which
-    becomes the dataset's feature matrix without a copy. A file whose body
-    holds two or more full blocks (``_CSV_BLOCK_BYTES``) is parsed by the
-    worker pool, one byte range of whole lines per task, and the rows are
-    appended in file order. A smaller file, one that no pool can take, or
-    one with a fault is streamed in-process, one line of bytes at a time;
-    that loop reports the fault. Peak memory in the calling process is the
-    matrix (with the buffer's few percent of spare capacity) plus a few
-    blocks' rows in transit, or one line's temporaries in-process.
+    The file is read in byte ranges of ``_CSV_BLOCK_BYTES``, one task each,
+    mapped through the worker pool; a file of fewer than two full blocks,
+    like the 192-row default cohort, maps in-process. Each task parses the
+    lines that start in its range, one line of bytes at a time, and the
+    calling process appends their rows in file order to one growing float64
+    buffer, which becomes the dataset's feature matrix without a copy. A
+    pipe or other file that is not a regular file is one task, read once
+    from its start. Peak memory in the calling process is the matrix (with
+    the buffer's few percent of spare capacity) plus a few blocks' rows in
+    transit. If a worker dies, the file is read again in-process.
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
@@ -201,114 +190,97 @@ def load_csv(path) -> Dataset:
     non-finite feature is reported only when every other check passes.
     """
     path = Path(path)
-    pooled = _load_csv_blocks(path)
-    if pooled is not None:
-        return pooled
+    size = path.stat().st_size if path.is_file() else 0
+    starts = list(range(0, size, _CSV_BLOCK_BYTES)) or [0]
+    # the last task reads to the end, so a pipe is one task from byte 0
+    tasks = [(path, start, stop) for start, stop in zip(starts, starts[1:] + [math.inf])]
+    try:
+        return _read_csv_blocks(path, tasks, _pool.workers(size // _CSV_BLOCK_BYTES))
+    except WorkerError:
+        return _read_csv_blocks(path, tasks, 1)
+
+
+def _read_csv_blocks(path: Path, tasks: list, n_workers: int) -> Dataset:
+    """The dataset of ``tasks``' blocks, parsed by ``n_workers``, or the file's first fault."""
     features = array("d")
     participants, labels = array("q"), array("q")
-    # A fixed read buffer: the file system's preferred block size can be MBs.
-    with path.open("rb", buffering=io.DEFAULT_BUFFER_SIZE) as file:
-        lines = _text_lines(file, path)
-        first = next(lines, None)
-        if first is None:
-            raise FormatError(f"{path}: file is empty")
-        header = tuple(first.split(","))
-        if header != CSV_HEADER:
-            _drain(lines)
-            n_feat = len(header) - 2
-            if n_feat != N_FEATURES:
-                raise FormatError(
-                    f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}"
-                )
-            raise FormatError(
-                f"{path}: header column names do not match the "
-                f"participant,label,gsr_00..st_22 contract"
-            )
-        for lineno, line in enumerate(lines, start=2):
-            try:
-                participant, label, row = _parse_row(line, lineno, path)
-            except DataError:
-                _drain(lines)
-                # A non-finite value in an earlier row is the first fault in file order.
-                _check_finite(np.frombuffer(features).reshape(-1, N_FEATURES), ParseError)
-                raise
-            participants.append(participant)
-            labels.append(label)
-            features.extend(row)
-    if not participants:
-        raise FormatError(f"{path}: no data rows")
-    features = np.frombuffer(features).reshape(-1, N_FEATURES)
-    _check_finite(features, ParseError)
-    return Dataset(features, labels, participants)
-
-
-def _load_csv_blocks(path: Path) -> Dataset | None:
-    """``load_csv`` of a file with a contract header and two or more full
-    blocks, read by the worker pool; None if the file is smaller, no pool
-    can take it, or it has a fault, which the in-process loop then reads or
-    reports.
-
-    The blocks are byte ranges of the body. Their rows come back in file
-    order and are appended to the same growing buffers as in the loop.
-    """
-    try:
-        with path.open("rb", buffering=io.DEFAULT_BUFFER_SIZE) as file:
-            header = file.readline(len(_HEADER_BYTES) + 2)
-            size = os.fstat(file.fileno()).st_size
-    except OSError:
-        return None
-    # a header that needs splitlines() to find its end is left to the loop
-    if header not in (_HEADER_BYTES + b"\n", _HEADER_BYTES + b"\r\n"):
-        return None
-    n_workers = _pool.workers((size - len(header)) // _CSV_BLOCK_BYTES)
-    if n_workers <= 1:
-        return None
-    tasks = [
-        (path, start, start + _CSV_BLOCK_BYTES)
-        for start in range(len(header), size, _CSV_BLOCK_BYTES)
-    ]
-    features = array("d")
-    participants, labels = array("q"), array("q")
-    try:
-        for block_ids, block_labels, block_rows in _pool.fork_map(
-            _parse_csv_block, tasks, n_workers
-        ):
+    n_lines, bad_line = 0, None
+    for block_ids, block_labels, block_rows, block_lines, fault in _pool.fork_map(
+        _parse_csv_block, tasks, n_workers
+    ):
+        if isinstance(fault, int):
+            raise FormatError(f"{path}: not UTF-8 text at byte offset {fault}")
+        if bad_line is None:
             participants.frombytes(block_ids)
             labels.frombytes(block_labels)
             features.frombytes(block_rows)
-    except (DataError, UnicodeDecodeError, OSError, WorkerError):
-        return None
-    if not participants:  # no rows at all: the loop reports it
-        return None
+            if fault is not None:
+                bad_line = (n_lines + fault[0], fault[1])
+        n_lines += block_lines
+    if not n_lines:
+        raise FormatError(f"{path}: file is empty")
     features = np.frombuffer(features).reshape(-1, N_FEATURES)
+    # A non-finite value in an earlier row is the first fault in file order.
     _check_finite(features, ParseError)
+    if bad_line is not None:
+        lineno, line = bad_line
+        if lineno == 1:
+            _check_header(line, path)
+        _parse_row(line, lineno, path)
+    if not participants:
+        raise FormatError(f"{path}: no data rows")
     return Dataset(features, labels, participants)
 
 
-def _parse_csv_block(task) -> tuple[bytes, bytes, bytes]:
+def _parse_csv_block(task) -> tuple[bytes, bytes, bytes, int, int | tuple | None]:
     """The participant ids, labels and features, as array bytes, of the rows
-    on the lines of ``path`` that start in the byte range [start, stop).
+    on the lines of ``path`` that start in the byte range [start, stop), the
+    number of those lines, and their first fault.
 
-    A line starts after a ``\\n``, and a range of whole ``\\n``-ended lines
-    decodes and splits as they do one by one, so the rows are those that the
-    in-process loop reads there. A fault raises DataError or
-    UnicodeDecodeError without its row number, which the loop reports.
+    A line starts at byte 0 or after a ``\\n``. One ``\\n``-ended line of
+    bytes is decoded at a time: no UTF-8 sequence contains the byte
+    ``\\n``, and each such line but the file's last ends in a line break, so
+    the lines decode and split as the whole text does under
+    ``str.splitlines``. The range at byte 0 starts with the header. The
+    fault is the file offset of the first byte that is not UTF-8, or else
+    ``(index, text)`` of the first line, counted from 1, that raised
+    DataError; the rows stop before it, and the rest of the range is still
+    decoded. None if there is no fault.
     """
     path, start, stop = task
-    with open(path, "rb") as file:
-        file.seek(start - 1)
-        file.readline()  # the line holding byte start - 1 is an earlier block's
-        pos = file.tell()
-        raw = file.read(stop - pos) if pos < stop else b""
-        if raw and not raw.endswith(b"\n"):
-            raw += file.readline()
     participants, labels, features = array("q"), array("q"), array("d")
-    for line in raw.decode("utf-8").splitlines():
-        participant, label, row = _parse_row(line, 0, path)
-        participants.append(participant)
-        labels.append(label)
-        features.extend(row)
-    return participants.tobytes(), labels.tobytes(), features.tobytes()
+    n_lines, fault = 0, None
+    # A fixed read buffer: the file system's preferred block size can be MBs.
+    with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as file:
+        offset = start
+        if start:  # the line holding byte start - 1 is an earlier block's
+            file.seek(start - 1)
+            offset += len(file.readline()) - 1
+        while offset < stop and (raw := file.readline()):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                fault = offset + exc.start
+                break
+            offset += len(raw)
+            if fault is not None:
+                continue
+            for line in text.splitlines():
+                n_lines += 1
+                try:
+                    if n_lines == 1 and not start:
+                        _check_header(line, path)
+                        continue
+                    participant, label, row = _parse_row(line, 0, path)
+                except DataError:
+                    fault = (n_lines, line)
+                    break
+                participants.append(participant)
+                labels.append(label)
+                features.extend(row)
+    # bytes, not arrays: a pickled array is rebuilt in the caller through one
+    # more copy of the block
+    return participants.tobytes(), labels.tobytes(), features.tobytes(), n_lines, fault
 
 
 def _check_finite(features: np.ndarray, error: type[Exception]) -> None:

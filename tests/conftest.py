@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -41,3 +42,38 @@ def forks(monkeypatch):
     fork.pids = pids
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """``fifo(content)`` makes a FIFO and returns its path. A thread writes
+    ``content`` for the first reader that opens it, then gives every later
+    reader an end of file at once, so a reader that opens the FIFO again
+    sees an empty stream instead of waiting for a writer forever."""
+    done, writers = threading.Event(), []
+
+    def feed(content: bytes):
+        path = tmp_path / f"stream{len(writers)}.csv"
+        os.mkfifo(path)
+
+        def write():
+            try:
+                with open(path, "wb") as out:
+                    out.write(content)
+            except BrokenPipeError:  # the reader closed it early
+                pass
+            while not done.wait(0.05):
+                try:
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # no reader has it open
+                    pass
+
+        writers.append(threading.Thread(target=write, daemon=True))
+        writers[-1].start()
+        return path
+
+    yield feed
+    done.set()
+    for writer in writers:
+        writer.join(10)
+        assert not writer.is_alive()

@@ -1,0 +1,91 @@
+"""Holdout reports do not depend on the BLAS kernel.
+
+Training is bit-identical only per BLAS kernel: matrix products round
+differently under different OpenBLAS kernels, so trained weights may differ
+in their last bits. The reported holdout metrics must not. This test runs
+one suite, LOO off, on the default synthetic cohort in two subprocesses,
+each told by ``OPENBLAS_CORETYPE`` to use another kernel of numpy's
+DYNAMIC_ARCH OpenBLAS, and compares their holdout reports.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+KERNELS = ("Haswell", "Prescott")
+
+# One suite; prints the OpenBLAS kernel that ran it and each cell's holdout
+# report. The kernel's name comes from the OpenBLAS library this process
+# mapped.
+CHILD = """
+import ctypes, json
+from mlpinit.harness import ExperimentConfig, SyntheticSpec, report_to_dict, run_suite
+from mlpinit.initializers import KAIMING_NORMAL
+from mlpinit.network import Topology
+
+cells = run_suite(ExperimentConfig(
+    topology=Topology.THREE_LAYER, scheme=KAIMING_NORMAL, seed=0,
+    synthetic=SyntheticSpec(), loo_enabled=False,
+))
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename")
+corenames = []
+for lib in libs:
+    for name in names:
+        get = getattr(ctypes.CDLL(lib), name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            corenames.append(get().decode())
+            break
+print(json.dumps({
+    "corenames": corenames,
+    "reports": [cell.error or report_to_dict(cell.result.holdout) for cell in cells],
+}))
+"""
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+def _avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.machine() != "x86_64",
+    reason="the kernels named here are x86_64 OpenBLAS kernels",
+)
+def test_holdout_reports_agree_across_blas_kernels():
+    if not _avx2() or not _dynamic_openblas():
+        pytest.skip("needs AVX2 and numpy's OpenBLAS built with DYNAMIC_ARCH")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for kernel in KERNELS:
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    haswell, prescott = runs
+    # each child ran one kernel, and not the same one
+    assert len(haswell["corenames"]) == len(prescott["corenames"]) == 1
+    assert haswell["corenames"] != prescott["corenames"]
+    assert haswell["reports"] == prescott["reports"]
+    assert all(isinstance(report, dict) for report in haswell["reports"])

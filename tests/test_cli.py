@@ -165,6 +165,20 @@ def test_missing_data_file_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_run_reads_its_data_from_a_fifo(tmp_path, fifo):
+    path = tmp_path / "cohort.csv"
+    assert cli.main(["synth", "--seed", "4", "--out", str(path)]) == 0
+    args = ["run", "--topology", "1", "--init", "xavier", "--epochs", "2", "--no-loo"]
+    assert cli.main(args + ["--data", str(path), "--out", str(tmp_path / "file")]) == 0
+    stream = fifo(path.read_bytes())
+    assert cli.main(args + ["--data", str(stream), "--out", str(tmp_path / "fifo")]) == 0
+    from_file, from_fifo = (
+        json.loads((tmp_path / out / "result.json").read_text()) for out in ("file", "fifo")
+    )
+    assert from_fifo["holdout"] == from_file["holdout"]
+
+
 def test_non_utf8_data_file_exits_3(tmp_path, capsys):
     path = tmp_path / "cohort.csv"
     path.write_bytes(b"participant,label\xff\n")

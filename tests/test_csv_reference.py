@@ -3,8 +3,8 @@
 ``reference_load_csv`` is the loader that read the file as one string and
 split it with ``str.splitlines()``, kept verbatim with its two helpers. On
 every file of the corpus, the streamed ``load_csv`` must return the same
-array bytes or raise the same exception type with the same message. So must
-the worker pool's block path, with small blocks and two workers forced.
+array bytes or raise the same exception type with the same message, with
+its real block size and with small blocks forced at one and two workers.
 """
 
 from pathlib import Path
@@ -181,8 +181,8 @@ for name, char in (("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85
     CORPUS[f"{name}-ends-header"] = HEADER + enc + ROWS + b"\n"
 
 
-# Files whose first fault sits in a later block of the pool path: the rows
-# before it parse, in blocks of their own.
+# Files whose first fault sits in a later block at the small block sizes:
+# the rows before it parse, in blocks of their own.
 LEAD = b"\n".join([HEADER, *GOOD, *GOOD]) + b"\n"
 LATER_BLOCKS = {
     "later-block-fault-free": LEAD + ROWS + b"\n",
@@ -211,63 +211,40 @@ def outcome(load, path):
             ds.participants.tobytes())
 
 
-# Load block sizes of the pool path. 150 bytes split every row from the next
-# and leave blocks in which no line starts; 1000 bytes put two rows in a
-# block and cut a row at most block ends.
-POOL_BLOCK_BYTES = (150, 1000)
+# Load block sizes forced on top of the real one. 150 bytes split every row
+# from the next and leave blocks in which no line starts; 1000 bytes put two
+# rows in a block and cut a row at most block ends.
+BLOCK_BYTES = (150, 1000)
 
 
 def in_process_and_pooled(argname, values):
-    """Parametrize a test over ``values``, in-process under each value's own
-    id, and on the pool path under ``<value>-pool-<block bytes>``."""
+    """Parametrize a test over ``values``: at the real block size under each
+    value's own id, then with each forced block size at one worker, under
+    ``<value>-1w-<block bytes>``, and at two, under ``<value>-pool-<block bytes>``."""
     cases = [(v, None) for v in values]
     ids = [str(v) for v in values]
-    for size in POOL_BLOCK_BYTES:
-        cases += [(v, size) for v in values]
-        ids += [f"{v}-pool-{size}" for v in values]
-    return pytest.mark.parametrize((argname, "pooled"), cases, ids=ids, indirect=["pooled"])
+    for workers, tag in ((1, "1w"), (2, "pool")):
+        for size in BLOCK_BYTES:
+            cases += [(v, (workers, size)) for v in values]
+            ids += [f"{v}-{tag}-{size}" for v in values]
+    return pytest.mark.parametrize((argname, "blocks"), cases, ids=ids, indirect=["blocks"])
 
 
 @pytest.fixture
-def pooled(request, monkeypatch):
-    """None in-process. On the pool path, with load blocks of the given
-    bytes and two workers forced, a list of what the pool path did per
-    ``load_csv`` call: "pool" if it returned the dataset, "raised" if it
-    raised, "loop" if it left the file to the loop."""
-    if request.param is None:
-        return None
-    monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", request.param)
-    monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
-    real = data._load_csv_blocks
-    used = []
-
-    def spy(path):
-        used.append("raised")
-        dataset = real(path)
-        used[-1] = "loop" if dataset is None else "pool"
-        return dataset
-
-    monkeypatch.setattr(data, "_load_csv_blocks", spy)
-    return used
+def blocks(request, monkeypatch):
+    """Nothing for None; for ``(workers, block bytes)``, load blocks of that
+    size mapped by that many workers."""
+    if request.param is not None:
+        workers, size = request.param
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", size)
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
 
 
 @in_process_and_pooled("name", sorted(CORPUS) + sorted(LATER_BLOCKS))
-def test_matches_the_whole_file_loader(tmp_path, name, pooled):
-    content = FILES[name]
+def test_matches_the_whole_file_loader(tmp_path, name, blocks):
     path = tmp_path / "cohort.csv"
-    path.write_bytes(content)
-    expected = outcome(reference_load_csv, path)
-    assert outcome(load_csv, path) == expected
-    if pooled is None:
-        return
-    # The pool reads every file that loads and has a contract header line
-    # ending in \n or \r\n; a file with another header line goes to the loop.
-    # (A file whose only fault is a non-finite value is "raised": its check
-    # runs on the matrix that the pool assembled.)
-    if not content.startswith((HEADER + b"\n", HEADER + b"\r\n")):
-        assert pooled == ["loop"]
-    elif not isinstance(expected[0], type):
-        assert pooled == ["pool"]
+    path.write_bytes(FILES[name])
+    assert outcome(load_csv, path) == outcome(reference_load_csv, path)
 
 
 def test_corpus_loads_some_files_and_rejects_others(tmp_path):
@@ -286,7 +263,7 @@ MUTATIONS = [b"\n", b"\r", b"\r\n", b",", b"_", b"", b"x", b"inf", b"nan", b"\xf
 
 
 @in_process_and_pooled("seed", range(8))
-def test_matches_the_whole_file_loader_on_mutated_files(tmp_path, seed, pooled):
+def test_matches_the_whole_file_loader_on_mutated_files(tmp_path, seed, blocks):
     # Seeded random edits of a valid file, each compared on its own.
     rng = np.random.default_rng(seed)
     base = CORPUS["lf"]

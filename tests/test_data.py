@@ -152,6 +152,15 @@ class TestCsv:
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_a_fifo_loads_as_the_regular_file_does(self, tmp_path, fifo):
+        path = tmp_path / "cohort.csv"
+        save_csv(synthesize_dataset(3, **DEFAULT_COHORT), path)
+        regular = load_csv(path)
+        streamed = load_csv(fifo(path.read_bytes()))
+        for name in ("features", "labels", "participants"):
+            assert getattr(streamed, name).tobytes() == getattr(regular, name).tobytes()
+
     def test_label_tokens_and_integers(self, tmp_path):
         feats = ",".join(["0.5"] * 85)
         lines = [",".join(CSV_HEADER)]
@@ -448,7 +457,8 @@ class TestCsvPool:
             loaded = load_csv(tmp_path / "cohort.csv")
             assert loaded.features.tobytes() == written.features.tobytes()
         assert fork_maps == [
-            ("_format_csv_block", 1), ("_format_csv_block", 2), ("_parse_csv_block", 2)
+            ("_format_csv_block", 1), ("_parse_csv_block", 1),
+            ("_format_csv_block", 2), ("_parse_csv_block", 2),
         ]
 
     @needs_fork
@@ -464,9 +474,39 @@ class TestCsvPool:
         save_csv(written, tmp_path / "cohort.csv")
         assert (tmp_path / "cohort.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert load_csv(tmp_path / "cohort.csv").features.tobytes() == written.features.tobytes()
-        # save_csv writes the whole file again in-process; load_csv reads it in its loop
-        assert [n for _, n in fork_maps] == [2, 1, 2]
+        # save_csv writes the whole file again in-process, and load_csv reads it again
+        assert [n for _, n in fork_maps] == [2, 1, 2, 1]
         assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_faulty_file_is_parsed_once(self, tmp_path, monkeypatch, forks):
+        # four blocks, the last of which holds the one faulty line
+        path = tmp_path / "cohort.csv"
+        reference_save_csv(tiny_dataset(12), path)
+        with open(path, "ab") as out:
+            out.write(b"13,None,1.0\n")
+        n_blocks = 4
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", -(-path.stat().st_size // n_blocks))
+        monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
+        # the workers are forks, so each call leaves its mark in a file
+        calls = tmp_path / "calls"
+
+        def counted(mark, real):
+            def fn(*args):
+                with open(calls, "a") as out:
+                    out.write(mark)
+                return real(*args)
+            return fn
+
+        monkeypatch.setattr(data, "_parse_csv_block", counted("b", data._parse_csv_block))
+        monkeypatch.setattr(data, "_parse_row", counted("r", data._parse_row))
+        with pytest.raises(FormatError, match="row 14 has 3 columns, expected 87"):
+            load_csv(path)
+        marks = calls.read_text()
+        assert marks.count("b") == n_blocks
+        # each of the 13 rows once, and the faulty one again to name its row
+        assert marks.count("r") == 14
+        assert len(forks) == 2  # one pool
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_one_cpu_or_a_daemonic_worker_stays_in_process(self, tmp_path, monkeypatch, forks):
