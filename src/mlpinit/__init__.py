@@ -28,7 +28,6 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
     ValidationError,
-    WorkerError,
 )
 from .evaluation import (
     ClassMetrics,

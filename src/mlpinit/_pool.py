@@ -2,7 +2,9 @@
 
 Trainings (``harness``) and CSV row blocks (``data``) are independent tasks
 that map through ``fork_map``. ``workers`` decides how many processes a map
-of ``n_tasks`` gets; a map that gets 1 runs in-process.
+of ``n_tasks`` gets; a map that gets 1 runs in-process. A map yields what
+``map`` yields: if its pool fails, the calling process finishes it. This
+module is the only code that knows a worker can die.
 
 The pool is ``os.fork`` with two pipes per worker, driven from the calling
 thread. A ``ProcessPoolExecutor`` would import about 1.1 MB of modules, and
@@ -21,8 +23,6 @@ import pickle
 import select
 import signal
 import sys
-
-from .errors import WorkerError
 
 # True in a worker of this pool, whose own maps then run in-process.
 _IN_WORKER = False
@@ -66,10 +66,14 @@ def _read(fd: int, n: int) -> bytearray | None:
 
 
 def _receive(fd: int):
-    """The next object ``_send`` wrote to ``fd``, or None if the writer is gone."""
+    """The next object ``_send`` wrote to ``fd``, or None if the writer is
+    gone or the object does not unpickle."""
     header = _read(fd, 8)
     data = None if header is None else _read(fd, int.from_bytes(header, "little"))
-    return None if data is None else pickle.loads(data)
+    try:
+        return None if data is None else pickle.loads(data)
+    except Exception:
+        return None
 
 
 def _serve(fn, tasks: int, results: int) -> None:
@@ -85,18 +89,20 @@ def _serve(fn, tasks: int, results: int) -> None:
 
 
 def fork_map(fn, tasks, n_workers: int):
-    """Yield ``fn(task)`` for each of ``tasks``, in order.
+    """Yield ``fn(task)`` for each of ``tasks``, in order: what ``map`` yields.
 
     With ``n_workers`` above 1 the calls run in that many processes forked
-    for this map, each handed its next task when it returns a result;
-    otherwise, or if the pipes or processes cannot be had, in-process. The
-    tasks, results and exceptions must pickle; ``fn`` need not, as the
-    workers inherit it. An exception ``fn`` raises is raised here when its
-    result is due. A worker that dies ends the map with WorkerError at the
-    first result not yet yielded. However the map ends, every worker is
-    killed and reaped before it returns.
+    for this map, each handed its next task when it returns a result. ``fn``
+    need not pickle, as the workers inherit it. An exception ``fn`` raises is
+    raised here when its result is due. If the pool cannot start, or fails
+    (a worker dies, or a task or outcome does not pickle or unpickle), every
+    worker is killed and reaped, and this process finishes the map: from the
+    first result not yet yielded, it yields the results already received and
+    calls ``fn`` for the rest. However the map ends, no worker outlives it.
     """
-    pending = enumerate(tasks)
+    tasks = list(tasks)
+    done = {}  # task index -> (ok, value), for results not yet yielded
+    due = 0
     pids, task_fds, result_fds = [], [], []  # per worker
     try:
         try:
@@ -104,34 +110,8 @@ def fork_map(fn, tasks, n_workers: int):
                 _start_worker(fn, pids, task_fds, result_fds)
         except OSError:  # out of pipes or processes: the map runs in-process
             _stop(pids, task_fds, result_fds)
-        if not pids:
-            yield from map(fn, tasks)
-            return
-        idle = list(range(n_workers))
-        running = {}  # result fd -> its worker, for workers with a task
-        poller = select.poll()
-        done = {}  # task index -> (ok, value), for results not yet yielded
-        due = 0
-        while True:
-            while idle and (task := next(pending, None)) is not None:
-                worker = idle.pop()
-                try:
-                    _send(task_fds[worker], task)
-                except BrokenPipeError:
-                    raise WorkerError(f"worker process {pids[worker]} died") from None
-                running[result_fds[worker]] = worker
-                poller.register(result_fds[worker], select.POLLIN)
-            if not running:
-                return
-            for fd, _ in poller.poll():
-                worker = running.pop(fd)
-                poller.unregister(fd)
-                message = _receive(fd)
-                if message is None:
-                    raise WorkerError(f"worker process {pids[worker]} died")
-                index, ok, value = message
-                done[index] = (ok, value)
-                idle.append(worker)
+        for index, ok, value in _pooled(tasks, task_fds, result_fds):
+            done[index] = (ok, value)
             while due in done:
                 ok, value = done.pop(due)
                 due += 1
@@ -140,6 +120,38 @@ def fork_map(fn, tasks, n_workers: int):
                 yield value
     finally:
         _stop(pids, task_fds, result_fds)
+    for index in range(due, len(tasks)):
+        ok, value = done[index] if index in done else (True, fn(tasks[index]))
+        if not ok:
+            raise value
+        yield value
+
+
+def _pooled(tasks: list, task_fds: list, result_fds: list):
+    """Yield ``(index, ok, value)`` for ``tasks`` as the workers return them.
+    Ends when every task is returned, or at the pool's first failure."""
+    pending = enumerate(tasks)
+    idle = list(range(len(task_fds)))
+    running = {}  # result fd -> its worker, for workers with a task
+    poller = select.poll()
+    while True:
+        while idle and (task := next(pending, None)) is not None:
+            worker = idle.pop()
+            try:
+                _send(task_fds[worker], task)
+            except Exception:  # a dead worker, or a task that does not pickle
+                return
+            running[result_fds[worker]] = worker
+            poller.register(result_fds[worker], select.POLLIN)
+        if not running:
+            return
+        for fd, _ in poller.poll():
+            idle.append(running.pop(fd))
+            poller.unregister(fd)
+            message = _receive(fd)
+            if message is None:
+                return
+            yield message
 
 
 def _start_worker(fn, pids: list, task_fds: list, result_fds: list) -> None:

@@ -4,8 +4,9 @@ Subcommands: ``run`` (one configuration), ``suite`` (all six cells),
 ``grad-check`` (finite-difference verification), ``init-stats`` (empirical
 initializer variances), ``synth`` (write a synthetic CSV).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training failed (diverged,
-or a worker process died).
+Exit codes: 0 success, 2 config error, 3 data error (an output directory
+that cannot be made is one, and is found before any training), 4 training
+diverged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import synthesize_dataset, save_csv, N_FEATURES
-from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError, WorkerError, _check_int
+from .errors import DataError, DivergedTrainingError, ShapeError, ValidationError, _check_int
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -87,7 +88,6 @@ def _base_config(args, topology: Topology, family: Family) -> ExperimentConfig:
 
 def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -99,6 +99,7 @@ def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> N
 
 def _cmd_run(args) -> int:
     config = _base_config(args, Topology(args.topology), Family(args.init))
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])
@@ -112,6 +113,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     base = _base_config(args, Topology.THREE_LAYER, Family.KAIMING)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     cells = run_suite(base)
     ok_results = [cell.result for cell in cells if cell.result is not None]
     report_text = render_report(ok_results)
@@ -247,9 +249,6 @@ def main(argv=None) -> int:
         return 3
     except DivergedTrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        return 4
-    except WorkerError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
         return 4
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _pool
-from .errors import DataError, FormatError, ParseError, ValidationError, WorkerError, _check_int
+from .errors import DataError, FormatError, ParseError, ValidationError, _check_int
 from .numerics import Rng, _check_labels
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
@@ -178,7 +178,7 @@ def load_csv(path) -> Dataset:
     pipe or other file that is not a regular file is one task, read once
     from its start. Peak memory in the calling process is the matrix (with
     the buffer's few percent of spare capacity) plus a few blocks' rows in
-    transit. If a worker dies, the file is read again in-process.
+    transit.
 
     Raises OSError for a missing file, FormatError for bytes that are not
     UTF-8 (naming the offset), a wrong header or a row with the wrong number
@@ -194,19 +194,11 @@ def load_csv(path) -> Dataset:
     starts = list(range(0, size, _CSV_BLOCK_BYTES)) or [0]
     # the last task reads to the end, so a pipe is one task from byte 0
     tasks = [(path, start, stop) for start, stop in zip(starts, starts[1:] + [math.inf])]
-    try:
-        return _read_csv_blocks(path, tasks, _pool.workers(size // _CSV_BLOCK_BYTES))
-    except WorkerError:
-        return _read_csv_blocks(path, tasks, 1)
-
-
-def _read_csv_blocks(path: Path, tasks: list, n_workers: int) -> Dataset:
-    """The dataset of ``tasks``' blocks, parsed by ``n_workers``, or the file's first fault."""
     features = array("d")
     participants, labels = array("q"), array("q")
     n_lines, bad_line = 0, None
     for block_ids, block_labels, block_rows, block_lines, fault in _pool.fork_map(
-        _parse_csv_block, tasks, n_workers
+        _parse_csv_block, tasks, _pool.workers(size // _CSV_BLOCK_BYTES)
     ):
         if isinstance(fault, int):
             raise FormatError(f"{path}: not UTF-8 text at byte offset {fault}")
@@ -302,7 +294,7 @@ def save_csv(dataset: Dataset, path) -> None:
     The rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, by the worker
     pool when there are two or more full blocks, and the calling process
     writes each block's text in order as it arrives; the bytes are the same
-    either way. If a worker dies, the file is written again in-process.
+    either way.
     Raises ValidationError, naming the first row and column in file order,
     for a feature that is NaN or infinite, which ``load_csv`` would reject;
     the check runs before the file is opened, so no partial file is left.
@@ -315,17 +307,9 @@ def save_csv(dataset: Dataset, path) -> None:
          dataset.features[i:i + step])
         for i in range(0, len(dataset), step)
     ]
-    try:
-        _write_csv_blocks(path, blocks, _pool.workers(len(dataset) // step))
-    except WorkerError:
-        _write_csv_blocks(path, blocks, 1)
-
-
-def _write_csv_blocks(path: Path, blocks: list, n_workers: int) -> None:
-    """Write the header, then each block's text, formatted by ``n_workers``."""
     with path.open("wb") as out:
         out.write(_HEADER_BYTES + b"\n")
-        for text in _pool.fork_map(_format_csv_block, blocks, n_workers):
+        for text in _pool.fork_map(_format_csv_block, blocks, _pool.workers(len(dataset) // step)):
             out.write(text)
 
 

@@ -57,7 +57,3 @@ class UnsupportedVersionError(FormatError):
 
 class DivergedTrainingError(MlpInitError, RuntimeError):
     """Training produced a non-finite loss."""
-
-
-class WorkerError(MlpInitError, RuntimeError):
-    """A worker process died before returning its results."""

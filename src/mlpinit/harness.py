@@ -15,8 +15,9 @@ training as a group of one. Each group and each final training is an
 independent task. A ``run_experiment`` or ``run_suite`` call maps all its
 tasks, of every cell, through one pool of forked worker processes, started
 once per call, on Linux and with one worker per CPU the process may use. A
-call with one task or one CPU, or one that cannot fork, trains in-process.
-Results do not depend on it. The pool is ``_pool.fork_map``, the one that
+call with one task or one CPU, or one that cannot fork, trains in-process;
+if a worker dies, the calling process trains what is left. Results depend
+on neither. The pool is ``_pool.fork_map``, the one that
 ``save_csv`` and ``load_csv`` map their row blocks through. The cells of a
 call that read the same CSV path share one parse of it.
 """
@@ -48,7 +49,6 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
     ValidationError,
-    WorkerError,
     _check_types,
 )
 from .evaluation import Report, accumulate_confusion, summarize
@@ -344,10 +344,8 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
     own sub-stream: its LOO groups, then its final training. All tasks of
     all configs go through one map, on a fork pool started once when more
     than one CPU can take them. A config's error is that of its lowest
-    failing task. A worker that dies breaks the pool; each config left
-    unfinished then reruns alone, so only the one whose worker dies again
-    gets the ``WorkerError``. Each distinct CSV path is parsed once, and
-    every config that names it gets its dataset, or the error parsing gave.
+    failing task. Each distinct CSV path is parsed once, and every config
+    that names it gets its dataset, or the error parsing gave.
     """
     started = time.perf_counter()
     tests, spans, tasks = [], [], []  # per config: its test split or error, its task indices
@@ -372,25 +370,15 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
         spans.append(range(first, len(tasks)))
     del loaded  # the trainings need only the splits, not the parsed files
 
-    outputs, broken = [], None
-    try:
-        for output in _pool.fork_map(_run_task, tasks, _pool.workers(len(tasks))):
-            outputs.append(output)
-    except WorkerError as exc:
-        broken = exc
+    outputs = list(_pool.fork_map(_run_task, tasks, _pool.workers(len(tasks))))
 
     results = []
     for config, test, span in zip(configs, tests, spans):
         if isinstance(test, Exception):
             results.append(test)
             continue
-        done = [outputs[t] for t in span if t < len(outputs)]
+        done = [outputs[t] for t in span]
         error = next((out for out in done if isinstance(out, Exception)), None)
-        if error is None and len(done) < len(span):  # a dead worker left it unfinished
-            if len(configs) > 1:
-                results.append(_run_configs([config])[0])
-                continue
-            error = WorkerError(f"{broken} ({config.describe()})")
         if error is not None:
             results.append(error)
             continue

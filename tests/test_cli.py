@@ -9,7 +9,7 @@ import pytest
 
 import mlpinit.cli as cli
 from mlpinit.data import CSV_HEADER, load_csv
-from mlpinit.errors import DivergedTrainingError, WorkerError
+from mlpinit.errors import DivergedTrainingError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -283,17 +283,19 @@ def test_diverged_training_exits_4(monkeypatch, tmp_path):
     assert code == 4
 
 
-def test_dead_worker_exits_4(monkeypatch, tmp_path, capsys):
-    def boom(config):
-        raise WorkerError("a LOO worker process died (stub)")
+@pytest.mark.parametrize("command", [["run", "--topology", "3", "--init", "kaiming"], ["suite"]])
+def test_an_out_dir_that_cannot_be_made_exits_3_before_training(command, monkeypatch, tmp_path,
+                                                                 capsys):
+    def train(config):
+        raise AssertionError("trained before the output directory was made")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
-    code = cli.main(
-        ["run", "--topology", "1", "--init", "xavier", "--synthetic",
-         "--out", str(tmp_path / "o")]
-    )
-    assert code == 4
-    assert "worker process died" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_experiment", train)
+    monkeypatch.setattr(cli, "run_suite", train)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(command + ["--synthetic", "--out", str(blocker / "x")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_argparse_rejects_unknown_topology():

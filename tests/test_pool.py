@@ -1,5 +1,6 @@
 """The fork pool that trainings and CSV blocks map through: order, errors,
-dead workers and cleanup, each checked with two forced workers."""
+dead workers, pickling-hostile tasks and cleanup, each checked with two
+forced workers against what ``map`` gives."""
 
 import os
 import sys
@@ -7,7 +8,6 @@ import sys
 import pytest
 
 from mlpinit import _pool
-from mlpinit.errors import WorkerError
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") or sys.platform != "linux", reason="the pool forks on Linux only"
@@ -29,7 +29,35 @@ def _fails_at_five(k):
 def _dies_at_three(k):
     if k == 3 and os.getpid() != _PARENT:
         os._exit(7)
+    return k, os.getpid() == _PARENT
+
+
+class _TwoArgError(Exception):
+    """Pickles as its one formatted message, so it does not unpickle: its
+    ``__init__`` takes two arguments."""
+
+    def __init__(self, task, reason):
+        super().__init__(f"task {task}: {reason}")
+
+
+def _raises_unpicklable_at_three(k):
+    if k == 3:
+        raise ValueError("bad", lambda: 0)
     return k
+
+
+def _raises_unloadable_at_three(k):
+    if k == 3:
+        raise _TwoArgError(k, "bad")
+    return k
+
+
+def _returns_lambda_at_three(k):
+    return (lambda: k) if k == 3 else k
+
+
+def _call_callables(task):
+    return task() if callable(task) else task
 
 
 def _nested_workers(k):
@@ -38,6 +66,18 @@ def _nested_workers(k):
 
 def _in_parent(k):
     return os.getpid() == _PARENT
+
+
+def _outcome(results) -> list:
+    """What ``results`` yields, a callable as what it returns, then the type
+    and first argument of the exception it raises, if any."""
+    got = []
+    try:
+        for value in results:
+            got.append(value() if callable(value) else value)
+    except Exception as exc:
+        got.append((type(exc), exc.args[0]))
+    return got
 
 
 def _reaped(pid) -> bool:
@@ -64,13 +104,27 @@ def test_an_exception_is_raised_when_its_result_is_due(forks):
 
 
 def test_a_dead_worker_ends_the_map_at_its_result(forks):
-    got = []
-    with pytest.raises(WorkerError, match=r"^worker process \d+ died$"):
-        for value in _pool.fork_map(_dies_at_three, range(20), 2):
-            got.append(value)
-    # the results before task 3's, or fewer if the death is seen first
-    assert got == list(range(len(got))) and len(got) <= 3
-    assert all(_reaped(pid) for pid in forks)
+    # The pool's map ends at the dead worker's task; the caller runs it and
+    # the rest.
+    open_fds = set(os.listdir("/proc/self/fd"))
+    got = list(_pool.fork_map(_dies_at_three, range(20), 2))
+    assert [k for k, _ in got] == list(range(20))
+    assert got[3] == (3, True)
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.parametrize("fn, tasks", [
+    pytest.param(_raises_unpicklable_at_three, range(8), id="exception-does-not-pickle"),
+    pytest.param(_raises_unloadable_at_three, range(8), id="exception-does-not-unpickle"),
+    pytest.param(_returns_lambda_at_three, range(8), id="result-does-not-pickle"),
+    pytest.param(_call_callables, [0, 1, 2, lambda: 3, 4, 5, 6, 7], id="task-does-not-pickle"),
+])
+def test_pickling_hostile_tasks_give_what_map_gives(fn, tasks, forks):
+    open_fds = set(os.listdir("/proc/self/fd"))
+    assert _outcome(_pool.fork_map(fn, tasks, 2)) == _outcome(map(fn, tasks))
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
 
 
 def test_a_map_left_early_kills_and_reaps_its_workers(forks):
