@@ -3,8 +3,10 @@
 Trainings (``harness``) and CSV row blocks (``data``) are independent tasks
 that map through ``fork_map``. ``workers`` decides how many processes a map
 of ``n_tasks`` gets; a map that gets 1 runs in-process. A map yields what
-``map`` yields: if its pool fails, the calling process finishes it. This
-module is the only code that knows a worker can die.
+``map`` yields: if its pool fails, the calling process finishes it. A task
+that raises fails the pool too: its worker dies, and the caller runs the
+task again and raises. This module is the only code that knows a worker can
+die.
 
 The pool is ``os.fork`` with two pipes per worker, driven from the calling
 thread. A ``ProcessPoolExecutor`` would import about 1.1 MB of modules, and
@@ -78,14 +80,10 @@ def _receive(fd: int):
 
 def _serve(fn, tasks: int, results: int) -> None:
     """A worker's loop: for each ``(index, task)`` until the task pipe ends,
-    send ``(index, True, fn(task))``, or ``(index, False, exception)``."""
+    send ``(index, fn(task))``. An exception ends the worker."""
     while (message := _receive(tasks)) is not None:
         index, task = message
-        try:
-            outcome = (index, True, fn(task))
-        except Exception as exc:
-            outcome = (index, False, exc)
-        _send(results, outcome)
+        _send(results, (index, fn(task)))
 
 
 def fork_map(fn, tasks, n_workers: int):
@@ -93,15 +91,16 @@ def fork_map(fn, tasks, n_workers: int):
 
     With ``n_workers`` above 1 the calls run in that many processes forked
     for this map, each handed its next task when it returns a result. ``fn``
-    need not pickle, as the workers inherit it. An exception ``fn`` raises is
-    raised here when its result is due. If the pool cannot start, or fails
-    (a worker dies, or a task or outcome does not pickle or unpickle), every
-    worker is killed and reaped, and this process finishes the map: from the
-    first result not yet yielded, it yields the results already received and
-    calls ``fn`` for the rest. However the map ends, no worker outlives it.
+    need not pickle, as the workers inherit it. If the pool cannot start, or
+    fails (a worker dies, ``fn`` raises in a worker, or a task or result does
+    not pickle or unpickle), every worker is killed and reaped, and this
+    process finishes the map: from the first result not yet yielded, it
+    yields the results already received and calls ``fn`` for the rest. So an
+    exception ``fn`` raises is raised here, by this process's own call, when
+    its result is due. However the map ends, no worker outlives it.
     """
     tasks = list(tasks)
-    done = {}  # task index -> (ok, value), for results not yet yielded
+    done = {}  # task index -> result, for results not yet yielded
     due = 0
     pids, task_fds, result_fds = [], [], []  # per worker
     try:
@@ -110,25 +109,20 @@ def fork_map(fn, tasks, n_workers: int):
                 _start_worker(fn, pids, task_fds, result_fds)
         except OSError:  # out of pipes or processes: the map runs in-process
             _stop(pids, task_fds, result_fds)
-        for index, ok, value in _pooled(tasks, task_fds, result_fds):
-            done[index] = (ok, value)
+        for index, value in _pooled(tasks, task_fds, result_fds):
+            done[index] = value
             while due in done:
-                ok, value = done.pop(due)
+                value = done.pop(due)
                 due += 1
-                if not ok:
-                    raise value
                 yield value
     finally:
         _stop(pids, task_fds, result_fds)
     for index in range(due, len(tasks)):
-        ok, value = done[index] if index in done else (True, fn(tasks[index]))
-        if not ok:
-            raise value
-        yield value
+        yield done.pop(index) if index in done else fn(tasks[index])
 
 
 def _pooled(tasks: list, task_fds: list, result_fds: list):
-    """Yield ``(index, ok, value)`` for ``tasks`` as the workers return them.
+    """Yield ``(index, fn(task))`` for ``tasks`` as the workers return them.
     Ends when every task is returned, or at the pool's first failure."""
     pending = enumerate(tasks)
     idle = list(range(len(task_fds)))

@@ -4,9 +4,15 @@ Subcommands: ``run`` (one configuration), ``suite`` (all six cells),
 ``grad-check`` (finite-difference verification), ``init-stats`` (empirical
 initializer variances), ``synth`` (write a synthetic CSV).
 
-Exit codes: 0 success, 2 config error, 3 data error (an output directory
-that cannot be made is one, and is found before any training), 4 training
-diverged.
+Exit codes:
+
+- 0: success
+- 1: failed check: a ``suite`` cell failed (its error is in the outputs), or
+  ``grad-check`` found a relative error of at least 1e-4
+- 2: config error
+- 3: data error: a missing or malformed CSV, or an ``--out`` or
+  ``--save-model`` directory that cannot be had, found before any training
+- 4: training diverged
 """
 
 from __future__ import annotations
@@ -100,6 +106,8 @@ def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> N
 def _cmd_run(args) -> int:
     config = _base_config(args, Topology(args.topology), Family(args.init))
     Path(args.out).mkdir(parents=True, exist_ok=True)
+    if args.save_model and not Path(args.save_model).parent.is_dir():
+        raise NotADirectoryError(f"--save-model {args.save_model}: no such directory")
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])

@@ -178,16 +178,15 @@ def load_csv(path) -> Dataset:
     pipe or other file that is not a regular file is one task, read once
     from its start. Peak memory in the calling process is the matrix (with
     the buffer's few percent of spare capacity) plus a few blocks' rows in
-    transit.
+    transit. Rows split as ``str.splitlines`` splits the whole text, so a
+    lone CR, ``\\x0c`` or U+2028 also ends a row.
 
     Raises OSError for a missing file, FormatError for bytes that are not
-    UTF-8 (naming the offset), a wrong header or a row with the wrong number
-    of columns (naming the row), and ParseError for a non-numeric or
-    non-finite feature, a participant id that is not an int64, an unknown
-    label token or a cell with an underscore (naming row and column). Bytes
-    that are not UTF-8 anywhere in the file are reported first; otherwise the
-    error names the first faulty row in file order, and within a row a
-    non-finite feature is reported only when every other check passes.
+    UTF-8 anywhere in the file (naming the offset) or a wrong header, and
+    otherwise names the first faulty row in file order and its first failed
+    check, in this order: FormatError for the column count, then ParseError
+    (naming the column) for an underscore, a participant id that is not an
+    int64, an unknown label token, a non-numeric and a non-finite feature.
     """
     path = Path(path)
     size = path.stat().st_size if path.is_file() else 0

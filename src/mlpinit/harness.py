@@ -12,14 +12,10 @@ reported model is then retrained on the full trainval split and evaluated
 once on the untouched holdout set. One training loop serves both: LOO folds
 train in lockstep groups of ``LOO_GROUP_SIZE`` stacked models, the final
 training as a group of one. Each group and each final training is an
-independent task. A ``run_experiment`` or ``run_suite`` call maps all its
-tasks, of every cell, through one pool of forked worker processes, started
-once per call, on Linux and with one worker per CPU the process may use. A
-call with one task or one CPU, or one that cannot fork, trains in-process;
-if a worker dies, the calling process trains what is left. Results depend
-on neither. The pool is ``_pool.fork_map``, the one that
-``save_csv`` and ``load_csv`` map their row blocks through. The cells of a
-call that read the same CSV path share one parse of it.
+independent task, and a ``run_experiment`` or ``run_suite`` call maps all
+its tasks, of every cell, through one ``_pool.fork_map``: ``_pool`` says
+when it forks and what a failure does. The cells of a call that read the
+same CSV path share one parse of it.
 """
 
 from __future__ import annotations

@@ -283,19 +283,30 @@ def test_diverged_training_exits_4(monkeypatch, tmp_path):
     assert code == 4
 
 
-@pytest.mark.parametrize("command", [["run", "--topology", "3", "--init", "kaiming"], ["suite"]])
+@pytest.mark.parametrize("command", [
+    ["run", "--topology", "3", "--init", "kaiming", "--out", "{blocked}"],
+    ["suite", "--out", "{blocked}"],
+    ["run", "--topology", "3", "--init", "kaiming", "--out", "{out}", "--save-model", "{blocked}"],
+])
 def test_an_out_dir_that_cannot_be_made_exits_3_before_training(command, monkeypatch, tmp_path,
                                                                  capsys):
     def train(config):
-        raise AssertionError("trained before the output directory was made")
+        raise AssertionError("trained before the output directory was checked")
 
     monkeypatch.setattr(cli, "run_experiment", train)
     monkeypatch.setattr(cli, "run_suite", train)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code = cli.main(command + ["--synthetic", "--out", str(blocker / "x")])
+    paths = {"blocked": blocker / "x", "out": tmp_path / "out"}
+    code = cli.main([arg.format(**paths) for arg in command] + ["--synthetic"])
     assert code == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_grad_check_exits_1_when_an_error_reaches_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: 1.0)
+    assert cli.main(["grad-check"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_argparse_rejects_unknown_topology():

@@ -1,12 +1,12 @@
 """Known-answer tests for the outputs that do not depend on the BLAS kernel.
 
-README says which of these are bit-identical on every platform (the RNG's
-words, uniform draws and permutations, the uniform initializers, the splits
-and the file formats) and which only per numpy SIMD path (everything drawn
-through ``Rng.normal``, whose ``log`` can differ in the last bit). Each case
-hashes one output with sha256 and compares it with the digest recorded when
-the case was written; a change to any of them changes the bits of every
-experiment that uses it. Training is bit-identical
+README's Determinism section says which of these are bit-identical on every
+platform (the RNG's words, uniform draws and permutations, the uniform
+initializers, the splits and the file formats) and which only per numpy SIMD
+path (everything drawn through ``Rng.normal``, whose ``log`` can differ in
+the last bit). Each case hashes one output with sha256 and compares it with
+the digest recorded when the case was written; a change to any of them
+changes the bits of every experiment that uses it. Training is bit-identical
 only per BLAS kernel, so no trained weights appear here. On a machine where
 numpy dispatches to AVX-512, one more test reruns this file with those
 targets disabled, so both recorded paths are checked on every run.
