@@ -108,6 +108,8 @@ def _cmd_run(args) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)
     if args.save_model and not Path(args.save_model).parent.is_dir():
         raise NotADirectoryError(f"--save-model {args.save_model}: no such directory")
+    if args.save_model and Path(args.save_model).is_dir():
+        raise IsADirectoryError(f"--save-model {args.save_model}: is a directory")
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])

@@ -50,15 +50,13 @@ from .errors import (
 from .evaluation import Report, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
 from .network import (
-    ForwardPass,
     Gradients,
     Layer,
     MlpModel,
     Topology,
-    _backward,
     _check_batch,
-    _forward,
-    _layer_outputs,
+    _one_hot,
+    _StepPlan,
     backward,  # unused here; kept as a harness attribute that tracing tools wrap
     build_model,
     forward,  # unused here; kept as a harness attribute that tracing tools wrap
@@ -199,7 +197,7 @@ def _train(
     """
     hp = config.resolved_hyperparams()
     model = stack_models([build_model(rng, config.topology, config.scheme) for rng in rngs])
-    # The inputs are checked once, here; every step calls the unchecked cores.
+    # The inputs are checked once, here; the step plans check nothing.
     features = _check_batch(model.fold(0), features)
     labels = _check_labels(labels, features.shape[:1], N_CLASSES)
     n = rows.shape[-1]
@@ -222,37 +220,37 @@ def _train(
     grad, grad_views = _flat_like(views)
     grads = Gradients(grad_views[0::2], grad_views[1::2])
     velocity = np.zeros_like(params)
-    # Every step reuses the forward pass and backward scratch of its batch
-    # shape (full, or the short last batch): freeing and re-allocating them
-    # each step would have the allocator return them to the OS and
-    # page-fault them back in.
-    buffers = {}
+    # Every step runs the step plan of its batch shape (full, or the short
+    # last batch): freeing and re-allocating its arrays each step would have
+    # the allocator return them to the OS and page-fault them back in.
+    one_hot = _one_hot(labels)
+    plans = {}
     schedule = []
     for start in range(0, n, hp.batch_size):
         size = min(hp.batch_size, n - start)
-        if size not in buffers:
-            buffers[size] = (ForwardPass.empty(model, size), _layer_outputs(model, size))
-        fwd, deltas = buffers[size]
-        schedule.append((start, start + size, fwd.activations[0], fwd, deltas))
+        if size not in plans:
+            plans[size] = _StepPlan(model, size)
+        schedule.append((start, start + size, plans[size]))
     for epoch in range(config.epochs):
         order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
-        for start, stop, batch, fwd, deltas in schedule:
+        for start, stop, plan in schedule:
             idx = order[:, start:stop]
-            # mode="clip" gathers straight into batch; the default "raise"
-            # buffers. The row maps were range-checked above.
-            features.take(idx, axis=0, out=batch, mode="clip")
-            _forward(model, batch, fwd)
+            # mode="clip" gathers straight into the plan; the default
+            # "raise" buffers. The row maps were range-checked above.
+            features.take(idx, axis=0, out=plan.batch, mode="clip")
+            one_hot.take(idx, axis=0, out=plan.one_hot, mode="clip")
+            plan.forward()
             # Divergence check. A softmax row is either all NaN or all in
             # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
             # for p in [0, 1], so a model's loss is non-finite exactly when
             # its probabilities hold a NaN, which makes their sum NaN.
-            if not np.isfinite(fwd.probs.sum()):
-                finite = np.isfinite(fwd.probs.sum(axis=(1, 2)))
+            if not np.isfinite(plan.probs.sum()):
+                finite = np.isfinite(plan.probs.sum(axis=(1, 2)))
                 raise DivergedTrainingError(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            _backward(model, fwd, labels[idx], grads, deltas)
+            plan.backward(grads)
             sgd_step(params, velocity, grad, hp)
     return model
 

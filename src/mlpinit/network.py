@@ -11,6 +11,18 @@ models in lockstep (model ensembling by broadcasting): a stacked model has
 weights (folds, out, in) and biases (folds, out), and takes batches
 (folds, rows, 85) with labels (folds, rows). Fold k of every result is what
 the same call gives for fold k alone, bit for bit.
+
+All arithmetic of a step runs in one private ``_StepPlan`` per (model, batch
+rows). It allocates once the batch, pre-activations, activations, bool ReLU
+masks, deltas, float one-hot rows and the softmax's row max and sum, and
+binds once the transposed-weight, broadcast-bias, transposed-delta and
+per-class column views, so a step makes no array and no view. The training
+loop (``harness._train``) keeps one plan per batch shape; ``forward``,
+``backward``, ``predict`` and ``grad_check`` check their inputs and run a
+fresh plan. The softmax takes its row max and sum over the 4 classes as
+elementwise calls on the class columns, summed in index order; numpy's own
+reductions add fewer than 8 terms in that order, so the bits are theirs
+(see ``numerics._Softmax``).
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, _cross_entropy, _softmax
+from .numerics import Rng, _check_labels, _cross_entropy, _Softmax
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -93,7 +105,8 @@ class Gradients:
 
 @dataclass
 class ForwardPass:
-    """Everything backward needs: per-layer inputs, pre-activations, probs.
+    """What ``forward`` returns and ``backward`` takes: per-layer inputs,
+    pre-activations and probabilities.
 
     ``activations[0]`` is the input batch, ``activations[i]`` the output of
     layer i (ReLU for hidden layers, softmax probabilities for the last).
@@ -102,27 +115,9 @@ class ForwardPass:
     activations: list[np.ndarray]
     pre_activations: list[np.ndarray]
 
-    @classmethod
-    def empty(cls, model: MlpModel, rows: int) -> "ForwardPass":
-        """Uninitialized arrays for ``_forward`` on batches of ``rows``.
-
-        ``activations[0]`` is a batch-shaped buffer that a caller may fill and
-        pass as the batch; ``_forward`` stores whatever batch it gets there.
-        """
-        return cls(
-            activations=[np.empty(model.folds + (rows, model.n_features))]
-            + _layer_outputs(model, rows),
-            pre_activations=_layer_outputs(model, rows),
-        )
-
     @property
     def probs(self) -> np.ndarray:
         return self.activations[-1]
-
-
-def _layer_outputs(model: MlpModel, rows: int) -> list[np.ndarray]:
-    """One uninitialized array per layer, shaped like its output on ``rows`` rows."""
-    return [np.empty(model.folds + (rows, layer.bias.shape[-1])) for layer in model.layers]
 
 
 def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
@@ -162,29 +157,88 @@ def _check_batch(model: MlpModel, batch) -> np.ndarray:
     return batch
 
 
+class _StepPlan:
+    """One step of ``model`` on batches of ``rows`` rows, with every buffer
+    and view allocated and bound once.
+
+    A caller fills ``batch`` (and ``one_hot``, the float one-hot rows of the
+    batch's labels, before ``backward``), then calls ``forward`` and
+    ``backward``, which overwrite the plan's arrays. The plan binds views of
+    the model's parameter arrays, so an in-place update of those arrays is
+    seen by the next step; replacing an array is not.
+    """
+
+    def __init__(self, model: MlpModel, rows: int):
+        lead = model.folds + (rows,)
+        self.batch = np.empty(lead + (model.n_features,))
+        self.pre_activations = [np.empty(lead + layer.bias.shape[-1:]) for layer in model.layers]
+        self.activations = [self.batch] + [np.empty_like(z) for z in self.pre_activations]
+        self.one_hot = np.empty_like(self.probs)
+        self._rows = rows
+        deltas = [np.empty_like(z) for z in self.pre_activations]
+        masks = [np.empty(z.shape, dtype=bool) for z in self.pre_activations[:-1]]
+        # forward, per layer: (input, transposed weights, pre-activation,
+        # broadcast bias, output)
+        *self._hidden, self._output = [
+            (a, layer.weights.swapaxes(-1, -2), z, layer.bias[..., None, :], out)
+            for a, layer, z, out in zip(
+                self.activations, model.layers, self.pre_activations, self.activations[1:]
+            )
+        ]
+        self._softmax = _Softmax(self.pre_activations[-1], self.probs)
+        self._output_delta = deltas[-1]
+        # backward, top layer first: (delta, its transpose, layer input,
+        # weights, and for every layer but the first the delta below and the
+        # ReLU mask and pre-activation that gate it)
+        self._down = [
+            (deltas[i], deltas[i].swapaxes(-1, -2), self.activations[i], model.layers[i].weights)
+            + ((deltas[i - 1], masks[i - 1], self.pre_activations[i - 1]) if i else (None,) * 3)
+            for i in range(len(model.layers) - 1, -1, -1)
+        ]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self.activations[-1]
+
+    def forward(self) -> None:
+        """Run ``batch`` through the network."""
+        for a, weights_t, z, bias, out in self._hidden:
+            np.matmul(a, weights_t, out=z)
+            z += bias
+            np.maximum(z, 0.0, out=out)
+        a, weights_t, z, bias, _ = self._output
+        np.matmul(a, weights_t, out=z)
+        z += bias
+        self._softmax()
+
+    def backward(self, out: Gradients) -> Gradients:
+        """Write the gradients of the last forward pass into ``out`` (see
+        ``backward``) and return it."""
+        np.subtract(self.probs, self.one_hot, out=self._output_delta)
+        self._output_delta /= self._rows
+        steps = zip(self._down, reversed(out.d_weights), reversed(out.d_bias))
+        for (delta, delta_t, a, weights, below, mask, z), d_weights, d_bias in steps:
+            np.matmul(delta_t, a, out=d_weights)
+            delta.sum(axis=-2, out=d_bias)
+            if below is not None:
+                np.matmul(delta, weights, out=below)
+                np.greater(z, 0.0, out=mask)
+                below *= mask
+        return out
+
+
+def _one_hot(labels: np.ndarray) -> np.ndarray:
+    """Float one-hot rows of checked labels, for ``_StepPlan.one_hot``."""
+    return np.eye(N_CLASSES)[labels]
+
+
 def forward(model: MlpModel, batch) -> ForwardPass:
     """Run the batch through the network, retaining intermediates for backprop."""
     batch = _check_batch(model, batch)
-    return _forward(model, batch, ForwardPass.empty(model, batch.shape[-2]))
-
-
-def _forward(model: MlpModel, batch: np.ndarray, out: ForwardPass) -> ForwardPass:
-    """forward without the checks, for callers that checked their inputs once.
-
-    Overwrites the arrays of ``out`` (see ``ForwardPass.empty``) and returns
-    it; the batch itself is stored, not copied.
-    """
-    a = out.activations[0] = batch
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=out.pre_activations[i])
-        z += layer.bias[..., None, :]
-        a = out.activations[i + 1]
-        if i == last:
-            _softmax(z, out=a)
-        else:
-            np.maximum(z, 0.0, out=a)
-    return out
+    plan = _StepPlan(model, batch.shape[-2])
+    np.copyto(plan.batch, batch)
+    plan.forward()
+    return ForwardPass(plan.activations, plan.pre_activations)
 
 
 def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
@@ -195,48 +249,23 @@ def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
     0 at exactly 0).
     """
     probs = fwd.probs
-    n_classes = probs.shape[-1]
-    labels = _check_labels(labels, probs.shape[:-1], n_classes)
+    labels = _check_labels(labels, probs.shape[:-1], probs.shape[-1])
     n_layers = len(model.layers)
     if len(fwd.activations) != n_layers + 1 or len(fwd.pre_activations) != n_layers:
         raise ShapeError("forward cache does not match the model's layer count")
-    for i, (layer_input, layer) in enumerate(zip(fwd.activations, model.layers)):
-        weights = layer.weights
-        if layer_input.shape[:-2] != weights.shape[:-2] or layer_input.shape[-1] != weights.shape[-1]:
+    plan = _StepPlan(model, probs.shape[-2])
+    for cached, planned in zip(fwd.activations + fwd.pre_activations,
+                               plan.activations + plan.pre_activations):
+        if cached.shape != planned.shape:
             raise ShapeError(
-                f"cached activation {layer_input.shape} does not match "
-                f"layer {i} weights {weights.shape}"
+                f"cached array of shape {cached.shape} does not match the model's {planned.shape}"
             )
-    out = Gradients(
+        np.copyto(planned, cached)
+    np.copyto(plan.one_hot, _one_hot(labels))
+    return plan.backward(Gradients(
         d_weights=[np.empty(layer.weights.shape) for layer in model.layers],
         d_bias=[np.empty(layer.bias.shape) for layer in model.layers],
-    )
-    return _backward(model, fwd, labels, out, _layer_outputs(model, probs.shape[-2]))
-
-
-def _backward(
-    model: MlpModel,
-    fwd: ForwardPass,
-    labels: np.ndarray,
-    out: Gradients,
-    deltas: list[np.ndarray],
-) -> Gradients:
-    """backward without the checks, for callers that checked their inputs once.
-
-    Overwrites the arrays of ``out`` and returns it. ``deltas[i]`` is scratch
-    for the loss gradient at layer i's output (see ``_layer_outputs``).
-    """
-    probs = fwd.probs
-    # probs - one_hot(labels): the bool one-hot subtracts as 0.0 or 1.0
-    delta = np.subtract(probs, labels[..., None] == np.arange(probs.shape[-1]), out=deltas[-1])
-    delta /= probs.shape[-2]
-    for i in range(len(model.layers) - 1, -1, -1):
-        np.matmul(delta.swapaxes(-1, -2), fwd.activations[i], out=out.d_weights[i])
-        delta.sum(axis=-2, out=out.d_bias[i])
-        if i > 0:
-            delta = np.matmul(delta, model.layers[i].weights, out=deltas[i - 1])
-            delta *= fwd.pre_activations[i - 1] > 0.0
-    return out
+    ))
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:
@@ -257,15 +286,17 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             f"grad_check takes one model, got a stack of shape {model.folds}; "
             f"check each model.fold(k) on its own"
         )
-    # The inputs are checked once; every perturbed loss then reuses one
-    # forward pass through the unchecked cores.
+    # The inputs are checked once; every perturbed loss then reruns one
+    # step plan, which sees each in-place perturbation of the parameters.
     batch = _check_batch(model, batch)
     labels = _check_labels(labels, batch.shape[:1], model.layers[-1].bias.shape[-1])
-    fwd = ForwardPass.empty(model, len(batch))
-    grads = backward(model, _forward(model, batch, fwd), labels)
+    grads = backward(model, forward(model, batch), labels)
+    plan = _StepPlan(model, len(batch))
+    np.copyto(plan.batch, batch)
 
     def loss() -> float:
-        return _cross_entropy(_forward(model, batch, fwd).probs, labels)
+        plan.forward()
+        return _cross_entropy(plan.probs, labels)
 
     max_err = 0.0
     for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):

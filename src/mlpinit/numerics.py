@@ -11,6 +11,11 @@ routine (``Rng._normal_rows``) that serves ``Rng.normal`` and draws many rows
 at once with the bits of one call per row. It goes through numpy's ``log``,
 whose last bit can depend on the SIMD code path numpy picks for the CPU, so
 normal draws are bit-identical per numpy SIMD path.
+
+The softmax (``_Softmax``) binds its buffers and class-column views once per
+logits array, for the step plans of ``network``. Its row sum adds the class
+columns in index order, which has the bits of numpy's ``sum`` only because
+numpy adds fewer than 8 terms in index order and the network has 4 classes.
 """
 
 from __future__ import annotations
@@ -33,17 +38,44 @@ def relu(x) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+class _Softmax:
     """Softmax over the last axis of ``logits``, written into ``out`` (a
-    float64 array of the logits' shape) and returned.
+    float64 array of the logits' shape) by each call, with every buffer and
+    view bound once: a call re-reads ``logits`` and returns ``out``.
 
     Subtracts each row's max first, so large logits cannot overflow; each
-    row of a (folds, rows, classes) stack is normalized on its own.
+    row of a (folds, rows, classes) stack is normalized on its own. The row
+    max and sum are elementwise ``maximum`` and ``add`` calls over the class
+    columns, the sum in index order ((p0 + p1) + p2) + p3 for the network's
+    4 classes. That is the order in which numpy's own ``sum`` adds fewer
+    than 8 terms, so the bits are those of ``exp(z - z.max(-1)) /
+    sum(-1)`` built from numpy reductions; ``tests/test_numerics.py`` pins
+    this for 4 classes. For 8 or more terms numpy may sum pairwise.
     """
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+
+    def __init__(self, logits: np.ndarray, out: np.ndarray):
+        self._logits, self._out = logits, out
+        self._row_max = np.empty(logits.shape[:-1])
+        self._row_sum = np.empty(logits.shape[:-1])
+        self._max_column = self._row_max[..., None]
+        self._sum_column = self._row_sum[..., None]
+        self._logit_columns = [logits[..., c] for c in range(logits.shape[-1])]
+        self._prob_columns = [out[..., c] for c in range(out.shape[-1])]
+
+    def __call__(self) -> np.ndarray:
+        row_max, row_sum, out = self._row_max, self._row_sum, self._out
+        first, second, *rest = self._logit_columns
+        np.maximum(first, second, out=row_max)
+        for column in rest:
+            np.maximum(row_max, column, out=row_max)
+        np.subtract(self._logits, self._max_column, out=out)
+        np.exp(out, out=out)
+        first, second, *rest = self._prob_columns
+        np.add(first, second, out=row_sum)
+        for column in rest:
+            np.add(row_sum, column, out=row_sum)
+        np.divide(out, self._sum_column, out=out)
+        return out
 
 
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

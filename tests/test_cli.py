@@ -303,6 +303,20 @@ def test_an_out_dir_that_cannot_be_made_exits_3_before_training(command, monkeyp
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+def test_a_save_model_path_that_is_a_directory_exits_3_before_training(monkeypatch, tmp_path,
+                                                                      capsys):
+    def train(config):
+        raise AssertionError("trained before --save-model was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", train)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--topology", "1", "--init", "xavier", "--synthetic",
+                     "--out", str(out), "--save-model", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (out / "result.json").exists()
+
+
 def test_grad_check_exits_1_when_an_error_reaches_the_bound(monkeypatch, capsys):
     monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: 1.0)
     assert cli.main(["grad-check"]) == 1

@@ -157,6 +157,33 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def train_by_public_calls(config, features, labels, rng, rows):
+    """One model trained as ``_train`` documents, from public forward,
+    backward and sgd_step calls, one layer array at a time."""
+    hp = config.resolved_hyperparams()
+    model = build_model(rng, config.topology, config.scheme)
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+    x_all, y_all = features[rows], labels[rows]
+    for _ in range(config.epochs):
+        order = rng.permutation(len(rows))
+        for start in range(0, len(rows), hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            grads = backward(model, forward(model, x_all[idx]), y_all[idx])
+            for layer, (v_w, v_b), d_w, d_b in zip(
+                model.layers, velocity, grads.d_weights, grads.d_bias
+            ):
+                sgd_step(layer.weights, v_w, d_w, hp)
+                sgd_step(layer.bias, v_b, d_b, hp)
+    return model
+
+
+def assert_same(got, want):
+    for a, b in zip(got.layers, want.layers):
+        assert a.weights.shape == b.weights.shape
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
 class TestRunExperiment:
     def test_identical_configs_give_identical_json(self):
         a = json.dumps(result_to_dict(run_experiment(small_config())), sort_keys=True)
@@ -267,7 +294,6 @@ class TestRunExperiment:
         # 28 trainval rows: one full lockstep group of 20 and a short one of 8
         config = small_config(topology=Topology.THREE_LAYER, loo_enabled=True)
         result = run_experiment(config)
-        hp = config.resolved_hyperparams()
         dataset = _load_dataset(config, {})
         trainval, test = holdout_split(
             dataset, config.holdout_fraction, seed=derive_seed(config.seed, STREAM_SPLIT)
@@ -278,26 +304,7 @@ class TestRunExperiment:
         assert n == 28 and n % harness.LOO_GROUP_SIZE != 0
 
         def train_alone(rng, rows):
-            model = build_model(rng, config.topology, config.scheme)
-            velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-            x_all, y_all = features[rows], labels[rows]
-            for _ in range(config.epochs):
-                order = rng.permutation(len(rows))
-                for start in range(0, len(rows), hp.batch_size):
-                    idx = order[start : start + hp.batch_size]
-                    grads = backward(model, forward(model, x_all[idx]), y_all[idx])
-                    for layer, (v_w, v_b), d_w, d_b in zip(
-                        model.layers, velocity, grads.d_weights, grads.d_bias
-                    ):
-                        sgd_step(layer.weights, v_w, d_w, hp)
-                        sgd_step(layer.bias, v_b, d_b, hp)
-            return model
-
-        def assert_same(got, want):
-            for a, b in zip(got.layers, want.layers):
-                assert a.weights.shape == b.weights.shape
-                assert a.weights.tobytes() == b.weights.tobytes()
-                assert a.bias.tobytes() == b.bias.tobytes()
+            return train_by_public_calls(config, features, labels, rng, rows)
 
         loo_root = derive_seed(config.seed, harness.STREAM_LOO)
         expected = []
@@ -311,9 +318,28 @@ class TestRunExperiment:
         assert_same(trained["final training"], final)
         assert_same(result.model, final)
 
+    @pytest.mark.parametrize("folds", [1, 20])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
+    def test_train_matches_a_loop_of_public_calls(self, topology, family, folds):
+        # Every fold trains on 44 rows: each epoch has full batches and a
+        # short last one (36 + 8, or 24 + 20 for the batch-24 presets).
+        n = 45
+        features = Rng(5).normal(n * 85).reshape(n, 85)
+        labels = (np.arange(n) * 7) % 4
+        rows = np.stack([np.delete(np.arange(n), k) for k in range(folds)])
+        config = small_config(topology=topology, scheme=InitScheme(family, DistKind.UNIFORM),
+                              epochs=3)
+        assert rows.shape[1] % config.resolved_hyperparams().batch_size != 0
+        stacked = harness._train(config, features, labels, rows,
+                                 [Rng(k) for k in range(folds)], [f"m{k}" for k in range(folds)])
+        for k in range(folds):
+            assert_same(stacked.fold(k),
+                        train_by_public_calls(config, features, labels, Rng(k), rows[k]))
+
     def test_train_checks_its_inputs_once(self, monkeypatch):
-        # Every step calls the unchecked forward/backward cores, so a
-        # training checks its labels and features once, not once per step.
+        # Every step runs a step plan, which checks nothing, so a training
+        # checks its labels and features once, not once per step.
         calls = dict.fromkeys(("_check_labels", "_check_batch"), 0)
 
         def counting(name, real):

@@ -17,8 +17,8 @@ CALLERS = MODULES + sorted(
 )
 
 # perfbench's tracer replaces these harness attributes, although the
-# training loop calls the unchecked cores instead; they go when the tracer
-# wraps the cores (ROADMAP item 0).
+# training loop runs step plans instead; they go when the tracer wraps the
+# plans (ROADMAP item 0).
 UNUSED_ALLOWED = {"harness": {"forward", "backward"}}
 
 

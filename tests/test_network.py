@@ -4,7 +4,6 @@ import pytest
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_NORMAL, Family, InitScheme, DistKind
 from mlpinit.network import (
-    ForwardPass,
     Gradients,
     Topology,
     backward,
@@ -13,11 +12,10 @@ from mlpinit.network import (
     grad_check,
     predict,
     stack_models,
-    _backward,
-    _forward,
-    _layer_outputs,
+    _one_hot,
+    _StepPlan,
 )
-from mlpinit.numerics import Rng, _cross_entropy, _softmax
+from mlpinit.numerics import Rng, _cross_entropy, _Softmax
 from mlpinit.optimizer import Hyperparams, sgd_step
 
 
@@ -70,7 +68,7 @@ class TestForward:
         model = build_model(Rng(4), Topology.ONE_LAYER, XAVIER_NORMAL)
         x, _ = random_batch(11)
         logits = x @ model.layers[0].weights.T + model.layers[0].bias
-        expected = _softmax(logits, np.empty_like(logits))
+        expected = _Softmax(logits, np.empty_like(logits))()
         np.testing.assert_array_equal(forward(model, x).probs, expected)
 
     def test_rows_sum_to_one(self):
@@ -271,8 +269,8 @@ class TestStackedModels:
 
 
 class TestOutBuffers:
-    """The unchecked cores, run on reused buffers as the training loop runs
-    them, overwrite those buffers with a fresh public call's bits."""
+    """Step plans, run on reused arrays as the training loop runs them,
+    overwrite those arrays with a fresh public call's bits."""
 
     @staticmethod
     def models():
@@ -300,22 +298,33 @@ class TestOutBuffers:
         # one set of gradients for both batch shapes, as in the training loop
         grads = Gradients(d_weights=[np.empty(l.weights.shape) for l in model.layers],
                           d_bias=[np.empty(l.bias.shape) for l in model.layers])
-        buffers = {rows: (ForwardPass.empty(model, rows), _layer_outputs(model, rows))
-                   for rows in (8, 3)}
+        plans = {rows: _StepPlan(model, rows) for rows in (8, 3)}
+        given = {rows: [id(a) for a in self.arrays(plan, grads)] for rows, plan in plans.items()}
         for step, rows in enumerate((8, 3, 8, 3)):
             x, y = self.batch(model, 100 + 10 * step, rows)
-            fwd_out, deltas = buffers[rows]
-            given = [id(a) for a in self.arrays(fwd_out, grads)[1:] + deltas]
-            fwd = _forward(model, x, fwd_out)
-            assert _backward(model, fwd, y, grads, deltas) is grads
-            assert fwd is fwd_out
-            assert [id(a) for a in self.arrays(fwd, grads)[1:] + deltas] == given
-            assert fwd.activations[0] is x
+            plan = plans[rows]
+            plan.batch[...] = x
+            plan.one_hot[...] = _one_hot(y)
+            plan.forward()
+            assert plan.backward(grads) is grads
+            assert [id(a) for a in self.arrays(plan, grads)] == given[rows]
             fresh_fwd = forward(model, x)
             fresh = self.arrays(fresh_fwd, backward(model, fresh_fwd, y))
-            for got, want in zip(self.arrays(fwd, grads), fresh):
+            for got, want in zip(self.arrays(plan, grads), fresh):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_an_in_place_parameter_update_reaches_the_next_step(self):
+        model = self.models()[1]
+        x, y = self.batch(model, 200, 5)
+        plan = _StepPlan(model, 5)
+        plan.batch[...] = x
+        plan.forward()
+        for layer in model.layers:
+            layer.weights *= 0.5
+            layer.bias += 1.0
+        plan.forward()
+        assert plan.probs.tobytes() == forward(model, x).probs.tobytes()
 
 
 def test_single_sgd_step_decreases_loss_on_fresh_models():

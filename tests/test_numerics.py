@@ -5,7 +5,7 @@ import pytest
 
 from mlpinit.data import synthesize_dataset
 from mlpinit.errors import ValidationError
-from mlpinit.numerics import Rng, _cross_entropy, _permutations, _softmax, derive_seed, relu
+from mlpinit.numerics import Rng, _cross_entropy, _permutations, _Softmax, derive_seed, relu
 
 
 class TestRelu:
@@ -27,7 +27,7 @@ class TestRelu:
 
 def softmax(logits):
     x = np.asarray(logits, dtype=np.float64)
-    return _softmax(x, np.empty_like(x))
+    return _Softmax(x, np.empty_like(x))()
 
 
 def cross_entropy(probs, labels):
@@ -69,6 +69,41 @@ class TestSoftmax:
         bumped = x.copy()
         bumped[0, 1] += 0.5
         assert softmax(bumped)[0, 1] > softmax(x)[0, 1]
+
+    @pytest.mark.parametrize("rows", [11, 24, 36])
+    @pytest.mark.parametrize("folds", [1, 20])
+    def test_bits_equal_numpy_reductions(self, folds, rows):
+        # _Softmax: the row max and the in-order class sum have the bits of
+        # numpy's reductions, which add fewer than 8 terms in index order.
+        rng = Rng(100 * folds + rows)
+        stacks = []
+        for _ in range(20):
+            scale = np.exp2(rng.uniform(-4.0, 6.0, 1))
+            stacks.append(rng.normal(folds * rows * 4).reshape(folds, rows, 4) * scale)
+        special = stacks[0][0]
+        special[0] = [1e308, -1e308, 7e2, -7e2]  # huge logits
+        special[1] = [3.5, 3.5, -1.0, 3.5]  # tied maxima
+        special[2] = [2.0, 2.0, 2.0, 2.0]  # all tied
+        special[3] = np.nan
+        if rows > 4:
+            special[4] = [np.inf, 0.0, -np.inf, 1.0]
+        numerators = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x in stacks:
+                logits = x.copy()
+                got = _Softmax(logits, np.empty_like(logits))()
+                e = np.exp(x - x.max(axis=-1, keepdims=True))
+                want = e / e.sum(axis=-1, keepdims=True)
+                assert got.tobytes() == want.tobytes()
+                assert logits.tobytes() == x.tobytes()
+                numerators.append(e)
+        # The data tells the orders apart: another order of the class sum
+        # gives other bits, so a change in numpy's order fails this test.
+        e = np.stack(numerators)
+        numpy_sum = e.sum(axis=-1)
+        p0, p1, p2, p3 = np.moveaxis(e, -1, 0)
+        for other in (p0 + ((p1 + p2) + p3), (p0 + p1) + (p2 + p3), ((p3 + p2) + p1) + p0):
+            assert other.tobytes() != numpy_sum.tobytes()
 
 
 class TestCrossEntropy:
