@@ -1,21 +1,23 @@
 """The one worker pool of the library: forked processes, on Linux only.
 
 Trainings (``harness``) and CSV row blocks (``data``) are independent tasks
-that map through ``fork_map``. ``workers`` decides how many processes a map
-of ``n_tasks`` gets; a map that gets 1 runs in-process. A map yields what
+that map through ``fork_map(fn, tasks)``, the pool's whole interface. It
+forks the workers that ``workers`` gives for the number of tasks; a map that
+gets 1, as a map of one task does, runs in-process. A map yields what
 ``map`` yields: if its pool fails, the calling process finishes it. A task
 that raises fails the pool too: its worker dies, and the caller runs the
 task again and raises. This module is the only code that knows a worker can
 die.
 
 The pool is ``os.fork`` with two pipes per worker, driven from the calling
-thread. A ``ProcessPoolExecutor`` would import about 1.1 MB of modules, and
-the glibc arenas of its two helper threads, which receive the CSV blocks'
-text, stay resident in the caller: over 40 rounds of the benchmark's
-``cohort-io`` op (2-vCPU x86_64, Python 3.11) the process peaked at 54.5 MB
-with it, 50.4 MB with these pipes and 49.9 MB with no pool. fork, unlike
-spawn and forkserver, re-imports no ``__main__``, so caller scripts need no
-``if __name__ == "__main__":`` guard.
+thread. Each worker inherits the task list, so it is sent only task indices;
+its results come back pickled. A ``ProcessPoolExecutor`` would import about
+1.1 MB of modules, and the glibc arenas of its two helper threads, which
+receive the CSV blocks' text, stay resident in the caller: over 40 rounds of
+the benchmark's ``cohort-io`` op (2-vCPU x86_64, Python 3.11) the process
+peaked at 54.5 MB with it, 50.4 MB with these pipes and 49.9 MB with no
+pool. fork, unlike spawn and forkserver, re-imports no ``__main__``, so
+caller scripts need no ``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
@@ -26,19 +28,17 @@ import select
 import signal
 import sys
 
-# True in a worker of this pool, whose own maps then run in-process.
-_IN_WORKER = False
-
 
 def workers(n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` independent tasks; 1 or less means in-process.
 
     One per CPU this process may use, on Linux, where workers are forked.
-    A worker of this pool, or a daemonic multiprocessing worker (which may
-    not start children), works in-process; a process that never imported
-    multiprocessing is not the latter.
+    A daemonic multiprocessing worker works in-process: its pool already
+    spreads work over the CPUs, and ends it by SIGTERM, which runs no
+    ``finally``, so workers of its own would outlive their map. A process
+    that never imported multiprocessing is no such worker.
     """
-    if sys.platform != "linux" or _IN_WORKER:
+    if sys.platform != "linux":
         return 1
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.current_process().daemon:
@@ -78,38 +78,40 @@ def _receive(fd: int):
         return None
 
 
-def _serve(fn, tasks: int, results: int) -> None:
-    """A worker's loop: for each ``(index, task)`` until the task pipe ends,
-    send ``(index, fn(task))``. An exception ends the worker."""
-    while (message := _receive(tasks)) is not None:
-        index, task = message
-        _send(results, (index, fn(task)))
+def _serve(fn, tasks: list, task_fd: int, result_fd: int) -> None:
+    """A worker's loop: for each task index read until the task pipe ends,
+    send ``(index, fn(tasks[index]))``. An exception ends the worker."""
+    while (header := _read(task_fd, 8)) is not None:
+        index = int.from_bytes(header, "little")
+        _send(result_fd, (index, fn(tasks[index])))
 
 
-def fork_map(fn, tasks, n_workers: int):
+def fork_map(fn, tasks):
     """Yield ``fn(task)`` for each of ``tasks``, in order: what ``map`` yields.
 
-    With ``n_workers`` above 1 the calls run in that many processes forked
-    for this map, each handed its next task when it returns a result. ``fn``
-    need not pickle, as the workers inherit it. If the pool cannot start, or
-    fails (a worker dies, ``fn`` raises in a worker, or a task or result does
-    not pickle or unpickle), every worker is killed and reaped, and this
-    process finishes the map: from the first result not yet yielded, it
-    yields the results already received and calls ``fn`` for the rest. So an
-    exception ``fn`` raises is raised here, by this process's own call, when
-    its result is due. However the map ends, no worker outlives it.
+    When ``workers`` gives more than 1 for the number of tasks, the calls
+    run in that many processes forked for this map, each handed its next
+    task's index when it returns a result. Neither ``fn`` nor a task need
+    pickle, as the workers inherit both. If the pool cannot start, or fails
+    (a worker dies, ``fn`` raises in a worker, or a result does not pickle
+    or unpickle), every worker is killed and reaped, and this process
+    finishes the map: from the first result not yet yielded, it yields the
+    results already received and calls ``fn`` for the rest. So an exception
+    ``fn`` raises is raised here, by this process's own call, when its
+    result is due. However the map ends, no worker outlives it.
     """
     tasks = list(tasks)
+    n_workers = workers(len(tasks))
     done = {}  # task index -> result, for results not yet yielded
     due = 0
     pids, task_fds, result_fds = [], [], []  # per worker
     try:
         try:
             for _ in range(n_workers if n_workers > 1 else 0):
-                _start_worker(fn, pids, task_fds, result_fds)
+                _start_worker(fn, tasks, pids, task_fds, result_fds)
         except OSError:  # out of pipes or processes: the map runs in-process
             _stop(pids, task_fds, result_fds)
-        for index, value in _pooled(tasks, task_fds, result_fds):
+        for index, value in _pooled(len(tasks), task_fds, result_fds):
             done[index] = value
             while due in done:
                 value = done.pop(due)
@@ -121,19 +123,19 @@ def fork_map(fn, tasks, n_workers: int):
         yield done.pop(index) if index in done else fn(tasks[index])
 
 
-def _pooled(tasks: list, task_fds: list, result_fds: list):
-    """Yield ``(index, fn(task))`` for ``tasks`` as the workers return them.
-    Ends when every task is returned, or at the pool's first failure."""
-    pending = enumerate(tasks)
+def _pooled(n_tasks: int, task_fds: list, result_fds: list):
+    """Yield ``(index, fn(tasks[index]))`` for ``n_tasks`` tasks as the workers
+    return them. Ends when every task is returned, or at the pool's first failure."""
+    pending = iter(range(n_tasks))
     idle = list(range(len(task_fds)))
     running = {}  # result fd -> its worker, for workers with a task
     poller = select.poll()
     while True:
-        while idle and (task := next(pending, None)) is not None:
+        while idle and (index := next(pending, None)) is not None:
             worker = idle.pop()
-            try:
-                _send(task_fds[worker], task)
-            except Exception:  # a dead worker, or a task that does not pickle
+            try:  # a pipe writes 8 bytes whole
+                os.write(task_fds[worker], index.to_bytes(8, "little"))
+            except OSError:  # a dead worker
                 return
             running[result_fds[worker]] = worker
             poller.register(result_fds[worker], select.POLLIN)
@@ -148,10 +150,10 @@ def _pooled(tasks: list, task_fds: list, result_fds: list):
             yield message
 
 
-def _start_worker(fn, pids: list, task_fds: list, result_fds: list) -> None:
-    """Fork a worker that serves ``fn``; append its pid and the parent's ends
-    of its task and result pipes. Raises OSError, with no fd left open, if
-    the pipes or the process cannot be had."""
+def _start_worker(fn, tasks: list, pids: list, task_fds: list, result_fds: list) -> None:
+    """Fork a worker that serves ``fn`` over ``tasks``; append its pid and
+    the parent's ends of its task and result pipes. Raises OSError, with no
+    fd left open, if the pipes or the process cannot be had."""
     tasks_r, tasks_w = os.pipe()
     try:
         results_r, results_w = os.pipe()
@@ -171,9 +173,7 @@ def _start_worker(fn, pids: list, task_fds: list, result_fds: list) -> None:
             # An earlier worker's task pipe held open here would never end.
             for fd in (tasks_w, results_r, *task_fds, *result_fds):
                 os.close(fd)
-            global _IN_WORKER
-            _IN_WORKER = True
-            _serve(fn, tasks_r, results_w)
+            _serve(fn, tasks, tasks_r, results_w)
             code = 0
         finally:
             os._exit(code)

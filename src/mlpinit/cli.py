@@ -9,7 +9,8 @@ Exit codes:
 - 0: success
 - 1: failed check: a ``suite`` cell failed (its error is in the outputs), or
   ``grad-check`` found a relative error of at least 1e-4
-- 2: config error
+- 2: config error: a bad argument, or an output of ``run`` or ``suite`` that
+  would overwrite ``--data`` or another output
 - 3: data error: a missing or malformed CSV, or an ``--out`` or
   ``--save-model`` directory that cannot be had, found before any training
 - 4: training diverged
@@ -92,19 +93,38 @@ def _base_config(args, topology: Topology, family: Family) -> ExperimentConfig:
     )
 
 
+# The files that run and suite write into --out.
+_OUTPUT_NAMES = ("result.json", "report.txt", "result.csv")
+
+
 def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> None:
-    out = Path(out_dir)
-    (out / "result.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    texts = (
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        report_text,
+        "\n".join(",".join(row) for row in csv_rows) + "\n",
     )
-    (out / "report.txt").write_text(report_text, encoding="utf-8")
-    (out / "result.csv").write_text(
-        "\n".join(",".join(row) for row in csv_rows) + "\n", encoding="utf-8"
-    )
+    for name, text in zip(_OUTPUT_NAMES, texts):
+        (Path(out_dir) / name).write_text(text, encoding="utf-8")
+
+
+def _check_paths(args) -> None:
+    """Raise ValidationError if an output of ``run`` or ``suite`` would
+    overwrite ``--data`` or another output: checked before anything is
+    written."""
+    outputs = {(Path(args.out) / name).resolve() for name in _OUTPUT_NAMES}
+    data = {Path(args.data).resolve()} if args.data else set()
+    if data & outputs:
+        raise ValidationError(f"--data {args.data} is an output file of --out {args.out}")
+    save_model = getattr(args, "save_model", None)
+    if save_model and Path(save_model).resolve() in outputs | data:
+        raise ValidationError(
+            f"--save-model {save_model} would overwrite --data or an output file of --out"
+        )
 
 
 def _cmd_run(args) -> int:
     config = _base_config(args, Topology(args.topology), Family(args.init))
+    _check_paths(args)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     if args.save_model and not Path(args.save_model).parent.is_dir():
         raise NotADirectoryError(f"--save-model {args.save_model}: no such directory")
@@ -123,6 +143,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     base = _base_config(args, Topology.THREE_LAYER, Family.KAIMING)
+    _check_paths(args)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     cells = run_suite(base)
     ok_results = [cell.result for cell in cells if cell.result is not None]

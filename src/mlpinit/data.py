@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _pool
-from .errors import DataError, FormatError, ParseError, ValidationError, _check_int
+from .errors import DataError, FormatError, ParseError, ValidationError, _check_int, _check_real
 from .numerics import Rng, _check_labels
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
@@ -32,12 +32,12 @@ N_FEATURES = len(FEATURE_NAMES)  # 85
 CSV_HEADER = ("participant", "label") + FEATURE_NAMES
 _HEADER_BYTES = ",".join(CSV_HEADER).encode()
 
-# save_csv and load_csv map their work in blocks, whether through the worker
-# pool or in-process: rows per save_csv task and file bytes per load_csv
-# task. The parent holds a few blocks' text or rows in transit, so the blocks
-# are small. A file of fewer than two full blocks, like the 192-row default
-# cohort (340 KB), maps in-process: the pool's start would cost more than it
-# saves.
+# save_csv and load_csv map their work through the worker pool in as many
+# equal blocks as hold at least these rows (save_csv) or file bytes
+# (load_csv) each, or in one. The parent holds a few blocks' text or rows in
+# transit, so the blocks are small. A file of fewer than two blocks, like the
+# 192-row default cohort (340 KB), is one task, which the pool runs
+# in-process: a pool's start would cost more than it saves.
 _CSV_BLOCK_ROWS = 128
 _CSV_BLOCK_BYTES = 256 * 1024
 
@@ -169,9 +169,10 @@ def _check_header(line: str, path) -> None:
 def load_csv(path) -> Dataset:
     """Load a dataset from the documented 87-column CSV contract.
 
-    The file is read in byte ranges of ``_CSV_BLOCK_BYTES``, one task each,
-    mapped through the worker pool; a file of fewer than two full blocks,
-    like the 192-row default cohort, maps in-process. Each task parses the
+    The file is cut into as many equal byte ranges of at least
+    ``_CSV_BLOCK_BYTES`` as it holds, or one, each a task mapped through the
+    worker pool; a file of fewer than two blocks, like the 192-row default
+    cohort, is one task and maps in-process. Each task parses the
     lines that start in its range, one line of bytes at a time, and the
     calling process appends their rows in file order to one growing float64
     buffer, which becomes the dataset's feature matrix without a copy. A
@@ -190,15 +191,15 @@ def load_csv(path) -> Dataset:
     """
     path = Path(path)
     size = path.stat().st_size if path.is_file() else 0
-    starts = list(range(0, size, _CSV_BLOCK_BYTES)) or [0]
+    n_tasks = max(1, size // _CSV_BLOCK_BYTES)
+    starts = [size * k // n_tasks for k in range(n_tasks)]
     # the last task reads to the end, so a pipe is one task from byte 0
     tasks = [(path, start, stop) for start, stop in zip(starts, starts[1:] + [math.inf])]
     features = array("d")
     participants, labels = array("q"), array("q")
     n_lines, bad_line = 0, None
-    for block_ids, block_labels, block_rows, block_lines, fault in _pool.fork_map(
-        _parse_csv_block, tasks, _pool.workers(size // _CSV_BLOCK_BYTES)
-    ):
+    blocks = _pool.fork_map(_parse_csv_block, tasks)
+    for block_ids, block_labels, block_rows, block_lines, fault in blocks:
         if isinstance(fault, int):
             raise FormatError(f"{path}: not UTF-8 text at byte offset {fault}")
         if bad_line is None:
@@ -290,25 +291,22 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write ``dataset`` in the same CSV contract ``load_csv`` reads.
 
     Features are written with repr precision so a round trip is bit-exact.
-    The rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, by the worker
-    pool when there are two or more full blocks, and the calling process
-    writes each block's text in order as it arrives; the bytes are the same
-    either way.
+    The rows are cut into as many equal blocks of at least
+    ``_CSV_BLOCK_ROWS`` as there are, or one, and formatted through the
+    worker pool; the calling process writes each block's text in order as it
+    arrives. The bytes are the same at any worker count.
     Raises ValidationError, naming the first row and column in file order,
     for a feature that is NaN or infinite, which ``load_csv`` would reject;
     the check runs before the file is opened, so no partial file is left.
     """
     path = Path(path)
     _check_finite(dataset.features, ValidationError)
-    step = _CSV_BLOCK_ROWS
-    blocks = [
-        (dataset.participants[i:i + step], dataset.labels[i:i + step],
-         dataset.features[i:i + step])
-        for i in range(0, len(dataset), step)
-    ]
+    n_blocks = max(1, len(dataset) // _CSV_BLOCK_ROWS)
+    columns = (dataset.participants, dataset.labels, dataset.features)
+    blocks = zip(*(np.array_split(column, n_blocks) for column in columns))
     with path.open("wb") as out:
         out.write(_HEADER_BYTES + b"\n")
-        for text in _pool.fork_map(_format_csv_block, blocks, _pool.workers(len(dataset) // step)):
+        for text in _pool.fork_map(_format_csv_block, blocks):
             out.write(text)
 
 
@@ -339,10 +337,11 @@ def synthesize_dataset(
     of rows, so peak memory is the output plus one block's temporaries.
     Raises ValidationError for a seed or count that is no integer (or is a
     bool), fewer than 2 participants, no records, or a separation that is
-    negative, NaN or infinite.
+    no real number (or is a bool), negative, NaN or infinite.
     """
     participants = _check_int("participants", participants, 2)
     records_per_participant = _check_int("records_per_participant", records_per_participant, 1)
+    _check_real("separation", separation)
     if not 0 <= separation < math.inf:
         raise ValidationError(
             f"separation must be finite and nonnegative, got {separation}"
@@ -396,6 +395,7 @@ def holdout_split(dataset: Dataset, fraction: float = 0.2, seed: int = 0):
     the four classes has no samples, or if the floor rule leaves the test set
     empty.
     """
+    _check_real("fraction", fraction)
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must lie in (0, 1), got {fraction}")
     rng = Rng(seed)

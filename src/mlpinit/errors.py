@@ -4,7 +4,7 @@ The CLI maps these onto exit codes, so data-file problems, config problems
 and training divergence stay distinguishable.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class MlpInitError(Exception):
@@ -37,6 +37,12 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 class DataError(MlpInitError):

@@ -14,8 +14,9 @@ train in lockstep groups of ``LOO_GROUP_SIZE`` stacked models, the final
 training as a group of one. Each group and each final training is an
 independent task, and a ``run_experiment`` or ``run_suite`` call maps all
 its tasks, of every cell, through one ``_pool.fork_map``: ``_pool`` says
-when it forks and what a failure does. The cells of a call that read the
-same CSV path share one parse of it.
+when it forks and what a failure does, and its workers inherit the tasks,
+so only the trained models and LOO outcomes pass between processes. The
+cells of a call that read the same CSV path share one parse of it.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
         spans.append(range(first, len(tasks)))
     del loaded  # the trainings need only the splits, not the parsed files
 
-    outputs = list(_pool.fork_map(_run_task, tasks, _pool.workers(len(tasks))))
+    outputs = list(_pool.fork_map(_run_task, tasks))
 
     results = []
     for config, test, span in zip(configs, tests, spans):

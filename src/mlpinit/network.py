@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .data import N_CLASSES, N_FEATURES
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _check_real
 from .initializers import InitScheme, initialize
 from .numerics import Rng, _check_labels, _cross_entropy, _Softmax
 
@@ -279,6 +279,7 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
     Returns the maximum over all parameters of
     ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-12)``.
     """
+    _check_real("epsilon", epsilon)
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValidationError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     if model.folds != ():

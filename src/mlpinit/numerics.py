@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, _check_int
+from .errors import ShapeError, ValidationError, _check_int, _check_real
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -144,6 +144,8 @@ class Rng:
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         """n doubles uniform on [lo, hi); lo, hi and hi - lo must be finite."""
+        _check_real("lo", lo)
+        _check_real("hi", hi)
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValidationError(f"need finite lo < hi with a finite width, got [{lo}, {hi})")
         return lo + (hi - lo) * self.random(n)
@@ -155,6 +157,8 @@ class Rng:
         is the one-row case of ``_normal_rows``. ``mean`` must be finite and
         ``variance`` finite and positive.
         """
+        _check_real("mean", mean)
+        _check_real("variance", variance)
         if not (math.isfinite(mean) and 0 < variance < math.inf):
             raise ValidationError(
                 f"need a finite mean and a finite positive variance, got {mean}, {variance}"

@@ -317,6 +317,44 @@ def test_a_save_model_path_that_is_a_directory_exits_3_before_training(monkeypat
     assert not (out / "result.json").exists()
 
 
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, a file's with its bytes."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, data, save_model", [
+    ("run", "c.csv", "c.csv"),
+    ("run", "c.csv", "o/../c.csv"),
+    ("run", "c.csv", "o/result.json"),
+    ("run", "c.csv", "o/./report.txt"),
+    ("run", "o/result.csv", None),
+    ("suite", "o/report.txt", None),
+    ("suite", "o/../o/result.json", None),
+], ids=["model-is-data", "model-resolves-to-data", "model-is-result-json",
+        "model-resolves-to-report", "run-data-is-result-csv", "suite-data-is-report",
+        "suite-data-resolves-to-result-json"])
+def test_an_output_that_would_overwrite_an_input_or_output_exits_2(
+    command, data, save_model, monkeypatch, tmp_path, capsys
+):
+    def train(config):
+        raise AssertionError("trained before the paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", train)
+    monkeypatch.setattr(cli, "run_suite", train)
+    monkeypatch.chdir(tmp_path)
+    Path(data).parent.mkdir(parents=True, exist_ok=True)
+    Path(data).write_bytes(b"the input\n")
+    before = _tree(tmp_path)
+    argv = [command, "--data", data, "--out", "o"]
+    if command == "run":
+        argv += ["--topology", "1", "--init", "xavier"]
+    if save_model:
+        argv += ["--save-model", save_model]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert _tree(tmp_path) == before
+
+
 def test_grad_check_exits_1_when_an_error_reaches_the_bound(monkeypatch, capsys):
     monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: 1.0)
     assert cli.main(["grad-check"]) == 1

@@ -211,9 +211,11 @@ def outcome(load, path):
             ds.participants.tobytes())
 
 
-# Load block sizes forced on top of the real one. 150 bytes split every row
-# from the next and leave blocks in which no line starts; 1000 bytes put two
-# rows in a block and cut a row at most block ends.
+# Load block sizes forced on top of the real one. A file of S bytes is cut
+# into S // B equal blocks of B to 2B - 1 bytes (one if S < 2B). Blocks of
+# at least 150 bytes split every row from the next and leave blocks in which
+# no line starts; at least 1000 bytes put two to four rows in a block and cut
+# a row at most block ends, in the files of 2000 bytes or more.
 BLOCK_BYTES = (150, 1000)
 
 

@@ -417,53 +417,73 @@ def _dies_in_a_worker(parent, real):
 
 
 class TestCsvPool:
-    @pytest.fixture
-    def fork_maps(self, monkeypatch):
-        """The function and the worker count of each map that save_csv and
-        load_csv start."""
-        real = _pool.fork_map
-        calls = []
-
-        def spy(fn, tasks, n_workers):
-            calls.append((fn.__name__, n_workers))
-            return real(fn, tasks, n_workers)
-
-        monkeypatch.setattr(_pool, "fork_map", spy)
-        return calls
-
     @needs_fork
-    def test_pool_writes_the_reference_bytes(self, tmp_path, monkeypatch, fork_maps):
-        # 11 rows in blocks of 3: three full blocks and a short one
+    def test_pool_writes_the_reference_bytes(self, tmp_path, monkeypatch, forks):
+        # 11 rows in blocks of at least 3: three blocks of 4, 4 and 3 rows
         written = tiny_dataset(11)
         reference_save_csv(written, tmp_path / "reference.csv")
         monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 3)
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            forks.clear()
             save_csv(written, tmp_path / "cohort.csv")
             assert (tmp_path / "cohort.csv").read_bytes() == (
                 tmp_path / "reference.csv").read_bytes(), workers
-        assert fork_maps == [("_format_csv_block", 1), ("_format_csv_block", 2)]
+            assert len(forks) == (0 if workers == 1 else 2)
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_pool_writes_and_reads_the_wide_cohort(self, tmp_path, monkeypatch, fork_maps):
+    def test_pool_writes_and_reads_the_wide_cohort(self, tmp_path, monkeypatch, forks):
         written = synthesize_dataset(7, 384, 12, 2.0)
         reference_save_csv(written, tmp_path / "reference.csv")
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            forks.clear()
             save_csv(written, tmp_path / "cohort.csv")
             assert (tmp_path / "cohort.csv").read_bytes() == (
                 tmp_path / "reference.csv").read_bytes(), workers
             loaded = load_csv(tmp_path / "cohort.csv")
             assert loaded.features.tobytes() == written.features.tobytes()
-        assert fork_maps == [
-            ("_format_csv_block", 1), ("_parse_csv_block", 1),
-            ("_format_csv_block", 2), ("_parse_csv_block", 2),
-        ]
+            assert len(forks) == (0 if workers == 1 else 4)  # two workers per map
+
+    @needs_fork
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+    def test_a_file_of_two_blocks_forks_two_workers_and_a_shorter_one_none(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # Each call forks the workers its number of blocks gives, at two CPUs.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rows = 3
+        monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", rows)
+        for n_rows, n_forks in ((2 * rows - 1, 0), (2 * rows, 2)):
+            written = tiny_dataset(n_rows)
+            reference_save_csv(written, tmp_path / "reference.csv")
+            forks.clear()
+            save_csv(written, tmp_path / "cohort.csv")
+            assert len(forks) == n_forks, n_rows
+            assert (tmp_path / "cohort.csv").read_bytes() == (
+                tmp_path / "reference.csv").read_bytes()
+        # Two files one byte apart, as participant 0 becomes 10: at a block
+        # size B of half the size, rounded up, the odd one is 2B - 1 bytes and
+        # the even one 2B.
+        written = tiny_dataset(8)
+        longer = Dataset(written.features, written.labels, written.participants.copy())
+        longer.participants[0] = 10
+        for k, dataset in enumerate((written, longer)):
+            path = tmp_path / f"cohort{k}.csv"
+            reference_save_csv(dataset, path)
+            size = path.stat().st_size
+            monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", (size + 1) // 2)
+            forks.clear()
+            loaded = load_csv(path)
+            assert len(forks) == (0 if size % 2 else 2), size
+            assert loaded.features.tobytes() == dataset.features.tobytes()
+            assert loaded.participants.tolist() == dataset.participants.tolist()
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_a_dead_worker_leaves_the_file_to_the_calling_process(self, tmp_path, monkeypatch,
-                                                                   fork_maps):
+                                                                   forks):
         written = tiny_dataset(12)
         reference_save_csv(written, tmp_path / "reference.csv")
         monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 2)
@@ -474,8 +494,8 @@ class TestCsvPool:
         save_csv(written, tmp_path / "cohort.csv")
         assert (tmp_path / "cohort.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert load_csv(tmp_path / "cohort.csv").features.tobytes() == written.features.tobytes()
-        # one map each: the calling process finishes what the dead worker left
-        assert [n for _, n in fork_maps] == [2, 2]
+        # one pool each: the calling process finishes what the dead worker left
+        assert len(forks) == 4
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -486,7 +506,7 @@ class TestCsvPool:
         with open(path, "ab") as out:
             out.write(b"13,None,1.0\n")
         n_blocks = 4
-        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", -(-path.stat().st_size // n_blocks))
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", path.stat().st_size // n_blocks)
         monkeypatch.setattr(_pool, "workers", lambda n_tasks: 2)
         # the workers are forks, so each call leaves its mark in a file
         calls = tmp_path / "calls"

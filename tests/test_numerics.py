@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mlpinit.data import synthesize_dataset
+from mlpinit.data import holdout_split, synthesize_dataset
 from mlpinit.errors import ValidationError
+from mlpinit.initializers import XAVIER_NORMAL
+from mlpinit.network import Topology, build_model, grad_check
 from mlpinit.numerics import Rng, _cross_entropy, _permutations, _Softmax, derive_seed, relu
 
 
@@ -247,6 +249,23 @@ def test_non_finite_draw_parameters_rejected(call):
 def test_non_integer_size_or_seed_rejected(call):
     with pytest.raises(ValidationError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("value", ["2.0", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("name, call", [
+    ("separation", lambda v: synthesize_dataset(0, 16, 12, v)),
+    ("fraction", lambda v: holdout_split(synthesize_dataset(0, 4, 4, 2.0), v, 0)),
+    ("epsilon", lambda v: grad_check(
+        build_model(Rng(0), Topology.ONE_LAYER, XAVIER_NORMAL), np.zeros((2, 85)), [0, 1], v)),
+    ("lo", lambda v: Rng(0).uniform(v, 1, 3)),
+    ("hi", lambda v: Rng(0).uniform(0, v, 3)),
+    ("mean", lambda v: Rng(0).normal(3, v, 1.0)),
+    ("variance", lambda v: Rng(0).normal(3, 0.0, v)),
+], ids=["synthesize-separation", "holdout-fraction", "grad_check-epsilon", "uniform-lo",
+        "uniform-hi", "normal-mean", "normal-variance"])
+def test_non_real_parameter_rejected(name, call, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number, got {value!r}$"):
+        call(value)
 
 
 class TestNormalRows:
