@@ -21,6 +21,7 @@ cells of a call that read the same CSV path share one parse of it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Real
@@ -51,13 +52,14 @@ from .errors import (
 from .evaluation import Report, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
 from .network import (
-    Gradients,
     Layer,
     MlpModel,
     Topology,
+    _block_shapes,
     _check_batch,
     _one_hot,
     _StepPlan,
+    _weights_and_bias,
     backward,  # unused here; kept as a harness attribute that tracing tools wrap
     build_model,
     forward,  # unused here; kept as a harness attribute that tracing tools wrap
@@ -171,13 +173,13 @@ class SuiteCell:
     error: str | None = None
 
 
-def _flat_like(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed float64 vector, and a C-contiguous view of it shaped like each
-    of ``arrays``, in order."""
-    sizes = [a.size for a in arrays]
+def _flat(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed float64 vector, and a C-contiguous view of it of each of
+    ``shapes``, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
     flat = np.zeros(sum(sizes))
     parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return flat, [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    return flat, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def _train(
@@ -211,16 +213,24 @@ def _train(
     if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= len(features):
         raise ValidationError(f"row maps must hold integers in [0, {len(features)})")
     # The parameters, their velocity and the gradients are one flat vector
-    # each, every layer a view into it, so an update is four ufunc calls for
-    # all layers and folds. Every backward overwrites all gradients, so the
-    # batch shapes share one vector, and the update may use it as scratch.
-    params, views = _flat_like(list(model.parameter_arrays()))
-    for view, array in zip(views, model.parameter_arrays()):
-        view[...] = array
-    model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(views[0::2], views[1::2])])
-    grad, grad_views = _flat_like(views)
-    grads = Gradients(grad_views[0::2], grad_views[1::2])
+    # each, so an update is four ufunc calls for all layers and folds. Each
+    # vector holds every layer as one (..., out, in + 1) block, its weights
+    # then its bias as the last column; the model's weights and biases are
+    # views of the parameter blocks, and backward writes a layer's whole
+    # gradient block with one matmul (see network._StepPlan). Every backward
+    # overwrites all gradients, so the batch shapes share one vector, and
+    # the update may use it as scratch.
+    params, blocks = _flat(_block_shapes(model))
+    weights, biases = _weights_and_bias(blocks)
+    for w, b, layer in zip(weights, biases, model.layers):
+        w[...] = layer.weights
+        b[...] = layer.bias
+    model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(weights, biases)])
+    grad, grad_blocks = _flat(_block_shapes(model))
     velocity = np.zeros_like(params)
+    # The features get the plans' ones column once, so that a batch is one
+    # gather straight into its plan's input.
+    features = np.concatenate((features, np.ones((len(features), 1))), axis=1)
     # Every step runs the step plan of its batch shape (full, or the short
     # last batch): freeing and re-allocating its arrays each step would have
     # the allocator return them to the OS and page-fault them back in.
@@ -230,7 +240,7 @@ def _train(
     for start in range(0, n, hp.batch_size):
         size = min(hp.batch_size, n - start)
         if size not in plans:
-            plans[size] = _StepPlan(model, size)
+            plans[size] = _StepPlan(model, size, grad_blocks)
         schedule.append((start, start + size, plans[size]))
     for epoch in range(config.epochs):
         order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
@@ -238,20 +248,20 @@ def _train(
             idx = order[:, start:stop]
             # mode="clip" gathers straight into the plan; the default
             # "raise" buffers. The row maps were range-checked above.
-            features.take(idx, axis=0, out=plan.batch, mode="clip")
+            features.take(idx, axis=0, out=plan.inputs[0], mode="clip")
             one_hot.take(idx, axis=0, out=plan.one_hot, mode="clip")
             plan.forward()
             # Divergence check. A softmax row is either all NaN or all in
             # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
             # for p in [0, 1], so a model's loss is non-finite exactly when
             # its probabilities hold a NaN, which makes their sum NaN.
-            if not np.isfinite(plan.probs.sum()):
+            if not math.isfinite(plan.probs.sum()):
                 finite = np.isfinite(plan.probs.sum(axis=(1, 2)))
                 raise DivergedTrainingError(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            plan.backward(grads)
+            plan.backward()
             sgd_step(params, velocity, grad, hp)
     return model
 

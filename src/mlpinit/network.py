@@ -14,15 +14,23 @@ the same call gives for fold k alone, bit for bit.
 
 All arithmetic of a step runs in one private ``_StepPlan`` per (model, batch
 rows). It allocates once the batch, pre-activations, activations, bool ReLU
-masks, deltas, float one-hot rows and the softmax's row max and sum, and
-binds once the transposed-weight, broadcast-bias, transposed-delta and
-per-class column views, so a step makes no array and no view. The training
-loop (``harness._train``) keeps one plan per batch shape; ``forward``,
-``backward``, ``predict`` and ``grad_check`` check their inputs and run a
-fresh plan. The softmax takes its row max and sum over the 4 classes as
-elementwise calls on the class columns, summed in index order; numpy's own
-reductions add fewer than 8 terms in that order, so the bits are theirs
-(see ``numerics._Softmax``).
+masks, deltas, float one-hot rows, gradients and the softmax's row max and
+sum, and binds once the transposed-weight, broadcast-bias, transposed-delta
+and per-class column views, so a step makes no array and no view. Each
+layer's input carries a column of ones and each layer's gradient is one
+(out, in + 1) block, its weight gradient then its bias gradient: the bias is
+a weight on a constant input 1 (Bishop 2006, *PRML* section 3.1), so one
+matmul of the transposed delta with the input gives both, and the bias
+gradient, the delta's sum over the rows, needs no call of its own. The
+forward pass adds the bias in a call of its own: folding it into the
+matmul would change the pre-activations' bits. The training loop
+(``harness._train``) keeps one plan per batch shape, and stores its
+parameters as such blocks too; ``forward``, ``backward``, ``predict`` and
+``grad_check`` check their inputs and run a fresh plan.
+The softmax takes its row max and sum over the 4 classes as elementwise
+calls on the class columns, summed in index order; numpy's own reductions
+add fewer than 8 terms in that order, so the bits are theirs (see
+``numerics._Softmax``).
 """
 
 from __future__ import annotations
@@ -88,12 +96,6 @@ class MlpModel:
             layers=[Layer(weights=layer.weights[k], bias=layer.bias[k]) for layer in self.layers],
         )
 
-    def parameter_arrays(self):
-        """All parameter arrays, weights before bias per layer."""
-        for layer in self.layers:
-            yield layer.weights
-            yield layer.bias
-
 
 @dataclass
 class Gradients:
@@ -101,6 +103,18 @@ class Gradients:
 
     d_weights: list[np.ndarray]
     d_bias: list[np.ndarray]
+
+
+def _block_shapes(model: MlpModel) -> list[tuple[int, ...]]:
+    """Per layer, the (..., out, in + 1) shape of its weights with its bias
+    as one more column."""
+    return [layer.bias.shape + (layer.weights.shape[-1] + 1,) for layer in model.layers]
+
+
+def _weights_and_bias(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weight and bias views of (..., out, in + 1) layer blocks: every
+    column but the last, and the last."""
+    return [block[..., :-1] for block in blocks], [block[..., -1] for block in blocks]
 
 
 @dataclass
@@ -161,19 +175,34 @@ class _StepPlan:
     """One step of ``model`` on batches of ``rows`` rows, with every buffer
     and view allocated and bound once.
 
-    A caller fills ``batch`` (and ``one_hot``, the float one-hot rows of the
-    batch's labels, before ``backward``), then calls ``forward`` and
+    Layer i's input is ``inputs[i]``, of shape (..., rows, in + 1): the
+    input, then a column of ones that the plan sets once. ``batch`` and
+    ``activations`` view the inputs without it. ``backward`` writes layer
+    i's gradient into ``gradients[i]``, of shape (..., out, in + 1): the
+    weight gradient, then the bias gradient as the last column, from one
+    matmul of the transposed delta with ``inputs[i]``. By default the plan
+    allocates its gradients; the training loop passes views of its flat
+    gradient vector instead, which every plan of a training shares.
+
+    A caller fills ``batch`` (or ``inputs[0]``, ones column and all, from
+    features that carry one) and, before ``backward``, ``one_hot``, the float
+    one-hot rows of the batch's labels; then calls ``forward`` and
     ``backward``, which overwrite the plan's arrays. The plan binds views of
     the model's parameter arrays, so an in-place update of those arrays is
     seen by the next step; replacing an array is not.
     """
 
-    def __init__(self, model: MlpModel, rows: int):
+    def __init__(self, model: MlpModel, rows: int, gradients: list[np.ndarray] | None = None):
         lead = model.folds + (rows,)
-        self.batch = np.empty(lead + (model.n_features,))
+        self.inputs = [np.ones(lead + (layer.weights.shape[-1] + 1,)) for layer in model.layers]
         self.pre_activations = [np.empty(lead + layer.bias.shape[-1:]) for layer in model.layers]
-        self.activations = [self.batch] + [np.empty_like(z) for z in self.pre_activations]
+        probs = np.empty(self.pre_activations[-1].shape)
+        self.activations = [a[..., :-1] for a in self.inputs] + [probs]
+        self.batch = self.activations[0]
         self.one_hot = np.empty_like(self.probs)
+        if gradients is None:
+            gradients = [np.empty(shape) for shape in _block_shapes(model)]
+        self.gradients = gradients
         self._rows = rows
         deltas = [np.empty_like(z) for z in self.pre_activations]
         masks = [np.empty(z.shape, dtype=bool) for z in self.pre_activations[:-1]]
@@ -187,12 +216,13 @@ class _StepPlan:
         ]
         self._softmax = _Softmax(self.pre_activations[-1], self.probs)
         self._output_delta = deltas[-1]
-        # backward, top layer first: (delta, its transpose, layer input,
-        # weights, and for every layer but the first the delta below and the
-        # ReLU mask and pre-activation that gate it)
+        # backward, top layer first: (transposed delta, input with ones,
+        # gradient, and for every layer but the first the delta, weights,
+        # the delta below and the ReLU mask and pre-activation that gate it)
         self._down = [
-            (deltas[i], deltas[i].swapaxes(-1, -2), self.activations[i], model.layers[i].weights)
-            + ((deltas[i - 1], masks[i - 1], self.pre_activations[i - 1]) if i else (None,) * 3)
+            (deltas[i].swapaxes(-1, -2), self.inputs[i], gradients[i])
+            + ((deltas[i], model.layers[i].weights, deltas[i - 1], masks[i - 1],
+                self.pre_activations[i - 1]) if i else (None,) * 5)
             for i in range(len(model.layers) - 1, -1, -1)
         ]
 
@@ -211,20 +241,17 @@ class _StepPlan:
         z += bias
         self._softmax()
 
-    def backward(self, out: Gradients) -> Gradients:
-        """Write the gradients of the last forward pass into ``out`` (see
-        ``backward``) and return it."""
+    def backward(self) -> None:
+        """Write the gradients of the last forward pass (see ``backward``)
+        into ``gradients``."""
         np.subtract(self.probs, self.one_hot, out=self._output_delta)
         self._output_delta /= self._rows
-        steps = zip(self._down, reversed(out.d_weights), reversed(out.d_bias))
-        for (delta, delta_t, a, weights, below, mask, z), d_weights, d_bias in steps:
-            np.matmul(delta_t, a, out=d_weights)
-            delta.sum(axis=-2, out=d_bias)
+        for delta_t, a, gradient, delta, weights, below, mask, z in self._down:
+            np.matmul(delta_t, a, out=gradient)
             if below is not None:
                 np.matmul(delta, weights, out=below)
                 np.greater(z, 0.0, out=mask)
                 below *= mask
-        return out
 
 
 def _one_hot(labels: np.ndarray) -> np.ndarray:
@@ -246,7 +273,13 @@ def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
 
     The output delta is (probs - one_hot) / batch_size; the ReLU gate passes
     gradient only where the pre-activation was strictly positive (subgradient
-    0 at exactly 0).
+    0 at exactly 0). Each layer's ``d_weights`` and ``d_bias`` are views of
+    one (..., out, in + 1) array, the bias gradient its last column, which
+    one matmul writes (see ``_StepPlan``). So the bias gradient is the
+    delta's sum over the rows as the BLAS kernel adds it. In a probe of
+    OpenBLAS kernels, at up to 36 rows it had the bits of numpy's in-order
+    sum under SkylakeX, Haswell and Sandybridge, but not under Prescott or
+    Nehalem, nor at 233 rows and more under SkylakeX (257 under Haswell).
     """
     probs = fwd.probs
     labels = _check_labels(labels, probs.shape[:-1], probs.shape[-1])
@@ -262,10 +295,8 @@ def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
             )
         np.copyto(planned, cached)
     np.copyto(plan.one_hot, _one_hot(labels))
-    return plan.backward(Gradients(
-        d_weights=[np.empty(layer.weights.shape) for layer in model.layers],
-        d_bias=[np.empty(layer.bias.shape) for layer in model.layers],
-    ))
+    plan.backward()
+    return Gradients(*_weights_and_bias(plan.gradients))
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:

@@ -15,55 +15,30 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from openblas_probe import cpu_features, dynamic_openblas
 
 KERNELS = ("Haswell", "Prescott")
 
 # One suite; prints the OpenBLAS kernel that ran it and each cell's holdout
-# report. The kernel's name comes from the OpenBLAS library this process
-# mapped.
+# report.
 CHILD = """
-import ctypes, json
+import json
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, report_to_dict, run_suite
 from mlpinit.initializers import KAIMING_NORMAL
 from mlpinit.network import Topology
+from openblas_probe import corenames
 
 cells = run_suite(ExperimentConfig(
     topology=Topology.THREE_LAYER, scheme=KAIMING_NORMAL, seed=0,
     synthetic=SyntheticSpec(), loo_enabled=False,
 ))
-with open("/proc/self/maps") as maps:
-    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename")
-corenames = []
-for lib in libs:
-    for name in names:
-        get = getattr(ctypes.CDLL(lib), name, None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            corenames.append(get().decode())
-            break
 print(json.dumps({
-    "corenames": corenames,
+    "corenames": corenames(),
     "reports": [cell.error or report_to_dict(cell.result.holdout) for cell in cells],
 }))
 """
-
-
-def _dynamic_openblas() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get(
-        "openblas configuration", ""
-    )
-
-
-def _avx2() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("AVX2"))
 
 
 @pytest.mark.skipif(
@@ -71,13 +46,15 @@ def _avx2() -> bool:
     reason="the kernels named here are x86_64 OpenBLAS kernels",
 )
 def test_holdout_reports_agree_across_blas_kernels():
-    if not _avx2() or not _dynamic_openblas():
+    if not cpu_features().get("AVX2") or not dynamic_openblas():
         pytest.skip("needs AVX2 and numpy's OpenBLAS built with DYNAMIC_ARCH")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     runs = []
     for kernel in KERNELS:
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+        )
         done = subprocess.run(
             [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env
         )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from mlpinit.network import (
     stack_models,
     _one_hot,
     _StepPlan,
+    _weights_and_bias,
 )
 from mlpinit.numerics import Rng, _cross_entropy, _Softmax
 from mlpinit.optimizer import Hyperparams, sgd_step
+from openblas_probe import corenames
 
 
 def random_batch(seed, n=8):
@@ -295,10 +299,11 @@ class TestOutBuffers:
     @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3fold"])
     def test_full_and_short_batches_in_turn_match_fresh_calls(self, stacked):
         model = self.models()[stacked]
-        # one set of gradients for both batch shapes, as in the training loop
-        grads = Gradients(d_weights=[np.empty(l.weights.shape) for l in model.layers],
-                          d_bias=[np.empty(l.bias.shape) for l in model.layers])
-        plans = {rows: _StepPlan(model, rows) for rows in (8, 3)}
+        # one set of (out, in + 1) gradient blocks for both batch shapes, as
+        # in the training loop
+        blocks = [np.empty(l.bias.shape + (l.weights.shape[-1] + 1,)) for l in model.layers]
+        grads = Gradients(*_weights_and_bias(blocks))
+        plans = {rows: _StepPlan(model, rows, blocks) for rows in (8, 3)}
         given = {rows: [id(a) for a in self.arrays(plan, grads)] for rows, plan in plans.items()}
         for step, rows in enumerate((8, 3, 8, 3)):
             x, y = self.batch(model, 100 + 10 * step, rows)
@@ -306,7 +311,8 @@ class TestOutBuffers:
             plan.batch[...] = x
             plan.one_hot[...] = _one_hot(y)
             plan.forward()
-            assert plan.backward(grads) is grads
+            plan.backward()
+            assert plan.gradients is blocks
             assert [id(a) for a in self.arrays(plan, grads)] == given[rows]
             fresh_fwd = forward(model, x)
             fresh = self.arrays(fresh_fwd, backward(model, fresh_fwd, y))
@@ -325,6 +331,48 @@ class TestOutBuffers:
             layer.bias += 1.0
         plan.forward()
         assert plan.probs.tobytes() == forward(model, x).probs.tobytes()
+
+
+# OpenBLAS kernels whose dgemm, in a probe, splits a sum over 4 to 36 rows:
+# Katmai is what OPENBLAS_CORETYPE=Prescott (and Core2) runs, Nehalem what
+# Nehalem and Barcelona run. SkylakeX, Haswell and Sandybridge do not.
+SPLIT_SUM_KERNELS = {"Katmai", "Nehalem"}
+
+
+class TestBiasColumn:
+    """backward gets each layer's bias gradient as the last column of the
+    weight-gradient matmul, against a column of ones (see network._StepPlan).
+    For every layer shape the presets train, at 1 to 36 rows, that column
+    has the bits of numpy's in-order sum of the delta over the rows, and the
+    other columns those of delta.T @ a."""
+
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
+    @pytest.mark.parametrize("folds", [(), (1,), (20,)], ids=["2d", "1fold", "20fold"])
+    def test_bias_gradient_is_the_in_order_row_sum(self, topology, folds):
+        split = SPLIT_SUM_KERNELS.intersection(corenames())
+        if split:
+            pytest.skip(f"OpenBLAS's {split.pop()} dgemm splits the sum over the rows")
+        n_models = math.prod(folds)
+        models = [build_model(Rng(80 + k), topology, KAIMING_NORMAL) for k in range(n_models)]
+        for k, model in enumerate(models):
+            for layer in model.layers:  # nonzero biases, so that some ReLUs are shut
+                layer.bias[:] = Rng(90 + k).normal(layer.bias.size)
+        model = models[0] if folds == () else stack_models(models)
+        for rows in range(1, 37):
+            rng = Rng(1000 + rows)
+            x = rng.normal(n_models * rows * 85).reshape(folds + (rows, 85))
+            y = np.array([rng.randbelow(4) for _ in range(n_models * rows)])
+            y = y.reshape(folds + (rows,))
+            fwd = forward(model, x)
+            grads = backward(model, fwd, y)
+            delta = (fwd.probs - np.eye(4)[y]) / rows
+            for i in reversed(range(len(model.layers))):
+                a = np.ascontiguousarray(fwd.activations[i])
+                assert grads.d_bias[i].tobytes() == delta.sum(axis=-2).tobytes(), (rows, i)
+                d_weights = delta.swapaxes(-1, -2) @ a
+                assert grads.d_weights[i].tobytes() == d_weights.tobytes(), (rows, i)
+                if i:
+                    delta = (delta @ model.layers[i].weights) * (fwd.pre_activations[i - 1] > 0)
 
 
 def test_single_sgd_step_decreases_loss_on_fresh_models():
