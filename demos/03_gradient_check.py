@@ -41,6 +41,6 @@ model.layers[0].weights[0, :] = -np.abs(model.layers[0].weights[0, :])
 model.layers[0].bias[0] = -1.0
 x = np.abs(Rng(22).normal(4 * 85)).reshape(4, 85)
 y = np.array([0, 1, 1, 3])
-grads = backward(model, forward(model, x), y)
+grads = backward(forward(model, x), y)
 print(f"  analytic d_weights for the dead unit: {np.abs(grads.d_weights[0][0]).max()}")
 print(f"  grad check still passes: {grad_check(model, x, y, epsilon=1e-5):.3e}")

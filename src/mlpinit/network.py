@@ -25,8 +25,10 @@ gradient, the delta's sum over the rows, needs no call of its own. The
 forward pass adds the bias in a call of its own: folding it into the
 matmul would change the pre-activations' bits. The training loop
 (``harness._train``) keeps one plan per batch shape, and stores its
-parameters as such blocks too; ``forward``, ``backward``, ``predict`` and
-``grad_check`` check their inputs and run a fresh plan.
+parameters as such blocks too. ``forward`` checks its inputs and runs a
+fresh plan, which the ``ForwardPass`` it returns keeps; ``backward`` runs
+the plan ``forward`` built, and ``grad_check`` reruns it for every perturbed
+loss.
 The softmax takes its row max and sum over the 4 classes as elementwise
 calls on the class columns, summed in index order; numpy's own reductions
 add fewer than 8 terms in that order, so the bits are theirs (see
@@ -35,6 +37,7 @@ add fewer than 8 terms in that order, so the bits are theirs (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,7 +123,8 @@ def _weights_and_bias(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], list[
 @dataclass
 class ForwardPass:
     """What ``forward`` returns and ``backward`` takes: per-layer inputs,
-    pre-activations and probabilities.
+    pre-activations and probabilities, which are arrays of the step plan
+    that computed them, kept for ``backward`` to run.
 
     ``activations[0]`` is the input batch, ``activations[i]`` the output of
     layer i (ReLU for hidden layers, softmax probabilities for the last).
@@ -128,6 +132,7 @@ class ForwardPass:
 
     activations: list[np.ndarray]
     pre_activations: list[np.ndarray]
+    _plan: _StepPlan
 
     @property
     def probs(self) -> np.ndarray:
@@ -265,38 +270,35 @@ def forward(model: MlpModel, batch) -> ForwardPass:
     plan = _StepPlan(model, batch.shape[-2])
     np.copyto(plan.batch, batch)
     plan.forward()
-    return ForwardPass(plan.activations, plan.pre_activations)
+    return ForwardPass(plan.activations, plan.pre_activations, plan)
 
 
-def backward(model: MlpModel, fwd: ForwardPass, labels) -> Gradients:
-    """Gradients of the mean cross-entropy loss for the cached forward pass.
+def backward(fwd: ForwardPass, labels) -> Gradients:
+    """Gradients of the mean cross-entropy loss for the forward pass, with
+    respect to the parameters of the model it ran.
 
     The output delta is (probs - one_hot) / batch_size; the ReLU gate passes
     gradient only where the pre-activation was strictly positive (subgradient
-    0 at exactly 0). Each layer's ``d_weights`` and ``d_bias`` are views of
-    one (..., out, in + 1) array, the bias gradient its last column, which
-    one matmul writes (see ``_StepPlan``). So the bias gradient is the
-    delta's sum over the rows as the BLAS kernel adds it. In a probe of
-    OpenBLAS kernels, at up to 36 rows it had the bits of numpy's in-order
-    sum under SkylakeX, Haswell and Sandybridge, but not under Prescott or
+    0 at exactly 0). The loss is a mean over the rows, so a batch of no rows
+    is a ``ShapeError``. The pass's step plan computes the gradients, and
+    each call returns copies of them, so a second call on the same pass
+    leaves the first one's arrays as they were. Each layer's ``d_weights``
+    and ``d_bias`` are views of one (..., out, in + 1) array, the bias
+    gradient its last column, which one matmul writes (see ``_StepPlan``).
+    So the bias gradient is the delta's sum over the rows as the BLAS kernel
+    adds it. In a probe of OpenBLAS kernels, at up to 36 rows it had the
+    bits of numpy's in-order sum under SkylakeX, Haswell and Sandybridge,
+    but not under Katmai (what ``OPENBLAS_CORETYPE=Prescott`` runs) or
     Nehalem, nor at 233 rows and more under SkylakeX (257 under Haswell).
     """
-    probs = fwd.probs
+    plan = fwd._plan
+    probs = plan.probs
     labels = _check_labels(labels, probs.shape[:-1], probs.shape[-1])
-    n_layers = len(model.layers)
-    if len(fwd.activations) != n_layers + 1 or len(fwd.pre_activations) != n_layers:
-        raise ShapeError("forward cache does not match the model's layer count")
-    plan = _StepPlan(model, probs.shape[-2])
-    for cached, planned in zip(fwd.activations + fwd.pre_activations,
-                               plan.activations + plan.pre_activations):
-        if cached.shape != planned.shape:
-            raise ShapeError(
-                f"cached array of shape {cached.shape} does not match the model's {planned.shape}"
-            )
-        np.copyto(planned, cached)
+    if probs.shape[-2] == 0:
+        raise ShapeError("the loss is a mean over the rows, so the batch needs at least one row")
     np.copyto(plan.one_hot, _one_hot(labels))
     plan.backward()
-    return Gradients(*_weights_and_bias(plan.gradients))
+    return Gradients(*_weights_and_bias([gradient.copy() for gradient in plan.gradients]))
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:
@@ -308,7 +310,10 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
     Returns the maximum over all parameters of
-    ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-12)``.
+    ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-12)``, or
+    ``math.inf`` if any of these is NaN (a loss or gradient that is not
+    finite), so a non-finite check never reads as a pass. Like ``backward``,
+    it needs a batch of at least one row.
     """
     _check_real("epsilon", epsilon)
     if not 1e-7 <= epsilon <= 1e-3:
@@ -318,13 +323,12 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             f"grad_check takes one model, got a stack of shape {model.folds}; "
             f"check each model.fold(k) on its own"
         )
-    # The inputs are checked once; every perturbed loss then reruns one
-    # step plan, which sees each in-place perturbation of the parameters.
-    batch = _check_batch(model, batch)
-    labels = _check_labels(labels, batch.shape[:1], model.layers[-1].bias.shape[-1])
-    grads = backward(model, forward(model, batch), labels)
-    plan = _StepPlan(model, len(batch))
-    np.copyto(plan.batch, batch)
+    # forward and backward check the inputs; every perturbed loss then
+    # reruns the pass's step plan, which sees each in-place perturbation of
+    # the parameters.
+    fwd = forward(model, batch)
+    grads = backward(fwd, labels)
+    plan, labels = fwd._plan, np.asarray(labels)
 
     def loss() -> float:
         plan.forward()
@@ -344,6 +348,8 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
                 numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
                 a = flat_grad[idx]
                 err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-12)
+                if math.isnan(err):
+                    return math.inf
                 if err > max_err:
                     max_err = err
     return max_err

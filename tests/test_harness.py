@@ -168,7 +168,7 @@ def train_by_public_calls(config, features, labels, rng, rows):
         order = rng.permutation(len(rows))
         for start in range(0, len(rows), hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            grads = backward(model, forward(model, x_all[idx]), y_all[idx])
+            grads = backward(forward(model, x_all[idx]), y_all[idx])
             for layer, (v_w, v_b), d_w, d_b in zip(
                 model.layers, velocity, grads.d_weights, grads.d_bias
             ):

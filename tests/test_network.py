@@ -99,7 +99,7 @@ class TestBackward:
         x = np.zeros((5, 85))
         y = np.array([0, 1, 2, 3, 1])
         fwd = forward(model, x)
-        grads = backward(model, fwd, y)
+        grads = backward(fwd, y)
         np.testing.assert_array_equal(grads.d_weights[0], np.zeros((4, 85)))
         one_hot = np.eye(4)[y]
         np.testing.assert_allclose(
@@ -109,10 +109,10 @@ class TestBackward:
     def test_duplicated_sample_equals_single_sample(self):
         model = build_model(Rng(7), Topology.TWO_LAYER, KAIMING_NORMAL)
         x, y = random_batch(13, n=1)
-        single = backward(model, forward(model, x), y)
+        single = backward(forward(model, x), y)
         doubled_x = np.vstack([x, x])
         doubled_y = np.concatenate([y, y])
-        doubled = backward(model, forward(model, doubled_x), doubled_y)
+        doubled = backward(forward(model, doubled_x), doubled_y)
         for a, b in zip(single.d_weights, doubled.d_weights):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
@@ -126,7 +126,7 @@ class TestBackward:
         x, y = random_batch(24)
         fwd = forward(model, x)
         assert np.all(fwd.pre_activations[0][:, j] == 0.0)
-        grads = backward(model, fwd, y)
+        grads = backward(fwd, y)
         np.testing.assert_array_equal(grads.d_weights[0][j], 0.0)
         assert grads.d_bias[0][j] == 0.0
 
@@ -134,7 +134,35 @@ class TestBackward:
         model = build_model(Rng(7), Topology.ONE_LAYER, XAVIER_NORMAL)
         x, _ = random_batch(14, n=4)
         with pytest.raises(ShapeError):
-            backward(model, forward(model, x), np.array([0, 1]))
+            backward(forward(model, x), np.array([0, 1]))
+
+    def test_repeated_backward_on_one_pass_gives_independent_arrays(self):
+        # backward: "a second call on the same pass leaves the first one's
+        # arrays as they were"
+        model = build_model(Rng(25), Topology.THREE_LAYER, KAIMING_NORMAL)
+        x, y = random_batch(26)
+        z = (y + 1) % 4
+        fwd = forward(model, x)
+        first = backward(fwd, y)
+        second = backward(fwd, z)
+        for labels, grads in ((y, first), (z, second)):
+            fresh = backward(forward(model, x), labels)
+            for got, want in zip(grads.d_weights + grads.d_bias, fresh.d_weights + fresh.d_bias):
+                assert got.tobytes() == want.tobytes()
+        for a, b in zip(first.d_weights, second.d_weights):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() != b.tobytes()
+
+    def test_batch_of_no_rows_rejected(self):
+        # backward: "The loss is a mean over the rows, so a batch of no rows
+        # is a ShapeError"; forward and predict take one
+        model = build_model(Rng(7), Topology.TWO_LAYER, KAIMING_NORMAL)
+        x, y = np.zeros((0, 85)), np.zeros(0, dtype=np.int64)
+        fwd = forward(model, x)
+        assert fwd.probs.shape == (0, 4)
+        assert predict(model, x).shape == (0,)
+        with pytest.raises(ShapeError, match="at least one row"):
+            backward(fwd, y)
 
 
 class TestPredict:
@@ -180,10 +208,26 @@ class TestGradCheck:
         y = np.array([0, 1, 1, 3])
         fwd = forward(model, x)
         assert np.all(fwd.pre_activations[0][:, 0] < 0.0)
-        grads = backward(model, fwd, y)
+        grads = backward(fwd, y)
         np.testing.assert_array_equal(grads.d_weights[0][0, :], 0.0)
         assert grads.d_bias[0][0] == 0.0
         assert grad_check(model, x, y, epsilon=1e-5) < 1e-4
+
+    def test_batch_of_no_rows_rejected(self):
+        # grad_check: "it needs a batch of at least one row"
+        model = build_model(Rng(1), Topology.ONE_LAYER, XAVIER_NORMAL)
+        with pytest.raises(ShapeError, match="at least one row"):
+            grad_check(model, np.zeros((0, 85)), np.zeros(0, dtype=np.int64))
+
+    def test_nan_error_is_the_worst_error(self):
+        # grad_check: "math.inf if any of these is NaN", so a non-finite
+        # model fails every bound
+        model = build_model(Rng(77), Topology.THREE_LAYER, KAIMING_NORMAL)
+        for layer in model.layers:
+            layer.weights *= 1e300
+        x, y = random_batch(901)
+        with np.errstate(all="ignore"):
+            assert grad_check(model, x, y, epsilon=1e-5) == math.inf
 
     def test_stacked_model_rejected_up_front(self):
         stacked = stack_models(
@@ -231,7 +275,7 @@ class TestStackedModels:
     def test_forward_backward_predict_equal_each_slice(self, topology):
         models, stacked, x, y = self.stack(topology)
         fwd = forward(stacked, x)
-        grads = backward(stacked, fwd, y)
+        grads = backward(fwd, y)
         preds = predict(stacked, x)
         assert stacked.folds == (3,)
         for k, model in enumerate(models):
@@ -239,7 +283,7 @@ class TestStackedModels:
             for got, want in zip(fwd.activations + fwd.pre_activations,
                                  alone.activations + alone.pre_activations):
                 assert got[k].tobytes() == want.tobytes()
-            alone_grads = backward(model, alone, y[k])
+            alone_grads = backward(alone, y[k])
             for got, want in zip(grads.d_weights + grads.d_bias,
                                  alone_grads.d_weights + alone_grads.d_bias):
                 assert got[k].tobytes() == want.tobytes()
@@ -269,7 +313,7 @@ class TestStackedModels:
     def test_label_shape_mismatch_rejected(self):
         _, stacked, x, y = self.stack(Topology.ONE_LAYER)
         with pytest.raises(ShapeError):
-            backward(stacked, forward(stacked, x), y[:, :5])
+            backward(forward(stacked, x), y[:, :5])
 
 
 class TestOutBuffers:
@@ -315,7 +359,7 @@ class TestOutBuffers:
             assert plan.gradients is blocks
             assert [id(a) for a in self.arrays(plan, grads)] == given[rows]
             fresh_fwd = forward(model, x)
-            fresh = self.arrays(fresh_fwd, backward(model, fresh_fwd, y))
+            fresh = self.arrays(fresh_fwd, backward(fresh_fwd, y))
             for got, want in zip(self.arrays(plan, grads), fresh):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -364,7 +408,7 @@ class TestBiasColumn:
             y = np.array([rng.randbelow(4) for _ in range(n_models * rows)])
             y = y.reshape(folds + (rows,))
             fwd = forward(model, x)
-            grads = backward(model, fwd, y)
+            grads = backward(fwd, y)
             delta = (fwd.probs - np.eye(4)[y]) / rows
             for i in reversed(range(len(model.layers))):
                 a = np.ascontiguousarray(fwd.activations[i])
@@ -383,7 +427,7 @@ def test_single_sgd_step_decreases_loss_on_fresh_models():
         model = build_model(Rng(seed), Topology.THREE_LAYER, KAIMING_NORMAL)
         x, y = random_batch(1000 + seed)
         before = _cross_entropy(forward(model, x).probs, y)
-        grads = backward(model, forward(model, x), y)
+        grads = backward(forward(model, x), y)
         for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):
             sgd_step(layer.weights, np.zeros_like(d_w), d_w, hp)
             sgd_step(layer.bias, np.zeros_like(d_b), d_b, hp)
