@@ -281,10 +281,8 @@ def _check_finite(features: np.ndarray, error: type[Exception]) -> None:
     # temporary the size of the matrix.
     if np.isfinite(features.min(initial=0.0)) and np.isfinite(features.max(initial=0.0)):
         return
-    bad = ~np.isfinite(features)
-    if bad.any():
-        i, j = np.argwhere(bad)[0].tolist()
-        raise error(f"row {i + 2}, column {FEATURE_NAMES[j]!r}: value is not finite")
+    i, j = np.argwhere(~np.isfinite(features))[0].tolist()
+    raise error(f"row {i + 2}, column {FEATURE_NAMES[j]!r}: value is not finite")
 
 
 def save_csv(dataset: Dataset, path) -> None:

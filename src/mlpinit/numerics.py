@@ -209,9 +209,6 @@ class Rng:
     def randbelow(self, bound: int) -> int:
         """One integer uniform on [0, bound), by masked rejection (unbiased)."""
         bound = _check_int("bound", bound, 1)
-        if bound == 1:
-            self._next_block(1)
-            return 0
         mask = (1 << (bound - 1).bit_length()) - 1
         while True:
             r = int(self._next_block(1)[0]) & mask

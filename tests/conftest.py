@@ -25,6 +25,14 @@ def confusion_from_counts():
 
 
 @pytest.fixture
+def dynamic_openblas():
+    """Can ``OPENBLAS_CORETYPE`` force a kernel here: is numpy's BLAS an
+    OpenBLAS built with DYNAMIC_ARCH?"""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.fixture
 def forks(monkeypatch):
     """The pids of the processes that ``os.fork`` starts during the test.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from openblas_probe import cpu_features, dynamic_openblas
+from mlpinit._platform import fingerprint
 
 KERNELS = ("Haswell", "Prescott")
 
@@ -26,17 +26,17 @@ KERNELS = ("Haswell", "Prescott")
 # report.
 CHILD = """
 import json
+from mlpinit._platform import fingerprint
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, report_to_dict, run_suite
 from mlpinit.initializers import KAIMING_NORMAL
 from mlpinit.network import Topology
-from openblas_probe import corenames
 
 cells = run_suite(ExperimentConfig(
     topology=Topology.THREE_LAYER, scheme=KAIMING_NORMAL, seed=0,
     synthetic=SyntheticSpec(), loo_enabled=False,
 ))
 print(json.dumps({
-    "corenames": corenames(),
+    "corenames": fingerprint()[0],
     "reports": [cell.error or report_to_dict(cell.result.holdout) for cell in cells],
 }))
 """
@@ -46,15 +46,14 @@ print(json.dumps({
     sys.platform != "linux" or platform.machine() != "x86_64",
     reason="the kernels named here are x86_64 OpenBLAS kernels",
 )
-def test_holdout_reports_agree_across_blas_kernels():
-    if not cpu_features().get("AVX2") or not dynamic_openblas():
+def test_holdout_reports_agree_across_blas_kernels(dynamic_openblas):
+    if fingerprint()[1] not in ("avx2", "avx512") or not dynamic_openblas:
         pytest.skip("needs AVX2 and numpy's OpenBLAS built with DYNAMIC_ARCH")
-    tests = Path(__file__).resolve().parent
     runs = []
     for kernel in KERNELS:
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+            [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
         )
         done = subprocess.run(
             [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env

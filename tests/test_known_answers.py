@@ -6,10 +6,13 @@ initializers, the splits and the file formats) and which only per numpy SIMD
 path (everything drawn through ``Rng.normal``, whose ``log`` can differ in
 the last bit). Each case hashes one output with sha256 and compares it with
 the digest recorded when the case was written; a change to any of them
-changes the bits of every experiment that uses it. Training is bit-identical
-only per BLAS kernel, so no trained weights appear here. On a machine where
-numpy dispatches to AVX-512, one more test reruns this file with those
-targets disabled, so both recorded paths are checked on every run.
+changes the bits of every experiment that uses it. A case of the second
+group is checked against the digest of the SIMD path that
+``mlpinit._platform.fingerprint()`` names, or against either where it reads
+"unknown". Training is bit-identical only per BLAS kernel, so no trained
+weights appear here. On a machine where numpy dispatches to AVX-512, one more
+test reruns this file with those targets disabled, so both recorded paths
+are checked on every run.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlpinit._platform import AVX512_TARGETS, fingerprint
 from mlpinit.data import Dataset, holdout_split, save_csv, synthesize_dataset
 from mlpinit.harness import save_model
 from mlpinit.initializers import ALL_SCHEMES, initialize
@@ -149,80 +153,76 @@ CASES = {
     "save-model-bytes": _model_bytes,
 }
 
-# One digest per case, or for the cases drawn through Rng.normal one per
-# numpy log code path: (AVX-512, AVX2 and older x86 paths).
+# One digest per case. The cases drawn through Rng.normal have one per numpy
+# log code path: its AVX-512 loops, and its AVX2 loops, whose bits its older
+# x86 paths share.
 EXPECTED = {
-    "rng-words": ("a8a78ce2bdef699d771bd21aec422a1872fb9cd1c0d9c657ebfa6a4e7c97ec07",),
-    "rng-random": ("510e4ad64861a8aac389d8b47b1fd16e06148839197a51c5c4b8f02440a8a419",),
-    "rng-normal": ("a774b22517c74dee24e48c3e77053ac0fbd1c053a53261277e8881fa5ae6b861",
-                   "f0a87ada15d13d0c30dd54ef59a1b5cc84000bcb0a0fdc4b7f8aba68ad7e34ef"),
-    "rng-permutation": ("604978dcae0f40ca9899106627dd0d7c799f6e4da50a85fe0e91922db3e9a8b3",),
-    "rng-randbelow": ("52f62d9bbc66774308337a30699cb3b85ccf8048627d8503fbbdc0f358db7c1f",),
-    "derive-seed": ("70eb09ef576c353ee5a9786c02ecdd07dcb019e765a44de7211d5c6f1843a055",),
-    "initialize-xavier-normal": (
-        "a58876b1287040089fd0d30b0d903aed8c2144d299782db47b9e3bbc9a7dfc3d",
-        "b3f1ea841dabe02933bc6222d6a69a07ae2de8677730443d5a710f0d62191350",
-    ),
-    "initialize-xavier-uniform": ("86b74867f7ef840fd7e3ce86b866657f53cf8febe5245db9823bbd2eb89ff3c3",),
-    "initialize-kaiming-normal": (
-        "0767fd7dbfd5bc8e013ace52f4a6ecae1eb6f12f77097c97ccbbc753a7248810",
-        "e30987042843d0456d276f42d31cc3b11c52d1bfa045345c2923be3d4e52e9b0",
-    ),
-    "initialize-kaiming-uniform": ("a313903c7eede6538d32b21501d4080335c31bf86d3a7ae8a184d85f3092c828",),
-    "synthesize-dataset": (
-        "933870b94f0b16fb1c3236a8b4895851c3b061b8d6aadfaa90c406e8f16f5869",
-        "11192bff979a120a45c35a93ae959c5bfc5f9a17589d3bad149c60808b9dc3bf",
-    ),
-    "synthesize-dataset-384x12": (
-        "a286d502ee6ae138c59afc73fa39df148b5fd5f88586226de17bd67ecb895fbf",
-        "7a5ff21874e704729d14ba8fc386656385d63978299f5fc23e00d3e9db67bf68",
-    ),
-    "holdout-split-indices": ("84230a10c27e921974c924826ab5cbd92037a89cca3d5cf4ac32260e8bd96d74",),
-    "save-csv-bytes": ("607d16605b19d948adc318cc2bdb435d2133a9d7f7669ce61adba67cffeeb62b",),
-    "save-model-bytes": (
-        "540f2acb7ba16110b55067c00d56e72889926428ef1003abd592f959397bc8f3",
-        "6e8c1876896154c318f569e2913b669995f0130bc549f324a161f8400c498b77",
-    ),
+    "rng-words": "a8a78ce2bdef699d771bd21aec422a1872fb9cd1c0d9c657ebfa6a4e7c97ec07",
+    "rng-random": "510e4ad64861a8aac389d8b47b1fd16e06148839197a51c5c4b8f02440a8a419",
+    "rng-normal": {
+        "avx512": "a774b22517c74dee24e48c3e77053ac0fbd1c053a53261277e8881fa5ae6b861",
+        "avx2": "f0a87ada15d13d0c30dd54ef59a1b5cc84000bcb0a0fdc4b7f8aba68ad7e34ef",
+    },
+    "rng-permutation": "604978dcae0f40ca9899106627dd0d7c799f6e4da50a85fe0e91922db3e9a8b3",
+    "rng-randbelow": "52f62d9bbc66774308337a30699cb3b85ccf8048627d8503fbbdc0f358db7c1f",
+    "derive-seed": "70eb09ef576c353ee5a9786c02ecdd07dcb019e765a44de7211d5c6f1843a055",
+    "initialize-xavier-normal": {
+        "avx512": "a58876b1287040089fd0d30b0d903aed8c2144d299782db47b9e3bbc9a7dfc3d",
+        "avx2": "b3f1ea841dabe02933bc6222d6a69a07ae2de8677730443d5a710f0d62191350",
+    },
+    "initialize-xavier-uniform": "86b74867f7ef840fd7e3ce86b866657f53cf8febe5245db9823bbd2eb89ff3c3",
+    "initialize-kaiming-normal": {
+        "avx512": "0767fd7dbfd5bc8e013ace52f4a6ecae1eb6f12f77097c97ccbbc753a7248810",
+        "avx2": "e30987042843d0456d276f42d31cc3b11c52d1bfa045345c2923be3d4e52e9b0",
+    },
+    "initialize-kaiming-uniform": "a313903c7eede6538d32b21501d4080335c31bf86d3a7ae8a184d85f3092c828",
+    "synthesize-dataset": {
+        "avx512": "933870b94f0b16fb1c3236a8b4895851c3b061b8d6aadfaa90c406e8f16f5869",
+        "avx2": "11192bff979a120a45c35a93ae959c5bfc5f9a17589d3bad149c60808b9dc3bf",
+    },
+    "synthesize-dataset-384x12": {
+        "avx512": "a286d502ee6ae138c59afc73fa39df148b5fd5f88586226de17bd67ecb895fbf",
+        "avx2": "7a5ff21874e704729d14ba8fc386656385d63978299f5fc23e00d3e9db67bf68",
+    },
+    "holdout-split-indices": "84230a10c27e921974c924826ab5cbd92037a89cca3d5cf4ac32260e8bd96d74",
+    "save-csv-bytes": "607d16605b19d948adc318cc2bdb435d2133a9d7f7669ce61adba67cffeeb62b",
+    "save-model-bytes": {
+        "avx512": "540f2acb7ba16110b55067c00d56e72889926428ef1003abd592f959397bc8f3",
+        "avx2": "6e8c1876896154c318f569e2913b669995f0130bc549f324a161f8400c498b77",
+    },
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_known_answer(name):
-    assert hashlib.sha256(CASES[name]()).hexdigest() in EXPECTED[name]
+    digest = hashlib.sha256(CASES[name]()).hexdigest()
+    expected = EXPECTED[name]
+    if isinstance(expected, dict):  # one digest per numpy log code path
+        simd = fingerprint()[1]
+        if simd == "unknown":
+            assert digest in expected.values()
+            return
+        expected = expected["avx512" if simd == "avx512" else "avx2"]
+    assert digest == expected
 
-
-# numpy's AVX-512 dispatch targets; disabling them makes numpy take its AVX2
-# loops, the second path the digests above record.
-AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 CHILD = """
 import sys
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
-assert not any(__cpu_features__[t] for t in {targets!r}), "AVX-512 is still on"
+from mlpinit._platform import fingerprint
+assert fingerprint()[1] == "avx2", fingerprint()
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not avx2_path", {path!r}]))
 """
 
 
-def _cpu_features() -> dict:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return {}
-    return __cpu_features__
-
-
 def test_known_answers_hold_on_the_numpy_avx2_path():
-    features = _cpu_features()
-    if not all(t in features for t in AVX512_TARGETS) or not any(
-        features[t] for t in AVX512_TARGETS
-    ):
+    if fingerprint()[1] != "avx512":
         pytest.skip("numpy reports no AVX-512 dispatch target to disable here")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
     )
-    child = CHILD.format(targets=AVX512_TARGETS, path=__file__)
+    child = CHILD.format(path=__file__)
     done = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=env
     )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpinit._platform import fingerprint
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_NORMAL, Family, InitScheme, DistKind
 from mlpinit.network import (
@@ -20,7 +21,6 @@ from mlpinit.network import (
 )
 from mlpinit.numerics import Rng, _cross_entropy, _Softmax
 from mlpinit.optimizer import Hyperparams, sgd_step
-from openblas_probe import corenames
 
 
 def random_batch(seed, n=8):
@@ -393,7 +393,7 @@ class TestBiasColumn:
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
     @pytest.mark.parametrize("folds", [(), (1,), (20,)], ids=["2d", "1fold", "20fold"])
     def test_bias_gradient_is_the_in_order_row_sum(self, topology, folds):
-        split = SPLIT_SUM_KERNELS.intersection(corenames())
+        split = SPLIT_SUM_KERNELS.intersection(fingerprint()[0])
         if split:
             pytest.skip(f"OpenBLAS's {split.pop()} dgemm splits the sum over the rows")
         n_models = math.prod(folds)

@@ -187,6 +187,12 @@ class TestRng:
         draws = [r.randbelow(7) for _ in range(2000)]
         assert min(draws) == 0 and max(draws) == 6
 
+    def test_randbelow_one_is_zero_from_one_word(self):
+        r, fresh = Rng(4), Rng(4)
+        assert r.randbelow(1) == 0
+        fresh.random(1)
+        np.testing.assert_array_equal(r.random(3), fresh.random(3))
+
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
             Rng(0).normal(3, 0.0, -1.0)

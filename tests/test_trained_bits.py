@@ -11,9 +11,11 @@ records them again and says why in CHANGES.md.
 
 The cases run in subprocesses: under ``OPENBLAS_CORETYPE=Haswell``, and on a
 CPU with AVX-512 also under SkylakeX, each on numpy's own SIMD path and, where
-numpy dispatches to AVX-512, once more with those targets disabled. A run
-skips, with the reason, where the kernel cannot be forced or no digests were
-recorded for its (kernel, SIMD path).
+numpy dispatches to AVX-512, once more with those targets disabled. Each
+child's ``mlpinit._platform.fingerprint()`` must read the forced kernel, and
+with the targets disabled numpy's AVX2 path. A run skips, with the reason,
+where the kernel cannot be forced or no digests were recorded for its
+(kernel, SIMD path).
 """
 
 import json
@@ -25,16 +27,16 @@ from pathlib import Path
 
 import pytest
 
-from openblas_probe import AVX512_TARGETS, cpu_features, dynamic_openblas
+from mlpinit._platform import AVX512_TARGETS, fingerprint
 
 CHILD = """
 import hashlib, json
 import numpy as np
+from mlpinit._platform import fingerprint
 from mlpinit.harness import ExperimentConfig, SyntheticSpec, _train, result_to_dict, run_experiment
 from mlpinit.initializers import KAIMING_NORMAL, KAIMING_UNIFORM, XAVIER_NORMAL, XAVIER_UNIFORM
 from mlpinit.network import Topology
 from mlpinit.numerics import Rng, derive_seed
-from openblas_probe import corenames, simd_path
 
 def parameter_bytes(model):
     return b"".join(a.tobytes() for layer in model.layers for a in (layer.weights, layer.bias))
@@ -64,7 +66,7 @@ for topology, scheme in ((Topology.ONE_LAYER, XAVIER_UNIFORM),
     blob = parameter_bytes(stack)
     digests[f"stack20-{topology.value}-layer-{scheme}"] = hashlib.sha256(blob).hexdigest()
 
-print(json.dumps({"corenames": corenames(), "simd": simd_path(), "digests": digests}))
+print(json.dumps({"fingerprint": fingerprint(), "digests": digests}))
 """
 
 # Per (OpenBLAS kernel, numpy SIMD path), the digest of each case.
@@ -129,13 +131,12 @@ EXPECTED = {
 
 
 def _child(kernel: str, disable_avx512: bool) -> dict:
-    tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disable_avx512:
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(AVX512_TARGETS)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
     )
     done = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
@@ -148,21 +149,25 @@ def _child(kernel: str, disable_avx512: bool) -> dict:
 )
 @pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX"])
 @pytest.mark.parametrize("numpy_path", ["native", "avx2"])
-def test_trained_bits_match_the_known_answers(kernel, numpy_path):
-    features = cpu_features()
-    if not dynamic_openblas():
+def test_trained_bits_match_the_known_answers(kernel, numpy_path, dynamic_openblas):
+    _, simd = fingerprint()
+    if not dynamic_openblas:
         pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH, "
                     "so OPENBLAS_CORETYPE cannot force a kernel")
-    if not features.get("AVX2"):
-        pytest.skip(f"the CPU has no AVX2, so OpenBLAS cannot run its {kernel} kernel")
-    if kernel == "SkylakeX" and not features.get("AVX512F"):
-        pytest.skip("the CPU has no AVX-512, so OpenBLAS cannot run its SkylakeX kernel")
-    if numpy_path == "avx2" and not any(features.get(t) for t in AVX512_TARGETS):
+    if simd not in ("avx2", "avx512"):
+        pytest.skip(f"the fingerprint names no AVX2 here (numpy's {simd} path), "
+                    f"so OpenBLAS may not run its {kernel} kernel")
+    if kernel == "SkylakeX" and simd != "avx512":
+        pytest.skip(f"numpy's AVX-512 targets are off here (its {simd} path), "
+                    "so OpenBLAS may not run its SkylakeX kernel")
+    if numpy_path == "avx2" and simd != "avx512":
         pytest.skip("numpy reports no AVX-512 dispatch target to disable here")
     run = _child(kernel, disable_avx512=numpy_path == "avx2")
-    if run["corenames"] != [kernel]:
-        pytest.skip(f"OPENBLAS_CORETYPE={kernel} ran the kernels {run['corenames']}")
-    expected = EXPECTED.get((kernel, run["simd"]))
+    kernels, simd = run["fingerprint"]
+    assert kernels == [kernel], f"OPENBLAS_CORETYPE={kernel} ran the kernels {kernels}"
+    if numpy_path == "avx2":
+        assert simd == "avx2", f"NPY_DISABLE_CPU_FEATURES left numpy on its {simd} path"
+    expected = EXPECTED.get((kernel, simd))
     if expected is None:
-        pytest.skip(f"no digests recorded for the {kernel} kernel on numpy's {run['simd']} path")
-    assert run["digests"] == expected, f"{kernel} kernel, numpy {run['simd']} path"
+        pytest.skip(f"no digests recorded for the {kernel} kernel on numpy's {simd} path")
+    assert run["digests"] == expected, f"{kernel} kernel, numpy {simd} path"
