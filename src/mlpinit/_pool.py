@@ -9,15 +9,18 @@ that raises fails the pool too: its worker dies, and the caller runs the
 task again and raises. This module is the only code that knows a worker can
 die.
 
-The pool is ``os.fork`` with two pipes per worker, driven from the calling
-thread. Each worker inherits the task list, so it is sent only task indices;
-its results come back pickled. A ``ProcessPoolExecutor`` would import about
-1.1 MB of modules, and the glibc arenas of its two helper threads, which
-receive the CSV blocks' text, stay resident in the caller: over 40 rounds of
-the benchmark's ``cohort-io`` op (2-vCPU x86_64, Python 3.11) the process
-peaked at 54.5 MB with it, 50.4 MB with these pipes and 49.9 MB with no
-pool. fork, unlike spawn and forkserver, re-imports no ``__main__``, so
-caller scripts need no ``if __name__ == "__main__":`` guard.
+The pool is ``os.fork`` with one ``socket.socketpair()`` per worker, driven
+from the calling thread. Each worker inherits the task list, so it is sent
+only 8-byte task indices; it writes each result onto its socket with
+``pickle.dump``, and the caller reads it back with ``pickle.load``, so the
+pickle stream is the whole wire format. A ``ProcessPoolExecutor`` would
+import about 1.1 MB of modules, and the glibc arenas of its two helper
+threads, which receive the CSV blocks' text, stay resident in the caller:
+in two runs of 40 ``cohort-io`` benchmark ops in one process (2-vCPU
+x86_64, Python 3.11), the process peaked at 53.3-56.0 MB with an
+executor, 50.9-51.1 MB with this pool and 50.7 MB with no pool. fork,
+unlike spawn and forkserver, re-imports no ``__main__``, so caller scripts
+need no ``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import pickle
 import select
 import signal
+import socket
 import sys
 
 
@@ -46,44 +50,15 @@ def workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to ``fd``: its pickle's length in 8 bytes, then the pickle."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    os.write(fd, len(data).to_bytes(8, "little"))  # a pipe writes 8 bytes whole
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, n: int) -> bytearray | None:
-    """Exactly ``n`` bytes from ``fd``, or None if it ends first."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return None
-        view = view[got:]
-    return buf
-
-
-def _receive(fd: int):
-    """The next object ``_send`` wrote to ``fd``, or None if the writer is
-    gone or the object does not unpickle."""
-    header = _read(fd, 8)
-    data = None if header is None else _read(fd, int.from_bytes(header, "little"))
-    try:
-        return None if data is None else pickle.loads(data)
-    except Exception:
-        return None
-
-
-def _serve(fn, tasks: list, task_fd: int, result_fd: int) -> None:
-    """A worker's loop: for each task index read until the task pipe ends,
-    send ``(index, fn(tasks[index]))``. An exception ends the worker."""
-    while (header := _read(task_fd, 8)) is not None:
+def _serve(fn, tasks: list, conn: socket.socket) -> None:
+    """A worker's loop: for each 8-byte task index read until the parent's end
+    of ``conn`` closes, pickle ``(index, fn(tasks[index]))`` onto ``conn``.
+    An exception ends the worker."""
+    indices, results = conn.makefile("rb"), conn.makefile("wb")
+    while header := indices.read(8):
         index = int.from_bytes(header, "little")
-        _send(result_fd, (index, fn(tasks[index])))
+        pickle.dump((index, fn(tasks[index])), results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
 
 
 def fork_map(fn, tasks):
@@ -104,95 +79,98 @@ def fork_map(fn, tasks):
     n_workers = workers(len(tasks))
     done = {}  # task index -> result, for results not yet yielded
     due = 0
-    pids, task_fds, result_fds = [], [], []  # per worker
+    pool = []  # (pid, socket, reader) per worker
     try:
         try:
             for _ in range(n_workers if n_workers > 1 else 0):
-                _start_worker(fn, tasks, pids, task_fds, result_fds)
-        except OSError:  # out of pipes or processes: the map runs in-process
-            _stop(pids, task_fds, result_fds)
-        for index, value in _pooled(len(tasks), task_fds, result_fds):
+                pool.append(_start_worker(fn, tasks, pool))
+        except OSError:  # out of sockets or processes: the map runs in-process
+            _stop(pool)
+        for index, value in _pooled(len(tasks), pool):
             done[index] = value
             while due in done:
                 value = done.pop(due)
                 due += 1
                 yield value
     finally:
-        _stop(pids, task_fds, result_fds)
+        _stop(pool)
     for index in range(due, len(tasks)):
         yield done.pop(index) if index in done else fn(tasks[index])
 
 
-def _pooled(n_tasks: int, task_fds: list, result_fds: list):
+def _pooled(n_tasks: int, pool: list):
     """Yield ``(index, fn(tasks[index]))`` for ``n_tasks`` tasks as the workers
-    return them. Ends when every task is returned, or at the pool's first failure."""
+    of ``pool`` return them. Ends when every task is returned, or at the
+    pool's first failure.
+
+    A reader may read ahead of the result it loads, yet never into the next
+    one, and ``poll`` sees every byte it has not read: a worker writes a
+    result only after it reads an index, and gets its next index only after
+    that result is read.
+    """
     pending = iter(range(n_tasks))
-    idle = list(range(len(task_fds)))
-    running = {}  # result fd -> its worker, for workers with a task
+    idle = [(sock, reader) for _, sock, reader in pool]
+    running = {}  # socket fd -> (socket, reader), for workers with a task
     poller = select.poll()
     while True:
         while idle and (index := next(pending, None)) is not None:
-            worker = idle.pop()
-            try:  # a pipe writes 8 bytes whole
-                os.write(task_fds[worker], index.to_bytes(8, "little"))
+            sock, reader = idle.pop()
+            try:
+                sock.sendall(index.to_bytes(8, "little"))
             except OSError:  # a dead worker
                 return
-            running[result_fds[worker]] = worker
-            poller.register(result_fds[worker], select.POLLIN)
+            running[sock.fileno()] = sock, reader
+            poller.register(sock, select.POLLIN)
         if not running:
             return
         for fd, _ in poller.poll():
-            idle.append(running.pop(fd))
+            sock, reader = running.pop(fd)
+            idle.append((sock, reader))
             poller.unregister(fd)
-            message = _receive(fd)
-            if message is None:
+            try:
+                message = pickle.load(reader)
+            except Exception:  # a dead worker, or a result that does not unpickle
                 return
             yield message
 
 
-def _start_worker(fn, tasks: list, pids: list, task_fds: list, result_fds: list) -> None:
-    """Fork a worker that serves ``fn`` over ``tasks``; append its pid and
-    the parent's ends of its task and result pipes. Raises OSError, with no
-    fd left open, if the pipes or the process cannot be had."""
-    tasks_r, tasks_w = os.pipe()
-    try:
-        results_r, results_w = os.pipe()
-    except OSError:
-        os.close(tasks_r)
-        os.close(tasks_w)
-        raise
+def _start_worker(fn, tasks: list, pool: list) -> tuple:
+    """Fork a worker that serves ``fn`` over ``tasks``; return its pid, the
+    parent's end of its socket pair and a reader of that end. Raises OSError,
+    with no fd left open, if the pair or the process cannot be had."""
+    parent_end, child_end = socket.socketpair()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (tasks_r, tasks_w, results_r, results_w):
-            os.close(fd)
+        parent_end.close()
+        child_end.close()
         raise
     if pid == 0:
         code = 1
         try:
-            # An earlier worker's task pipe held open here would never end.
-            for fd in (tasks_w, results_r, *task_fds, *result_fds):
-                os.close(fd)
-            _serve(fn, tasks, tasks_r, results_w)
+            # An earlier worker's socket held open here would never end.
+            parent_end.close()
+            for _, sock, reader in pool:
+                reader.close()
+                sock.close()
+            _serve(fn, tasks, child_end)
             code = 0
         finally:
             os._exit(code)
-    os.close(tasks_r)
-    os.close(results_w)
-    pids.append(pid)
-    task_fds.append(tasks_w)
-    result_fds.append(results_r)
+    child_end.close()
+    return pid, parent_end, parent_end.makefile("rb")
 
 
-def _stop(pids: list, task_fds: list, result_fds: list) -> None:
-    """Close the pipes, kill and reap the workers, and empty the lists."""
-    for fd in task_fds + result_fds:
-        os.close(fd)
-    for pid in pids:
+def _stop(pool: list) -> None:
+    """Close each worker's reader and socket (its fd stays open while a reader
+    of it is), kill and reap the workers, and empty ``pool``."""
+    for _, sock, reader in pool:
+        reader.close()
+        sock.close()
+    for pid, _, _ in pool:
         try:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         except (ProcessLookupError, ChildProcessError):
             pass  # reaped already, as when the caller ignores SIGCHLD
-    for worker_list in (pids, task_fds, result_fds):
-        worker_list.clear()
+    pool.clear()

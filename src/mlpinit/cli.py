@@ -125,11 +125,13 @@ def _check_paths(args) -> None:
 def _cmd_run(args) -> int:
     config = _base_config(args, Topology(args.topology), Family(args.init))
     _check_paths(args)
+    if args.save_model:
+        model_dir = Path(args.save_model).parent  # may be --out, made below
+        if not (model_dir.is_dir() or model_dir.resolve() == Path(args.out).resolve()):
+            raise NotADirectoryError(f"--save-model {args.save_model}: no such directory")
+        if Path(args.save_model).is_dir():
+            raise IsADirectoryError(f"--save-model {args.save_model}: is a directory")
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    if args.save_model and not Path(args.save_model).parent.is_dir():
-        raise NotADirectoryError(f"--save-model {args.save_model}: no such directory")
-    if args.save_model and Path(args.save_model).is_dir():
-        raise IsADirectoryError(f"--save-model {args.save_model}: is a directory")
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])

@@ -130,10 +130,7 @@ class Rng:
         self._counter = _check_int("seed", seed) & _MASK64
 
     def _next_block(self, n: int) -> np.ndarray:
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        counters = np.uint64(self._counter) + steps * np.uint64(_GOLDEN)
-        self._counter = int(counters[-1])
-        return _mix_block(counters)
+        return _mix_block(_counters([self], n)[0])
 
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each built from the top 53 bits of one word."""
@@ -176,19 +173,13 @@ class Rng:
         ``log``, ``cos`` and ``sin`` at once.
         """
         pairs = (n + 1) // 2
-        # words[h, k, j] is row k's j-th u1 (h = 0) or u2 (h = 1) word, so
-        # each half is one contiguous (rows, pairs) array. Work is done in
-        # place where the bits allow, to keep a big block's peak memory low.
-        words = (
-            np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(2 * pairs)
-            + np.arange(1, pairs + 1, dtype=np.uint64)
-            + np.array([0, pairs], dtype=np.uint64)[:, None, None]
+        # A row's counters are its u1 block, then its u2 block. words[h, k, j]
+        # is row k's j-th u1 (h = 0) or u2 (h = 1) word, in a copy where each
+        # half is one contiguous (rows, pairs) array. Work is done in place
+        # where the bits allow, to keep a big block's peak memory low.
+        words = _mix_block(
+            _counters([self], rows * 2 * pairs).reshape(rows, 2, pairs).transpose(1, 0, 2).copy()
         )
-        words *= np.uint64(_GOLDEN)
-        words += np.uint64(self._counter)
-        if words.size:
-            self._counter = int(words[1, -1, -1])
-        words = _mix_block(words)
         words >>= np.uint64(11)
         # u1 lands in (0, 1] so the log below is always finite.
         words[0] += np.uint64(1)
@@ -243,15 +234,20 @@ def _mix_block(z: np.ndarray) -> np.ndarray:
 def _permutations(rngs: list[Rng], n: int) -> np.ndarray:
     """One ``Rng.permutation(n)`` per generator, as rows of a (len(rngs), n) array.
 
-    Builds every generator's next n counters in one uint64 block and mixes
-    them at once, so a training draws the epoch permutations of all its
-    models in one call (the counter-based idea of Salmon et al., SC 2011).
-    Row k equals ``rngs[k].permutation(n)``, and ``rngs[k]`` advances
-    exactly as n single draws would advance it.
+    Mixes every generator's next n counters at once, so a training draws
+    the epoch permutations of all its models in one call (the counter-based
+    idea of Salmon et al., SC 2011). Row k equals ``rngs[k].permutation(n)``,
+    and ``rngs[k]`` advances exactly as n single draws would advance it.
     """
+    return np.argsort(_mix_block(_counters(rngs, n)), axis=1, kind="stable")
+
+
+def _counters(rngs: list[Rng], n: int) -> np.ndarray:
+    """The next n SplitMix64 counters of each generator, as rows of a
+    (len(rngs), n) uint64 block; advances each generator past its row."""
     steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     counters = np.array([rng._counter for rng in rngs], dtype=np.uint64)[:, None] + steps
     if n:
         for rng, last in zip(rngs, counters[:, -1].tolist()):
             rng._counter = last
-    return np.argsort(_mix_block(counters), axis=1, kind="stable")
+    return counters

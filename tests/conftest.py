@@ -1,10 +1,45 @@
+import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlpinit.evaluation import accumulate_confusion
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# The pool forks on Linux only; tests that force it need the fork start method.
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
+
+
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``sys.executable`` with ``args`` and wait, capturing its output as
+    text. Its environment is this process's, with this checkout's ``src`` as
+    the only ``PYTHONPATH`` entry, then ``env``'s entries: a value of None
+    unsets its variable. ``kwargs`` go to ``subprocess.run``."""
+    full_env = dict(os.environ, PYTHONPATH=SRC)
+    for name, value in (env or {}).items():
+        if value is None:
+            full_env.pop(name, None)
+        else:
+            full_env[name] = value
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=full_env, **kwargs
+    )
+
+
+def reaped(pid) -> bool:
+    """Is process ``pid`` gone, reaped by its parent?"""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 @pytest.fixture

@@ -6,16 +6,13 @@ train real models, so the whole module takes a few minutes.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from mlpinit.data import N_CLASSES, holdout_split, loo_splits, synthesize_dataset
 from mlpinit.evaluation import accumulate_confusion, summarize
@@ -34,8 +31,6 @@ from mlpinit.initializers import (
 from mlpinit.network import Topology, build_model, grad_check
 from mlpinit.numerics import Rng, relu
 from mlpinit.optimizer import preset_hyperparams
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_criterion_1_initializer_variance():
@@ -226,13 +221,8 @@ def test_criterion_7_end_to_end_desk_scale():
 
 def test_criterion_8_suite_determinism(tmp_path):
     def run_suite_cli(out_dir):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mlpinit.cli", "suite", "--synthetic",
-             "--seed", "7", "--out", str(out_dir)],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = run_python(
+            "-m", "mlpinit.cli", "suite", "--synthetic", "--seed", "7", "--out", str(out_dir)
         )
         assert proc.returncode == 0, proc.stderr
         return (out_dir / "result.json").read_bytes()

@@ -10,13 +10,11 @@ and compares their holdout reports.
 """
 
 import json
-import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 from mlpinit._platform import fingerprint
 
@@ -51,13 +49,7 @@ def test_holdout_reports_agree_across_blas_kernels(dynamic_openblas):
         pytest.skip("needs AVX2 and numpy's OpenBLAS built with DYNAMIC_ARCH")
     runs = []
     for kernel in KERNELS:
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env
-        )
+        done = run_python("-c", CHILD, env={"OPENBLAS_CORETYPE": kernel})
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout))
     haswell, katmai = runs

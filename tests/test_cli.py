@@ -1,28 +1,18 @@
 import csv
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import mlpinit.cli as cli
 from mlpinit.data import CSV_HEADER, load_csv
 from mlpinit.errors import DivergedTrainingError
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 
 def run_cli(*args, cwd=None):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, "-m", "mlpinit.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+    return run_python("-m", "mlpinit.cli", *args, cwd=cwd)
 
 
 def test_run_writes_all_outputs(tmp_path):
@@ -301,6 +291,7 @@ def test_an_out_dir_that_cannot_be_made_exits_3_before_training(command, monkeyp
     code = cli.main([arg.format(**paths) for arg in command] + ["--synthetic"])
     assert code == 3
     assert capsys.readouterr().err.startswith("data error: ")
+    assert not paths["out"].exists()
 
 
 def test_a_save_model_path_that_is_a_directory_exits_3_before_training(monkeypatch, tmp_path,
@@ -315,6 +306,19 @@ def test_a_save_model_path_that_is_a_directory_exits_3_before_training(monkeypat
     assert code == 3
     assert capsys.readouterr().err.startswith("data error: ")
     assert not (out / "result.json").exists()
+    assert not out.exists()
+
+
+def test_a_save_model_path_in_the_out_dir_to_be_made_is_no_error(monkeypatch, tmp_path):
+    def boom(config):
+        raise DivergedTrainingError("non-finite loss at epoch 1 (stub)")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--topology", "1", "--init", "xavier", "--synthetic",
+                     "--out", str(out), "--save-model", str(out / "m.bin")])
+    assert code == 4  # it trained
+    assert out.is_dir()
 
 
 def _tree(root: Path) -> dict:

@@ -1,13 +1,12 @@
 import multiprocessing
 import os
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import needs_fork, run_python
 
 from mlpinit import _pool, data
 from mlpinit.data import (
@@ -28,12 +27,6 @@ from mlpinit.harness import SyntheticSpec
 from mlpinit.numerics import Rng
 
 DEFAULT_COHORT = asdict(SyntheticSpec())
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-# The pool forks on Linux only; tests that force it need the fork start method.
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
 
 # import mlpinit, then a CSV round trip of the default cohort, which is
 # below two blocks each way: whether multiprocessing's pool modules were
@@ -545,10 +538,7 @@ class TestCsvPool:
         assert multiprocessing.active_children() == []
 
     def test_small_round_trip_never_imports_multiprocessing(self, tmp_path):
-        done = subprocess.run(
-            [sys.executable, "-c", NO_POOL_CSV_PROBE, str(tmp_path / "cohort.csv")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
-        )
+        done = run_python("-c", NO_POOL_CSV_PROBE, str(tmp_path / "cohort.csv"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "False"]
 

@@ -1,11 +1,9 @@
 """Every script in demos/ runs to the end, without a warning or traceback."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,10 +11,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
+    done = run_python(str(demo), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout

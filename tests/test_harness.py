@@ -3,13 +3,13 @@ import multiprocessing
 import os
 import re
 import struct
-import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import HAS_FORK, needs_fork, reaped, run_python
 
 import mlpinit.harness as harness
 from mlpinit import _pool, network, numerics
@@ -51,13 +51,6 @@ from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
 from mlpinit.optimizer import Hyperparams, preset_hyperparams, sgd_step
 
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-# The library forks LOO workers only on Linux; tests that force the pool
-# need the fork start method.
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
 
 # Minor page faults of one full lockstep group's _train at 10 and at 40 epochs,
 # after a warm-up call, and the number of extra steps the longer one takes.
@@ -134,14 +127,6 @@ def _loo_group_dying_after_first(config, features, labels, loo_root, first):
     if xavier3 and first > 0 and os.getpid() != _TEST_PID:
         os._exit(9)
     return _real_loo_group(config, features, labels, loo_root, first)
-
-
-def _reaped(pid) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    return False
 
 
 def small_config(**overrides):
@@ -392,17 +377,14 @@ class TestRunExperiment:
         forks.clear()
         assert json.dumps(result_to_dict(run_experiment(config))) == expected
         assert len(forks) == 2  # a pool started, so a worker took a group that kills it
-        assert all(_reaped(pid) for pid in forks)
+        assert all(reaped(pid) for pid in forks)
         assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_pooled_loo_raises_no_deprecation_warning(self):
         # Shows, on Python 3.12 and later, the fork-with-threads warning
         # that the worker pool has yet to avoid.
-        done = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c", FORK_PROBE],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
-        )
+        done = run_python("-W", "error::DeprecationWarning", "-c", FORK_PROBE)
         assert done.returncode == 0, done.stderr
 
     def test_lockstep_steps_take_no_page_faults(self):
@@ -419,12 +401,9 @@ class TestRunExperiment:
         resource = pytest.importorskip("resource")
         if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
             pytest.skip("getrusage reports no minor page faults here")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env = {k: None for k in os.environ if k.startswith("MALLOC_")}
         env["MALLOC_MMAP_THRESHOLD_"] = "131072"
-        env["PYTHONPATH"] = SRC
-        done = subprocess.run(
-            [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env=env
-        )
+        done = run_python("-c", FAULT_PROBE, env=env)
         assert done.returncode == 0, done.stderr
         short, long, steps = json.loads(done.stdout)
         assert (long - short) / steps < 0.2, f"{long - short} more faults over {steps} steps"
@@ -588,10 +567,7 @@ class TestRunSuite:
     def test_run_without_loo_never_imports_multiprocessing(self):
         # One task (the final training) trains in-process, so the pool
         # modules stay unimported whatever the CPU count.
-        done = subprocess.run(
-            [sys.executable, "-c", NO_POOL_PROBE],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
-        )
+        done = run_python("-c", NO_POOL_PROBE)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "False"]
 
@@ -631,7 +607,7 @@ class TestRunSuite:
         cells = run_suite(base)
         assert json.dumps(suite_to_dict(base.seed, cells)) == expected
         assert all(c.error is None for c in cells)
-        assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+        assert len(forks) == 2 and all(reaped(pid) for pid in forks)
         assert multiprocessing.active_children() == []
 
     def test_dist_variant_carries_into_cells(self):

@@ -16,14 +16,12 @@ are checked on every run.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from mlpinit._platform import AVX512_TARGETS, fingerprint
 from mlpinit.data import Dataset, holdout_split, save_csv, synthesize_dataset
@@ -218,13 +216,7 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not avx2_path", {pa
 def test_known_answers_hold_on_the_numpy_avx2_path():
     if fingerprint()[1] != "avx512":
         pytest.skip("numpy reports no AVX-512 dispatch target to disable here")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
-    )
-    child = CHILD.format(path=__file__)
-    done = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, env=env
-    )
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS)}
+    done = run_python("-c", CHILD.format(path=__file__), env=env)
     assert done.returncode == 0, done.stdout + done.stderr
     assert f"{len(CASES)} passed" in done.stdout, done.stdout

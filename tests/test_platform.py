@@ -1,15 +1,12 @@
 """``mlpinit._platform.fingerprint()`` names no tier it cannot tell, and the
 library does not import it."""
 
-import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
+
+from conftest import run_python
 
 from mlpinit._platform import fingerprint
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_simd_path_is_unknown_where_numpy_has_no_feature_table(monkeypatch):
@@ -24,9 +21,6 @@ def test_simd_path_is_unknown_off_x86(monkeypatch):
 
 
 def test_import_mlpinit_leaves_the_probe_unimported():
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, mlpinit; print('mlpinit._platform' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
-    )
+    done = run_python("-c", "import sys, mlpinit; print('mlpinit._platform' in sys.modules)")
     assert done.stdout == "False\n", done.stderr
 

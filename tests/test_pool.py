@@ -3,9 +3,11 @@ dead workers, pickling-hostile tasks and cleanup, each checked with two
 CPUs in the patched affinity against what ``map`` gives."""
 
 import os
+import socket
 import sys
 
 import pytest
+from conftest import reaped
 
 from mlpinit import _pool
 
@@ -56,6 +58,20 @@ def _returns_lambda_at_three(k):
     return (lambda: k) if k == 3 else k
 
 
+class _ExitsWhenPickled:
+    """Ends the process that pickles it."""
+
+    def __reduce__(self):
+        os._exit(7)
+
+
+def _torn_at_three(k):
+    # A worker dies while it writes this result, after its first 128 KiB.
+    if k == 3 and os.getpid() != _PARENT:
+        return b"x" * (1 << 17), _ExitsWhenPickled()
+    return k
+
+
 def _call_callables(task):
     return task() if callable(task) else task
 
@@ -86,14 +102,6 @@ def _outcome(results) -> list:
     return got
 
 
-def _reaped(pid) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    return False
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(n)`` puts ``n`` CPUs in the affinity that ``_pool.workers`` reads."""
@@ -110,7 +118,7 @@ def test_results_come_in_task_order(n_workers, cpus, forks):
     cpus(n_workers)
     assert list(_pool.fork_map(_square, range(40))) == [k * k for k in range(40)]
     assert len(forks) == (n_workers if n_workers > 1 else 0)
-    assert all(_reaped(pid) for pid in forks)
+    assert all(reaped(pid) for pid in forks)
 
 
 def test_one_task_runs_in_process(two_cpus, forks):
@@ -130,7 +138,7 @@ def test_an_exception_is_raised_when_its_result_is_due(two_cpus, forks):
     assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError, match="^task 5 failed$"):
         next(results)
-    assert all(_reaped(pid) for pid in forks)
+    assert all(reaped(pid) for pid in forks)
 
 
 def test_a_dead_worker_ends_the_map_at_its_result(two_cpus, forks):
@@ -140,7 +148,7 @@ def test_a_dead_worker_ends_the_map_at_its_result(two_cpus, forks):
     got = list(_pool.fork_map(_dies_at_three, range(20)))
     assert [k for k, _ in got] == list(range(20))
     assert got[3] == (3, True)
-    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
     assert set(os.listdir("/proc/self/fd")) == open_fds
 
 
@@ -153,29 +161,70 @@ def test_a_dead_worker_ends_the_map_at_its_result(two_cpus, forks):
 def test_pickling_hostile_tasks_give_what_map_gives(fn, tasks, two_cpus, forks):
     open_fds = set(os.listdir("/proc/self/fd"))
     assert _outcome(_pool.fork_map(fn, tasks)) == _outcome(map(fn, tasks))
-    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_result_cut_off_by_its_workers_death_is_a_pool_failure(two_cpus, forks, monkeypatch):
+    # The parent reads the first part of the result, then the end of the
+    # stream: that load fails, and the caller runs the task.
+    real_load, failed_after = _pool.pickle.load, []  # bytes a failed load read
+
+    def load(file):
+        got = bytearray()
+
+        class Reader:  # what a load uses of ``file``, keeping what it reads
+            def read(self, n):
+                got.extend(data := file.read(n))
+                return data
+
+            def readline(self):
+                got.extend(line := file.readline())
+                return line
+
+        try:
+            return real_load(Reader())
+        except Exception:
+            failed_after.append(len(got))
+            raise
+
+    monkeypatch.setattr(_pool.pickle, "load", load)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    assert list(_pool.fork_map(_torn_at_three, range(8))) == list(map(_torn_at_three, range(8)))
+    assert len(failed_after) == 1 and failed_after[0] > 1 << 17
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
     assert set(os.listdir("/proc/self/fd")) == open_fds
 
 
 def test_a_map_left_early_kills_and_reaps_its_workers(two_cpus, forks):
+    open_fds = set(os.listdir("/proc/self/fd"))
     results = _pool.fork_map(_square, range(1000))
     assert next(results) == 0
     results.close()
-    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
 
 
-@pytest.mark.parametrize("fails_at", [0, 1])
-def test_a_pool_that_cannot_start_maps_in_process(fails_at, two_cpus, forks, monkeypatch):
-    # The fork after ``fails_at`` workers fails; any worker started is reaped.
-    counting_fork = os.fork
+@pytest.mark.parametrize("module, name, fails_at", [
+    pytest.param(os, "fork", 0, id="0"),
+    pytest.param(os, "fork", 1, id="1"),
+    pytest.param(socket, "socketpair", 0, id="socketpair-0"),
+    pytest.param(socket, "socketpair", 1, id="socketpair-1"),
+])
+def test_a_pool_that_cannot_start_maps_in_process(
+    module, name, fails_at, two_cpus, forks, monkeypatch
+):
+    # ``module.name`` fails when worker ``fails_at`` starts; any worker
+    # started before it is reaped.
+    real = getattr(module, name)
 
-    def fork():
+    def failing():
         if len(forks) == fails_at:
             raise BlockingIOError(11, "Resource temporarily unavailable")
-        return counting_fork()
+        return real()
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(module, name, failing)
     open_fds = set(os.listdir("/proc/self/fd"))
     assert list(_pool.fork_map(_in_parent, range(4))) == [True] * 4
-    assert len(forks) == fails_at and all(_reaped(pid) for pid in forks)
+    assert len(forks) == fails_at and all(reaped(pid) for pid in forks)
     assert set(os.listdir("/proc/self/fd")) == open_fds

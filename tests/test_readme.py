@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import mlpinit.cli as cli
 from mlpinit import (
@@ -37,7 +38,6 @@ from mlpinit.data import CSV_HEADER
 from mlpinit.harness import LOO_GROUP_SIZE
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = str(ROOT / "src")
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 PROSE = " ".join(README.split())  # README with its line wraps undone
 
@@ -85,7 +85,6 @@ def test_the_cli_quick_start_runs(tmp_path):
     [block] = _fenced(_section("Quick start (CLI)"), "bash")
     outputs = re.findall(r"^- `([\w.]+)` - ", _section("Quick start (CLI)"), re.M)
     assert f"write {['no', 'one', 'two', 'three'][len(outputs)]} files" in PROSE
-    env = dict(os.environ, PYTHONPATH=SRC)
     ran = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
@@ -94,10 +93,7 @@ def test_the_cli_quick_start_runs(tmp_path):
         args = cli.build_parser().parse_args(argv[1:])
         if "slow" in comment:
             continue
-        result = subprocess.run(
-            [sys.executable, "-m", "mlpinit.cli", *argv[1:]],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
+        result = run_python("-m", "mlpinit.cli", *argv[1:], cwd=tmp_path)
         assert result.returncode == _code_for("success"), (line, result.stderr)
         if args.command == "run":
             for name in outputs:

@@ -19,13 +19,11 @@ where the kernel cannot be forced or no digests were recorded for its
 """
 
 import json
-import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 from mlpinit._platform import AVX512_TARGETS, fingerprint
 
@@ -131,14 +129,9 @@ EXPECTED = {
 
 
 def _child(kernel: str, disable_avx512: bool) -> dict:
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if disable_avx512:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(AVX512_TARGETS)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
-    )
-    done = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True, env=env)
+    simd = " ".join(AVX512_TARGETS) if disable_avx512 else None
+    env = {"OPENBLAS_CORETYPE": kernel, "NPY_DISABLE_CPU_FEATURES": simd}
+    done = run_python("-c", CHILD, env=env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
