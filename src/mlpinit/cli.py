@@ -10,7 +10,7 @@ Exit codes:
 - 1: failed check: a ``suite`` cell failed (its error is in the outputs), or
   ``grad-check`` found a relative error of at least 1e-4
 - 2: config error: a bad argument, or an output of ``run`` or ``suite`` that
-  would overwrite ``--data`` or another output
+  would overwrite ``--data``, the ``--out`` directory or another output
 - 3: data error: a missing or malformed CSV, or an ``--out`` or
   ``--save-model`` directory that cannot be had, found before any training
 - 4: training diverged
@@ -109,16 +109,16 @@ def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> N
 
 def _check_paths(args) -> None:
     """Raise ValidationError if an output of ``run`` or ``suite`` would
-    overwrite ``--data`` or another output: checked before anything is
-    written."""
+    overwrite ``--data`` or another output, or ``--save-model`` is ``--out``
+    itself: checked before anything is written."""
     outputs = {(Path(args.out) / name).resolve() for name in _OUTPUT_NAMES}
     data = {Path(args.data).resolve()} if args.data else set()
     if data & outputs:
         raise ValidationError(f"--data {args.data} is an output file of --out {args.out}")
     save_model = getattr(args, "save_model", None)
-    if save_model and Path(save_model).resolve() in outputs | data:
+    if save_model and Path(save_model).resolve() in outputs | data | {Path(args.out).resolve()}:
         raise ValidationError(
-            f"--save-model {save_model} would overwrite --data or an output file of --out"
+            f"--save-model {save_model} would overwrite --data, --out or an output file of --out"
         )
 
 

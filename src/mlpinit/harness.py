@@ -52,19 +52,17 @@ from .errors import (
 from .evaluation import Report, accumulate_confusion, summarize
 from .initializers import Family, InitScheme
 from .network import (
+    ForwardPass,
     Layer,
     MlpModel,
     Topology,
-    _block_shapes,
     _check_batch,
+    _flat_stack,
     _one_hot,
-    _StepPlan,
-    _weights_and_bias,
     backward,  # unused here; kept as a harness attribute that tracing tools wrap
     build_model,
     forward,  # unused here; kept as a harness attribute that tracing tools wrap
     predict,
-    stack_models,
 )
 from .numerics import Rng, _check_labels, _permutations, derive_seed
 from .optimizer import Hyperparams, preset_hyperparams, sgd_step
@@ -173,15 +171,6 @@ class SuiteCell:
     error: str | None = None
 
 
-def _flat(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed float64 vector, and a C-contiguous view of it of each of
-    ``shapes``, in order."""
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.zeros(sum(sizes))
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return flat, [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-
 def _train(
     config: ExperimentConfig,
     features: np.ndarray,
@@ -199,7 +188,15 @@ def _train(
     model's entry in ``names``.
     """
     hp = config.resolved_hyperparams()
-    model = stack_models([build_model(rng, config.topology, config.scheme) for rng in rngs])
+    # The parameters, their velocity and the gradients are one flat vector
+    # each, so an update is four ufunc calls for all layers and folds. The
+    # model's weights and biases are views of the parameter vector (see
+    # network._flat_stack), and each plan's gradients views of the gradient
+    # vector. Every backward step overwrites all gradients, so the batch
+    # shapes share one vector, and the update may use it as scratch.
+    params, model = _flat_stack([build_model(rng, config.topology, config.scheme) for rng in rngs])
+    grad = np.zeros_like(params)
+    velocity = np.zeros_like(params)
     # The inputs are checked once, here; the step plans check nothing.
     features = _check_batch(model.fold(0), features)
     labels = _check_labels(labels, features.shape[:1], N_CLASSES)
@@ -212,22 +209,6 @@ def _train(
     # take(mode="clip") below would silently clip an index out of range
     if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= len(features):
         raise ValidationError(f"row maps must hold integers in [0, {len(features)})")
-    # The parameters, their velocity and the gradients are one flat vector
-    # each, so an update is four ufunc calls for all layers and folds. Each
-    # vector holds every layer as one (..., out, in + 1) block, its weights
-    # then its bias as the last column; the model's weights and biases are
-    # views of the parameter blocks, and backward writes a layer's whole
-    # gradient block with one matmul (see network._StepPlan). Every backward
-    # overwrites all gradients, so the batch shapes share one vector, and
-    # the update may use it as scratch.
-    params, blocks = _flat(_block_shapes(model))
-    weights, biases = _weights_and_bias(blocks)
-    for w, b, layer in zip(weights, biases, model.layers):
-        w[...] = layer.weights
-        b[...] = layer.bias
-    model = MlpModel(model.topology, [Layer(w, b) for w, b in zip(weights, biases)])
-    grad, grad_blocks = _flat(_block_shapes(model))
-    velocity = np.zeros_like(params)
     # The features get the plans' ones column once, so that a batch is one
     # gather straight into its plan's input.
     features = np.concatenate((features, np.ones((len(features), 1))), axis=1)
@@ -240,7 +221,7 @@ def _train(
     for start in range(0, n, hp.batch_size):
         size = min(hp.batch_size, n - start)
         if size not in plans:
-            plans[size] = _StepPlan(model, size, grad_blocks)
+            plans[size] = ForwardPass(model, size, grad)
         schedule.append((start, start + size, plans[size]))
     for epoch in range(config.epochs):
         order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
@@ -250,7 +231,7 @@ def _train(
             # "raise" buffers. The row maps were range-checked above.
             features.take(idx, axis=0, out=plan.inputs[0], mode="clip")
             one_hot.take(idx, axis=0, out=plan.one_hot, mode="clip")
-            plan.forward()
+            plan._forward()
             # Divergence check. A softmax row is either all NaN or all in
             # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
             # for p in [0, 1], so a model's loss is non-finite exactly when
@@ -261,7 +242,7 @@ def _train(
                     f"non-finite loss at epoch {epoch + 1} "
                     f"({config.describe()}, {names[int(np.argmin(finite))]})"
                 )
-            plan.backward()
+            plan._backward()
             sgd_step(params, velocity, grad, hp)
     return model
 

@@ -12,23 +12,25 @@ weights (folds, out, in) and biases (folds, out), and takes batches
 (folds, rows, 85) with labels (folds, rows). Fold k of every result is what
 the same call gives for fold k alone, bit for bit.
 
-All arithmetic of a step runs in one private ``_StepPlan`` per (model, batch
-rows). It allocates once the batch, pre-activations, activations, bool ReLU
-masks, deltas, float one-hot rows, gradients and the softmax's row max and
-sum, and binds once the transposed-weight, broadcast-bias, transposed-delta
-and per-class column views, so a step makes no array and no view. Each
-layer's input carries a column of ones and each layer's gradient is one
-(out, in + 1) block, its weight gradient then its bias gradient: the bias is
-a weight on a constant input 1 (Bishop 2006, *PRML* section 3.1), so one
-matmul of the transposed delta with the input gives both, and the bias
-gradient, the delta's sum over the rows, needs no call of its own. The
-forward pass adds the bias in a call of its own: folding it into the
-matmul would change the pre-activations' bits. The training loop
-(``harness._train``) keeps one plan per batch shape, and stores its
-parameters as such blocks too. ``forward`` checks its inputs and runs a
-fresh plan, which the ``ForwardPass`` it returns keeps; ``backward`` runs
-the plan ``forward`` built, and ``grad_check`` reruns it for every perturbed
-loss.
+All arithmetic of a step runs in one step plan per (model, batch rows): the
+``ForwardPass`` that ``forward`` returns. It allocates once the batch,
+pre-activations, activations, bool ReLU masks, deltas, float one-hot rows,
+gradients and the softmax's row max and sum, and binds once the
+transposed-weight, broadcast-bias, transposed-delta and per-class column
+views, so a step makes no array and no view. Each layer's input carries a
+column of ones and each layer's gradient is one (out, in + 1) block, its
+weight gradient then its bias gradient: the bias is a weight on a constant
+input 1 (Bishop 2006, *PRML* section 3.1), so one matmul of the transposed
+delta with the input gives both, and the bias gradient, the delta's sum over
+the rows, needs no call of its own. The forward pass adds the bias in a call
+of its own: folding it into the matmul would change the pre-activations'
+bits. A plan's gradients are the blocks of one flat vector, and
+``_flat_stack`` builds a stacked model whose parameters are the blocks of
+another, so the training loop (``harness._train``) updates every layer and
+fold with a few calls on flat vectors, and keeps one plan per batch shape.
+``forward`` checks its inputs and runs a fresh plan; ``backward`` checks
+the labels and runs the plan's backward step, and ``grad_check`` reruns its
+forward step for every perturbed loss.
 The softmax takes its row max and sum over the 4 classes as elementwise
 calls on the class columns, summed in index order; numpy's own reductions
 add fewer than 8 terms in that order, so the bits are theirs (see
@@ -120,23 +122,14 @@ def _weights_and_bias(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], list[
     return [block[..., :-1] for block in blocks], [block[..., -1] for block in blocks]
 
 
-@dataclass
-class ForwardPass:
-    """What ``forward`` returns and ``backward`` takes: per-layer inputs,
-    pre-activations and probabilities, which are arrays of the step plan
-    that computed them, kept for ``backward`` to run.
-
-    ``activations[0]`` is the input batch, ``activations[i]`` the output of
-    layer i (ReLU for hidden layers, softmax probabilities for the last).
-    """
-
-    activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
-    _plan: _StepPlan
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.activations[-1]
+def _flat_blocks(shapes, flat: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``flat``, or a new float64 vector of the shapes' total size, and a
+    C-contiguous view of it of each of ``shapes``, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat is None:
+        flat = np.empty(sum(sizes))
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return flat, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
@@ -149,16 +142,21 @@ def build_model(rng: Rng, topology: Topology, scheme: InitScheme) -> MlpModel:
     return MlpModel(topology=topology, layers=layers)
 
 
-def stack_models(models: list[MlpModel]) -> MlpModel:
-    """One stacked model whose fold k is a copy of ``models[k]``."""
-    layers = [
-        Layer(
-            weights=np.stack([layer.weights for layer in group]),
-            bias=np.stack([layer.bias for layer in group]),
-        )
-        for group in zip(*(model.layers for model in models))
-    ]
-    return MlpModel(topology=models[0].topology, layers=layers)
+def _flat_stack(models: list[MlpModel]) -> tuple[np.ndarray, MlpModel]:
+    """One flat float64 vector of the parameters of ``models``, and the
+    stacked model over its views, whose fold k is a copy of ``models[k]``.
+
+    The vector holds each layer as one (folds, out, in + 1) block, its
+    weights then its bias as the last column, so an in-place update of the
+    vector updates every layer's weights and bias.
+    """
+    params, blocks = _flat_blocks([(len(models),) + shape for shape in _block_shapes(models[0])])
+    weights, biases = _weights_and_bias(blocks)
+    for k, model in enumerate(models):
+        for w, b, layer in zip(weights, biases, model.layers):
+            w[k] = layer.weights
+            b[k] = layer.bias
+    return params, MlpModel(models[0].topology, [Layer(w, b) for w, b in zip(weights, biases)])
 
 
 def _check_batch(model: MlpModel, batch) -> np.ndarray:
@@ -176,28 +174,34 @@ def _check_batch(model: MlpModel, batch) -> np.ndarray:
     return batch
 
 
-class _StepPlan:
-    """One step of ``model`` on batches of ``rows`` rows, with every buffer
-    and view allocated and bound once.
+class ForwardPass:
+    """What ``forward`` returns and ``backward`` takes: a step plan, one
+    step of ``model`` on batches of ``rows`` rows, with every buffer and
+    view allocated and bound once.
 
-    Layer i's input is ``inputs[i]``, of shape (..., rows, in + 1): the
-    input, then a column of ones that the plan sets once. ``batch`` and
-    ``activations`` view the inputs without it. ``backward`` writes layer
-    i's gradient into ``gradients[i]``, of shape (..., out, in + 1): the
-    weight gradient, then the bias gradient as the last column, from one
-    matmul of the transposed delta with ``inputs[i]``. By default the plan
-    allocates its gradients; the training loop passes views of its flat
-    gradient vector instead, which every plan of a training shares.
+    ``activations[0]`` is the input batch, also ``batch``, and
+    ``activations[i]`` the output of layer i: ReLU for hidden layers, the
+    softmax probabilities ``probs`` for the last. ``pre_activations[i]`` is
+    layer i's affine output. Layer i's input is ``inputs[i]``, of shape
+    (..., rows, in + 1): the input, then a column of ones that the plan sets
+    once, so ``activations`` view the inputs without it. The backward step
+    writes layer i's gradient into ``gradients[i]``, of shape (..., out,
+    in + 1): the weight gradient, then the bias gradient as the last column,
+    from one matmul of the transposed delta with ``inputs[i]``. The
+    gradients are the blocks, in layer order, of the flat vector ``grad``,
+    or of a new one; the training loop passes one vector that every plan of
+    a training shares.
 
-    A caller fills ``batch`` (or ``inputs[0]``, ones column and all, from
-    features that carry one) and, before ``backward``, ``one_hot``, the float
-    one-hot rows of the batch's labels; then calls ``forward`` and
-    ``backward``, which overwrite the plan's arrays. The plan binds views of
-    the model's parameter arrays, so an in-place update of those arrays is
-    seen by the next step; replacing an array is not.
+    The training loop fills ``batch`` (or ``inputs[0]``, ones column and
+    all, from features that carry one) and, before the backward step,
+    ``one_hot``, the float one-hot rows of the batch's labels; then calls
+    ``_forward`` and ``_backward``, which overwrite the plan's arrays and
+    check nothing. The plan binds views of the model's parameter arrays, so
+    an in-place update of those arrays is seen by the next step; replacing
+    an array is not.
     """
 
-    def __init__(self, model: MlpModel, rows: int, gradients: list[np.ndarray] | None = None):
+    def __init__(self, model: MlpModel, rows: int, grad: np.ndarray | None = None):
         lead = model.folds + (rows,)
         self.inputs = [np.ones(lead + (layer.weights.shape[-1] + 1,)) for layer in model.layers]
         self.pre_activations = [np.empty(lead + layer.bias.shape[-1:]) for layer in model.layers]
@@ -205,9 +209,7 @@ class _StepPlan:
         self.activations = [a[..., :-1] for a in self.inputs] + [probs]
         self.batch = self.activations[0]
         self.one_hot = np.empty_like(self.probs)
-        if gradients is None:
-            gradients = [np.empty(shape) for shape in _block_shapes(model)]
-        self.gradients = gradients
+        _, self.gradients = _flat_blocks(_block_shapes(model), grad)
         self._rows = rows
         deltas = [np.empty_like(z) for z in self.pre_activations]
         masks = [np.empty(z.shape, dtype=bool) for z in self.pre_activations[:-1]]
@@ -225,7 +227,7 @@ class _StepPlan:
         # gradient, and for every layer but the first the delta, weights,
         # the delta below and the ReLU mask and pre-activation that gate it)
         self._down = [
-            (deltas[i].swapaxes(-1, -2), self.inputs[i], gradients[i])
+            (deltas[i].swapaxes(-1, -2), self.inputs[i], self.gradients[i])
             + ((deltas[i], model.layers[i].weights, deltas[i - 1], masks[i - 1],
                 self.pre_activations[i - 1]) if i else (None,) * 5)
             for i in range(len(model.layers) - 1, -1, -1)
@@ -235,7 +237,7 @@ class _StepPlan:
     def probs(self) -> np.ndarray:
         return self.activations[-1]
 
-    def forward(self) -> None:
+    def _forward(self) -> None:
         """Run ``batch`` through the network."""
         for a, weights_t, z, bias, out in self._hidden:
             np.matmul(a, weights_t, out=z)
@@ -246,8 +248,8 @@ class _StepPlan:
         z += bias
         self._softmax()
 
-    def backward(self) -> None:
-        """Write the gradients of the last forward pass (see ``backward``)
+    def _backward(self) -> None:
+        """Write the gradients of the last forward step (see ``backward``)
         into ``gradients``."""
         np.subtract(self.probs, self.one_hot, out=self._output_delta)
         self._output_delta /= self._rows
@@ -260,17 +262,17 @@ class _StepPlan:
 
 
 def _one_hot(labels: np.ndarray) -> np.ndarray:
-    """Float one-hot rows of checked labels, for ``_StepPlan.one_hot``."""
+    """Float one-hot rows of checked labels, for ``ForwardPass.one_hot``."""
     return np.eye(N_CLASSES)[labels]
 
 
 def forward(model: MlpModel, batch) -> ForwardPass:
     """Run the batch through the network, retaining intermediates for backprop."""
     batch = _check_batch(model, batch)
-    plan = _StepPlan(model, batch.shape[-2])
-    np.copyto(plan.batch, batch)
-    plan.forward()
-    return ForwardPass(plan.activations, plan.pre_activations, plan)
+    fwd = ForwardPass(model, batch.shape[-2])
+    np.copyto(fwd.batch, batch)
+    fwd._forward()
+    return fwd
 
 
 def backward(fwd: ForwardPass, labels) -> Gradients:
@@ -280,25 +282,24 @@ def backward(fwd: ForwardPass, labels) -> Gradients:
     The output delta is (probs - one_hot) / batch_size; the ReLU gate passes
     gradient only where the pre-activation was strictly positive (subgradient
     0 at exactly 0). The loss is a mean over the rows, so a batch of no rows
-    is a ``ShapeError``. The pass's step plan computes the gradients, and
-    each call returns copies of them, so a second call on the same pass
+    is a ``ShapeError``. The pass computes the gradients in its own arrays,
+    and each call returns copies of them, so a second call on the same pass
     leaves the first one's arrays as they were. Each layer's ``d_weights``
     and ``d_bias`` are views of one (..., out, in + 1) array, the bias
-    gradient its last column, which one matmul writes (see ``_StepPlan``).
+    gradient its last column, which one matmul writes (see ``ForwardPass``).
     So the bias gradient is the delta's sum over the rows as the BLAS kernel
     adds it. In a probe of OpenBLAS kernels, at up to 36 rows it had the
     bits of numpy's in-order sum under SkylakeX, Haswell and Sandybridge,
     but not under Katmai (what ``OPENBLAS_CORETYPE=Prescott`` runs) or
     Nehalem, nor at 233 rows and more under SkylakeX (257 under Haswell).
     """
-    plan = fwd._plan
-    probs = plan.probs
+    probs = fwd.probs
     labels = _check_labels(labels, probs.shape[:-1], probs.shape[-1])
     if probs.shape[-2] == 0:
         raise ShapeError("the loss is a mean over the rows, so the batch needs at least one row")
-    np.copyto(plan.one_hot, _one_hot(labels))
-    plan.backward()
-    return Gradients(*_weights_and_bias([gradient.copy() for gradient in plan.gradients]))
+    np.copyto(fwd.one_hot, _one_hot(labels))
+    fwd._backward()
+    return Gradients(*_weights_and_bias([gradient.copy() for gradient in fwd.gradients]))
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:
@@ -324,15 +325,15 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             f"check each model.fold(k) on its own"
         )
     # forward and backward check the inputs; every perturbed loss then
-    # reruns the pass's step plan, which sees each in-place perturbation of
-    # the parameters.
+    # reruns the pass's forward step, which sees each in-place perturbation
+    # of the parameters.
     fwd = forward(model, batch)
     grads = backward(fwd, labels)
-    plan, labels = fwd._plan, np.asarray(labels)
+    labels = np.asarray(labels)
 
     def loss() -> float:
-        plan.forward()
-        return _cross_entropy(plan.probs, labels)
+        fwd._forward()
+        return _cross_entropy(fwd.probs, labels)
 
     max_err = 0.0
     for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):

@@ -331,11 +331,13 @@ def _tree(root: Path) -> dict:
     ("run", "c.csv", "o/../c.csv"),
     ("run", "c.csv", "o/result.json"),
     ("run", "c.csv", "o/./report.txt"),
+    ("run", "c.csv", "o"),
+    ("run", "c.csv", "o/../o"),
     ("run", "o/result.csv", None),
     ("suite", "o/report.txt", None),
     ("suite", "o/../o/result.json", None),
 ], ids=["model-is-data", "model-resolves-to-data", "model-is-result-json",
-        "model-resolves-to-report", "run-data-is-result-csv", "suite-data-is-report",
+        "model-resolves-to-report", "model-is-out", "model-resolves-to-out", "run-data-is-result-csv", "suite-data-is-report",
         "suite-data-resolves-to-result-json"])
 def test_an_output_that_would_overwrite_an_input_or_output_exits_2(
     command, data, save_model, monkeypatch, tmp_path, capsys

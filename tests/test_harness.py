@@ -800,7 +800,7 @@ class TestModelSerialization:
             lambda m: replace(m, layers=m.layers[:-1]),
             lambda m: replace(m, topology=Topology.TWO_LAYER),
             lambda m: replace(m, layers=[network.Layer(m.layers[0].weights, np.zeros(1))]),
-            lambda m: network.stack_models([m, m]),
+            lambda m: network._flat_stack([m, m])[1],
         ],
         ids=["missing-layer", "wrong-topology", "short-bias", "stacked"],
     )

@@ -21,6 +21,11 @@ CALLERS = MODULES + sorted(
 # plans (ROADMAP item 0).
 UNUSED_ALLOWED = {"harness": {"forward", "backward"}}
 
+# The helpers that know the (..., out, in + 1) parameter-block layout. Other
+# modules get a stacked model over a flat parameter vector from
+# network._flat_stack, and step plans that bind their own gradient blocks.
+LAYOUT_HELPERS = {"_block_shapes", "_weights_and_bias", "_flat_blocks"}
+
 
 def unused_imports(tree: ast.Module) -> set[str]:
     imported = set()
@@ -56,3 +61,26 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert exported - referenced == set()
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every name a module defines, imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_network_names_the_parameter_block_layout():
+    named = {path.stem: names_in(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+    assert LAYOUT_HELPERS <= named["network"]
+    outside = {stem: sorted(names & LAYOUT_HELPERS) for stem, names in named.items()
+               if stem != "network" and names & LAYOUT_HELPERS}
+    assert outside == {}

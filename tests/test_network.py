@@ -7,6 +7,7 @@ from mlpinit._platform import fingerprint
 from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_NORMAL, Family, InitScheme, DistKind
 from mlpinit.network import (
+    ForwardPass,
     Gradients,
     Topology,
     backward,
@@ -14,9 +15,8 @@ from mlpinit.network import (
     forward,
     grad_check,
     predict,
-    stack_models,
+    _flat_stack,
     _one_hot,
-    _StepPlan,
     _weights_and_bias,
 )
 from mlpinit.numerics import Rng, _cross_entropy, _Softmax
@@ -230,7 +230,7 @@ class TestGradCheck:
             assert grad_check(model, x, y, epsilon=1e-5) == math.inf
 
     def test_stacked_model_rejected_up_front(self):
-        stacked = stack_models(
+        _, stacked = _flat_stack(
             [build_model(Rng(k), Topology.ONE_LAYER, XAVIER_NORMAL) for k in range(2)]
         )
         x, y = random_batch(3, n=4)
@@ -269,7 +269,7 @@ class TestStackedModels:
         batches = [random_batch(40 + k, n=n_rows) for k in range(3)]
         x = np.stack([b[0] for b in batches])
         y = np.stack([b[1] for b in batches])
-        return models, stack_models(models), x, y
+        return models, _flat_stack(models)[1], x, y
 
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
     def test_forward_backward_predict_equal_each_slice(self, topology):
@@ -295,6 +295,24 @@ class TestStackedModels:
             for got, want in zip(stacked.fold(k).layers, model.layers):
                 np.testing.assert_array_equal(got.weights, want.weights)
                 np.testing.assert_array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.name)
+    def test_the_flat_vector_holds_every_fold_and_an_in_place_write_reaches_them(self, topology):
+        models, _, _, _ = self.stack(topology)
+        kept = [[(l.weights.tobytes(), l.bias.tobytes()) for l in model.layers] for model in models]
+        params, stacked = _flat_stack(models)
+        assert stacked.folds == (3,) and params.ndim == 1
+        for k, model in enumerate(models):
+            for got, want in zip(stacked.fold(k).layers, model.layers):
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+        # sgd_step updates the vector in place: every layer's weights and
+        # bias see the write, as (folds, out, in + 1) blocks in layer order,
+        # and the models it copied do not
+        params[...] = np.arange(params.size)
+        blocks = [np.concatenate((l.weights, l.bias[..., None]), axis=-1) for l in stacked.layers]
+        assert np.concatenate([b.ravel() for b in blocks]).tobytes() == params.tobytes()
+        assert [[(l.weights.tobytes(), l.bias.tobytes()) for l in m.layers] for m in models] == kept
 
     def test_fold_count_mismatch_rejected(self):
         _, stacked, x, _ = self.stack(Topology.ONE_LAYER)
@@ -327,7 +345,7 @@ class TestOutBuffers:
         for k, model in enumerate(models):
             for layer in model.layers:  # nonzero biases, different per fold
                 layer.bias[:] = Rng(70 + k).normal(layer.bias.size)
-        return [one, stack_models(models)]
+        return [one, _flat_stack(models)[1]]
 
     @staticmethod
     def batch(model, seed, rows):
@@ -343,37 +361,40 @@ class TestOutBuffers:
     @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3fold"])
     def test_full_and_short_batches_in_turn_match_fresh_calls(self, stacked):
         model = self.models()[stacked]
-        # one set of (out, in + 1) gradient blocks for both batch shapes, as
-        # in the training loop
-        blocks = [np.empty(l.bias.shape + (l.weights.shape[-1] + 1,)) for l in model.layers]
-        grads = Gradients(*_weights_and_bias(blocks))
-        plans = {rows: _StepPlan(model, rows, blocks) for rows in (8, 3)}
-        given = {rows: [id(a) for a in self.arrays(plan, grads)] for rows, plan in plans.items()}
+        # one flat gradient vector for both batch shapes, as in the training
+        # loop; each plan views it as (out, in + 1) blocks
+        size = sum(l.weights.size + l.bias.size for l in model.layers)
+        grad = np.empty(size)
+        plans = {rows: ForwardPass(model, rows, grad) for rows in (8, 3)}
+        grads = {rows: Gradients(*_weights_and_bias(plan.gradients)) for rows, plan in plans.items()}
+        given = {rows: [id(a) for a in self.arrays(plan, grads[rows])] for rows, plan in plans.items()}
         for step, rows in enumerate((8, 3, 8, 3)):
             x, y = self.batch(model, 100 + 10 * step, rows)
             plan = plans[rows]
             plan.batch[...] = x
             plan.one_hot[...] = _one_hot(y)
-            plan.forward()
-            plan.backward()
-            assert plan.gradients is blocks
-            assert [id(a) for a in self.arrays(plan, grads)] == given[rows]
+            plan._forward()
+            plan._backward()
+            # the blocks tile the vector, in layer order
+            assert all(np.shares_memory(block, grad) for block in plan.gradients)
+            assert np.concatenate([block.ravel() for block in plan.gradients]).tobytes() == grad.tobytes()
+            assert [id(a) for a in self.arrays(plan, grads[rows])] == given[rows]
             fresh_fwd = forward(model, x)
             fresh = self.arrays(fresh_fwd, backward(fresh_fwd, y))
-            for got, want in zip(self.arrays(plan, grads), fresh):
+            for got, want in zip(self.arrays(plan, grads[rows]), fresh):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
     def test_an_in_place_parameter_update_reaches_the_next_step(self):
         model = self.models()[1]
         x, y = self.batch(model, 200, 5)
-        plan = _StepPlan(model, 5)
+        plan = ForwardPass(model, 5)
         plan.batch[...] = x
-        plan.forward()
+        plan._forward()
         for layer in model.layers:
             layer.weights *= 0.5
             layer.bias += 1.0
-        plan.forward()
+        plan._forward()
         assert plan.probs.tobytes() == forward(model, x).probs.tobytes()
 
 
@@ -385,7 +406,7 @@ SPLIT_SUM_KERNELS = {"Katmai", "Nehalem"}
 
 class TestBiasColumn:
     """backward gets each layer's bias gradient as the last column of the
-    weight-gradient matmul, against a column of ones (see network._StepPlan).
+    weight-gradient matmul, against a column of ones (see network.ForwardPass).
     For every layer shape the presets train, at 1 to 36 rows, that column
     has the bits of numpy's in-order sum of the delta over the rows, and the
     other columns those of delta.T @ a."""
@@ -401,7 +422,7 @@ class TestBiasColumn:
         for k, model in enumerate(models):
             for layer in model.layers:  # nonzero biases, so that some ReLUs are shut
                 layer.bias[:] = Rng(90 + k).normal(layer.bias.size)
-        model = models[0] if folds == () else stack_models(models)
+        model = models[0] if folds == () else _flat_stack(models)[1]
         for rows in range(1, 37):
             rng = Rng(1000 + rows)
             x = rng.normal(n_models * rows * 85).reshape(folds + (rows, 85))
