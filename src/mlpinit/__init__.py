@@ -31,10 +31,8 @@ from .errors import (
 )
 from .evaluation import (
     ClassMetrics,
-    ConfusionMatrix,
     Report,
     accumulate_confusion,
-    per_class_metrics,
     summarize,
 )
 from .harness import (

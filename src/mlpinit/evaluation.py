@@ -1,10 +1,14 @@
-"""Confusion-matrix accumulation and classification metrics.
+"""Confusion counts and classification metrics.
 
-Per-class precision/recall/F1 use the one-vs-rest reduction of the 4x4
-confusion matrix; any 0/0 is defined as 0 (a class that is never predicted
-has precision 0, one that never occurs has recall 0, and F1 is 0 whenever
-precision + recall is 0). Macro averages are unweighted means over the four
-classes; accuracy is the trace over the total.
+A confusion matrix is a plain (4, 4) int64 array of counts where
+``counts[t, p]`` is the number of records of true class t predicted as p:
+rows are truth, columns are predictions.
+
+Per-class precision/recall/F1 use the one-vs-rest reduction of that matrix;
+any 0/0 is defined as 0 (a class that is never predicted has precision 0, one
+that never occurs has recall 0, and F1 is 0 whenever precision + recall is
+0). Macro averages are unweighted means over the four classes; accuracy is
+the trace over the total.
 """
 
 from __future__ import annotations
@@ -18,46 +22,23 @@ from .errors import ValidationError
 from .numerics import _check_labels
 
 
-class ConfusionMatrix:
-    """4x4 int64 counts where ``counts[t][p]`` is true class t predicted as p.
+def accumulate_confusion(preds, labels) -> np.ndarray:
+    """The (4, 4) int64 counts of parallel prediction/label vectors.
 
-    Starts at zeros; ``add`` is the only way counts grow.
+    Both must be integer vectors of classes in [0, 4); ValidationError names
+    any other dtype, bool included, rather than truncating it.
     """
-
-    def __init__(self):
-        self.counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def n_correct(self) -> int:
-        return int(np.trace(self.counts))
-
-    def add(self, preds, labels) -> None:
-        """Accumulate (prediction, truth) pairs into this matrix.
-
-        Both must be integer vectors of classes in [0, 4); ValidationError
-        names any other dtype, bool included, rather than truncating it.
-        """
-        preds = np.asarray(preds)
-        labels = np.asarray(labels)
-        if preds.shape != labels.shape or preds.ndim != 1:
-            raise ValidationError(
-                f"predictions and labels must be equal-length vectors, got "
-                f"shapes {preds.shape} and {labels.shape}"
-            )
-        preds = _check_labels(preds, preds.shape, N_CLASSES)
-        labels = _check_labels(labels, labels.shape, N_CLASSES)
-        np.add.at(self.counts, (labels, preds), 1)
-
-
-def accumulate_confusion(preds, labels) -> ConfusionMatrix:
-    """Build a confusion matrix from parallel prediction/label vectors."""
-    cm = ConfusionMatrix()
-    cm.add(preds, labels)
-    return cm
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.shape != labels.shape or preds.ndim != 1:
+        raise ValidationError(
+            f"predictions and labels must be equal-length vectors, got "
+            f"shapes {preds.shape} and {labels.shape}"
+        )
+    preds = _check_labels(preds, preds.shape, N_CLASSES)
+    labels = _check_labels(labels, labels.shape, N_CLASSES)
+    flat = np.bincount(labels * N_CLASSES + preds, minlength=N_CLASSES * N_CLASSES)
+    return flat.astype(np.int64, copy=False).reshape(N_CLASSES, N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -80,39 +61,39 @@ class Report:
     total: int
 
 
-def per_class_metrics(cm: ConfusionMatrix) -> list[ClassMetrics]:
-    """One-vs-rest precision/recall/F1 for each of the four classes."""
-    out = []
-    col_sums = cm.counts.sum(axis=0)
-    row_sums = cm.counts.sum(axis=1)
-    for c in range(N_CLASSES):
-        tp = int(cm.counts[c, c])
-        fp = int(col_sums[c]) - tp
-        fn = int(row_sums[c]) - tp
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        out.append(
-            ClassMetrics(precision=precision, recall=recall, f1=f1, support=int(row_sums[c]))
-        )
-    return out
+def summarize(counts) -> Report:
+    """Per-class metrics, unweighted macro averages and accuracy of a
+    confusion matrix laid out as ``accumulate_confusion`` returns it.
 
-
-def summarize(cm: ConfusionMatrix) -> Report:
-    """Full report: per-class metrics, unweighted macro averages, accuracy."""
-    total = cm.total
+    ValidationError unless ``counts`` is a (4, 4) integer array (bool is not
+    one) with no negative count and at least one record.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (N_CLASSES, N_CLASSES):
+        raise ValidationError(
+            f"confusion counts must have shape ({N_CLASSES}, {N_CLASSES}), got {counts.shape}"
+        )
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValidationError(f"confusion counts must be integers, got dtype {counts.dtype}")
+    if (counts < 0).any():
+        raise ValidationError("confusion counts must not be negative")
+    total = int(counts.sum())
     if total < 1:
         raise ValidationError("cannot summarize an empty confusion matrix")
-    per_class = tuple(per_class_metrics(cm))
+    per_class = []
+    for c in range(N_CLASSES):
+        tp = int(counts[c, c])
+        predicted = int(counts[:, c].sum())
+        support = int(counts[c].sum())
+        precision = tp / predicted if predicted > 0 else 0.0
+        recall = tp / support if support > 0 else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class.append(ClassMetrics(precision=precision, recall=recall, f1=f1, support=support))
     return Report(
-        per_class=per_class,
+        per_class=tuple(per_class),
         macro_precision=sum(m.precision for m in per_class) / N_CLASSES,
         macro_recall=sum(m.recall for m in per_class) / N_CLASSES,
         macro_f1=sum(m.f1 for m in per_class) / N_CLASSES,
-        accuracy=cm.n_correct / total,
+        accuracy=int(np.trace(counts)) / total,
         total=total,
     )

@@ -154,10 +154,14 @@ class ExperimentConfig:
 class ExperimentResult:
     config: ExperimentConfig
     holdout: Report
-    loo_accuracy: float | None
     loo_outcomes: list[bool] | None
     wall_time: float
     model: MlpModel = field(repr=False, default=None)  # type: ignore[assignment]
+
+    @property
+    def loo_accuracy(self) -> float | None:
+        """The mean of ``loo_outcomes``, or None when LOO was off."""
+        return None if self.loo_outcomes is None else float(np.mean(self.loo_outcomes))
 
 
 @dataclass
@@ -373,7 +377,6 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exc
         results.append(ExperimentResult(
             config=config,
             holdout=summarize(accumulate_confusion(predict(model, test.features), test.labels)),
-            loo_accuracy=None if loo_outcomes is None else float(np.mean(loo_outcomes)),
             loo_outcomes=loo_outcomes,
             wall_time=time.perf_counter() - started,
             model=model,

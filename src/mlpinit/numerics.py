@@ -135,8 +135,6 @@ class Rng:
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each built from the top 53 bits of one word."""
         n = _check_int("draw count", n, 0)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         return (self._next_block(n) >> np.uint64(11)) * _INV_2_53
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:

@@ -44,8 +44,8 @@ def reaped(pid) -> bool:
 
 @pytest.fixture
 def confusion_from_counts():
-    """Build the ConfusionMatrix of a 4x4 table, ``counts[t][p]`` being true
-    class t predicted as p, from one (pred, label) pair per count."""
+    """Accumulate the confusion counts of a 4x4 table, ``counts[t][p]`` being
+    true class t predicted as p, from one (pred, label) pair per count."""
 
     def build(counts):
         counts = np.asarray(counts)
@@ -53,7 +53,7 @@ def confusion_from_counts():
         cm = accumulate_confusion(
             np.repeat(pred.ravel(), counts.ravel()), np.repeat(truth.ravel(), counts.ravel())
         )
-        assert cm.counts.tolist() == counts.tolist()
+        assert cm.tolist() == counts.tolist()
         return cm
 
     return build

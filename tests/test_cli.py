@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,27 @@ def test_init_stats_json(capsys):
     assert len(stats) == 16  # 4 schemes x 4 fan-ins
     for entry in stats:
         assert abs(entry["empirical_variance"] - entry["target_variance"]) < 0.2 * entry["target_variance"]
+
+
+def test_init_stats_text_has_one_line_per_scheme_and_fan_in(capsys):
+    assert cli.main(["init-stats", "--seed", "1", "--draws", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert cli.main(["init-stats", "--seed", "1", "--draws", "2000", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert len(lines) == len(stats) == 16  # 4 schemes x 4 fan-ins
+    for line, entry in zip(lines, stats):
+        head = re.fullmatch(r"(\S+) +d=(\d+) +var ([\d.]+) \(target ([\d.]+)\)(.*)", line)
+        assert head, line
+        scheme, fan_in, var, target, tail = head.groups()
+        assert (scheme, int(fan_in)) == (entry["scheme"], entry["fan_in"])
+        assert (var, target) == (f"{entry['empirical_variance']:.6f}", f"{entry['target_variance']:.6f}")
+        if scheme.endswith("uniform"):
+            bound = re.fullmatch(r"  max\|w\| ([\d.]+) \(bound ([\d.]+)\)", tail)
+            assert bound, line
+            assert float(bound[1]) <= float(bound[2])
+            assert bound[2] == f"{entry['bound']:.6f}"
+        else:
+            assert tail == ""
 
 
 @pytest.mark.parametrize("draws", ["0", "-5"])

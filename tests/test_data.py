@@ -657,6 +657,14 @@ class TestDataset:
             Dataset(np.zeros((2, 85)), [0, 9], [0, 0])
 
     @pytest.mark.parametrize("labels, participants", [
+        ([0, 1, 2], [0, 0]),
+        ([0, 1], [0]),
+    ], ids=["labels-too-long", "participants-too-short"])
+    def test_wrong_length_labels_or_participants_rejected(self, labels, participants):
+        with pytest.raises(ValidationError, match="must both have shape"):
+            Dataset(np.zeros((2, 85)), labels, participants)
+
+    @pytest.mark.parametrize("labels, participants", [
         ([0.7, 3.9], [1, 2]),
         ([0, 3], [1.5, 2.2]),
         (["1", "2"], [1, 2]),

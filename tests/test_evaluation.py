@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from mlpinit.errors import ValidationError
-from mlpinit.evaluation import (
-    ConfusionMatrix,
-    accumulate_confusion,
-    per_class_metrics,
-    summarize,
-)
+from mlpinit.evaluation import accumulate_confusion, summarize
 from mlpinit.numerics import Rng
 
 
@@ -41,23 +36,23 @@ class TestAccumulate:
     def test_perfect_predictions_are_diagonal(self):
         labels = np.array([0, 1, 2, 3, 2, 1])
         cm = accumulate_confusion(labels, labels)
-        assert cm.n_correct == 6
-        np.testing.assert_array_equal(cm.counts, np.diag([1, 2, 2, 1]))
+        assert np.trace(cm) == 6
+        np.testing.assert_array_equal(cm, np.diag([1, 2, 2, 1]))
         assert summarize(cm).accuracy == 1.0
 
     def test_constant_predictor_on_balanced_labels(self):
         labels = np.repeat([0, 1, 2, 3], 10)
         preds = np.zeros(40, dtype=int)
         cm = accumulate_confusion(preds, labels)
-        assert cm.counts[:, 0].sum() == 40
-        assert cm.counts[:, 1:].sum() == 0
+        assert cm[:, 0].sum() == 40
+        assert cm[:, 1:].sum() == 0
         assert summarize(cm).accuracy == 0.25
 
     def test_single_pair(self):
         cm = accumulate_confusion([3], [2])
         expected = np.zeros((4, 4), dtype=int)
         expected[2, 3] = 1
-        np.testing.assert_array_equal(cm.counts, expected)
+        np.testing.assert_array_equal(cm, expected)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -82,7 +77,7 @@ class TestAccumulate:
         for dtype in (np.uint8, np.int32, np.int64):
             classes = np.repeat(np.arange(4, dtype=dtype), 3)
             cm = accumulate_confusion(classes, classes)
-            assert cm.counts.dtype == np.int64 and cm.total == 12
+            assert cm.shape == (4, 4) and cm.dtype == np.int64 and cm.sum() == 12
 
 
 class TestPerClassMetrics:
@@ -93,7 +88,7 @@ class TestPerClassMetrics:
         counts[0, 0] = 267
         counts[1, 0] = 33
         counts[0, 1] = 623
-        metrics = per_class_metrics(confusion_from_counts(counts))[0]
+        metrics = summarize(confusion_from_counts(counts)).per_class[0]
         assert metrics.precision == pytest.approx(0.89, abs=1e-12)
         assert metrics.recall == pytest.approx(0.30, abs=1e-12)
         assert metrics.f1 == pytest.approx(2 * 0.89 * 0.30 / 1.19, abs=1e-12)
@@ -102,7 +97,7 @@ class TestPerClassMetrics:
     def test_empty_class_uses_zero_convention(self, confusion_from_counts):
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 5
-        metrics = per_class_metrics(confusion_from_counts(counts))
+        metrics = summarize(confusion_from_counts(counts)).per_class
         for c in (1, 2, 3):
             assert metrics[c].precision == 0.0
             assert metrics[c].recall == 0.0
@@ -116,7 +111,7 @@ class TestPerClassMetrics:
         counts[0, 0] = 2
         counts[0, 1] = 1
         counts[1, 1] = 3
-        m0 = per_class_metrics(confusion_from_counts(counts))[0]
+        m0 = summarize(confusion_from_counts(counts)).per_class[0]
         assert m0.precision == 1.0
         assert m0.recall == pytest.approx(2 / 3)
         assert m0.f1 == pytest.approx(0.8)
@@ -149,7 +144,28 @@ class TestSummarize:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            summarize(ConfusionMatrix())
+            summarize(np.zeros((4, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("counts, match", [
+        (np.ones((3, 4), dtype=np.int64), "shape"),
+        (np.ones(16, dtype=np.int64), "shape"),
+        (np.ones((4, 4, 1), dtype=np.int64), "shape"),
+        (np.ones((4, 4)), "must be integers"),
+        (np.ones((4, 4), dtype=bool), "must be integers"),
+        ([["1"] * 4] * 4, "must be integers"),
+        (np.diag([3, -1, 2, 2]), "negative"),
+        (np.zeros((4, 4), dtype=np.uint8), "empty"),
+    ], ids=["3x4", "flat", "4x4x1", "float", "bool", "strings", "negative", "all-zero"])
+    def test_rejects_anything_but_nonempty_integer_counts(self, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            summarize(counts)
+
+    def test_takes_counts_of_any_integer_width(self):
+        counts = np.diag([3, 4, 5, 6])
+        want = summarize(counts.astype(np.int64))
+        for dtype in (np.uint8, np.int32, np.uint64):
+            assert summarize(counts.astype(dtype)) == want
+        assert summarize(counts.tolist()) == want
 
     def test_brute_force_oracle_on_random_cases(self):
         rng = Rng(424242)

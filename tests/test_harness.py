@@ -180,6 +180,7 @@ class TestRunExperiment:
         assert result.loo_accuracy is not None
         assert len(result.loo_outcomes) == 28  # trainval size for the 32-sample cohort
         assert 0.0 <= result.loo_accuracy <= 1.0
+        assert result.loo_accuracy == sum(result.loo_outcomes) / 28
 
     def test_loo_skipped_when_disabled(self):
         result = run_experiment(small_config())
@@ -656,7 +657,7 @@ class TestRendering:
         report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
-            loo_accuracy=None, loo_outcomes=None, wall_time=0.0,
+            loo_outcomes=None, wall_time=0.0,
         )
         text = render_report([result])
         assert "0.00" in text
@@ -668,7 +669,7 @@ class TestRendering:
         report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
-            loo_accuracy=None, loo_outcomes=None, wall_time=0.0,
+            loo_outcomes=None, wall_time=0.0,
         )
         assert "0.60" in render_report([result])
 

@@ -1,5 +1,6 @@
-"""Every name a library module imports is one it uses, and every name the
-package exports has a caller outside the tests."""
+"""Every name a library module imports is one it uses, every name the
+package exports has a caller outside the tests, and every function it
+exports has one outside its own module."""
 
 import ast
 from pathlib import Path
@@ -44,23 +45,44 @@ def test_module_uses_every_name_it_imports(path):
     assert unused <= UNUSED_ALLOWED.get(path.stem, set()), sorted(unused)
 
 
-def test_every_exported_name_has_a_caller_outside_the_tests():
-    # ROADMAP north star: "Remove public surface with no caller in src/,
-    # demos/ or the CLI."
+def exports() -> dict[str, Path]:
+    """Each name the package exports, mapped to the module that defines it."""
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
-        alias.asname or alias.name
+    return {
+        alias.asname or alias.name: PACKAGE / f"{node.module}.py"
         for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a file reads or takes as an attribute."""
     referenced = set()
-    for path in CALLERS:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    assert exported - referenced == set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    return referenced
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # ROADMAP north star: "Remove public surface with no caller in src/,
+    # demos/ or the CLI."
+    referenced = set().union(*map(referenced_names, CALLERS))
+    assert set(exports()) - referenced == set()
+
+
+def test_every_exported_function_has_a_caller_outside_its_own_module():
+    # A function that only its own module calls is a helper, not public surface.
+    referenced = {path: referenced_names(path) for path in CALLERS}
+    uncalled = []
+    for name, module in exports().items():
+        defined = ast.parse(module.read_text(encoding="utf-8")).body
+        if any(isinstance(node, ast.FunctionDef) and node.name == name for node in defined):
+            if not any(name in names for path, names in referenced.items() if path != module):
+                uncalled.append(name)
+    assert uncalled == []
 
 
 def names_in(tree: ast.Module) -> set[str]:

@@ -193,6 +193,20 @@ class TestRng:
         fresh.random(1)
         np.testing.assert_array_equal(r.random(3), fresh.random(3))
 
+    def test_empty_draws_return_empty_arrays_and_take_no_words(self):
+        r = Rng(5)
+        draws = {
+            "random": r.random(0),
+            "uniform": r.uniform(-1.0, 1.0, 0),
+            "normal": r.normal(0),
+            "permutation": r.permutation(0),
+        }
+        dtypes = {name: draw.dtype for name, draw in draws.items()}
+        assert dtypes == {"random": np.float64, "uniform": np.float64,
+                          "normal": np.float64, "permutation": Rng(5).permutation(2).dtype}
+        assert all(draw.shape == (0,) for draw in draws.values())
+        np.testing.assert_array_equal(r.random(3), Rng(5).random(3))
+
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
             Rng(0).normal(3, 0.0, -1.0)
