@@ -2,7 +2,7 @@
 
 A sample is 85 physiological features (23 GSR, 39 pupil-dilation, 23 skin
 temperature) plus a 4-level severity label and a participant id. The CSV
-contract is a UTF-8 header ``participant,label,gsr_00..gsr_22,pd_00..pd_38,
+contract is ASCII: a header ``participant,label,gsr_00..gsr_22,pd_00..pd_38,
 st_00..st_22`` (87 columns), labels as ``None|Mild|Moderate|Severe`` or the
 integers 0-3, features as plain decimal floats, no quoting.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import string
 from array import array
 from pathlib import Path
 
@@ -31,6 +32,10 @@ N_FEATURES = len(FEATURE_NAMES)  # 85
 
 CSV_HEADER = ("participant", "label") + FEATURE_NAMES
 _HEADER_BYTES = ",".join(CSV_HEADER).encode()
+# The only bytes a data row may hold. int() and float() also take spaces,
+# tabs, "_" digit groups and non-ASCII digits, which no cell of the contract
+# holds.
+_ROW_BYTES = (string.ascii_letters + string.digits + "+-.,").encode()
 
 # save_csv and load_csv map their work through the worker pool in as many
 # equal blocks as hold at least these rows (save_csv) or file bytes
@@ -98,14 +103,15 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.participants[indices])
 
 
-def _parse_label(token: str, lineno: int) -> int:
-    if token in LABEL_NAMES:
-        return LABEL_NAMES.index(token)
+def _parse_label(token: bytes, lineno: int) -> int:
+    names = [name.encode() for name in LABEL_NAMES]
+    if token in names:
+        return names.index(token)
     try:
         value = int(token)
     except ValueError:
         raise ParseError(
-            f"row {lineno}, column 'label': unknown label token {token!r} "
+            f"row {lineno}, column 'label': unknown label token {token.decode()!r} "
             f"(expected one of {'/'.join(LABEL_NAMES)} or 0-3)"
         ) from None
     if not 0 <= value < N_CLASSES:
@@ -113,30 +119,30 @@ def _parse_label(token: str, lineno: int) -> int:
     return value
 
 
-def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
+def _parse_row(line: bytes, lineno: int, path) -> tuple[int, int, list[float]]:
     """One data row's participant id, label and 85 features, or a DataError."""
-    parts = line.split(",")
+    parts = line.split(b",")
     if len(parts) != len(CSV_HEADER):
         raise FormatError(
             f"{path}: row {lineno} has {len(parts)} columns, expected {len(CSV_HEADER)}"
         )
-    # int() and float() accept digit-group underscores ("1_0.5" is 10.5); the
-    # contract's plain decimals have none.
-    if "_" in line:
-        j = next(j for j, cell in enumerate(parts) if "_" in cell)
+    if line.translate(None, _ROW_BYTES):
+        j, cell = next((j, c) for j, c in enumerate(parts) if c.translate(None, _ROW_BYTES))
         raise ParseError(
-            f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
-            f"contains '_', which plain decimal numbers do not"
+            f"row {lineno}, column {CSV_HEADER[j]!r}: {cell.decode(errors='replace')!r} "
+            f"holds the byte {cell.translate(None, _ROW_BYTES)[:1]!r}, which is not an ASCII "
+            f"letter, digit, '+', '-' or '.'"
         )
     try:
         participant = int(parts[0])
     except ValueError:
         raise ParseError(
-            f"row {lineno}, column 'participant': {parts[0]!r} is not an integer"
+            f"row {lineno}, column 'participant': {parts[0].decode()!r} is not an integer"
         ) from None
     if not -(2**63) <= participant < 2**63:
         raise ParseError(
-            f"row {lineno}, column 'participant': {parts[0]!r} is outside the int64 range"
+            f"row {lineno}, column 'participant': {parts[0].decode()!r} is outside the "
+            f"int64 range"
         )
     label = _parse_label(parts[1], lineno)
     try:
@@ -147,17 +153,16 @@ def _parse_row(line: str, lineno: int, path) -> tuple[int, int, list[float]]:
                 float(cell)
             except ValueError:
                 raise ParseError(
-                    f"row {lineno}, column {FEATURE_NAMES[j]!r}: {cell!r} is not a number"
+                    f"row {lineno}, column {FEATURE_NAMES[j]!r}: {cell.decode()!r} is not a number"
                 ) from None
         raise
 
 
-def _check_header(line: str, path) -> None:
+def _check_header(line: bytes, path) -> None:
     """Raise FormatError unless ``line`` is the contract's header."""
-    header = tuple(line.split(","))
-    if header == CSV_HEADER:
+    if line == _HEADER_BYTES:
         return
-    n_feat = len(header) - 2
+    n_feat = line.count(b",") - 1
     if n_feat != N_FEATURES:
         raise FormatError(f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}")
     raise FormatError(
@@ -179,15 +184,15 @@ def load_csv(path) -> Dataset:
     pipe or other file that is not a regular file is one task, read once
     from its start. Peak memory in the calling process is the matrix (with
     the buffer's few percent of spare capacity) plus a few blocks' rows in
-    transit. Rows split as ``str.splitlines`` splits the whole text, so a
-    lone CR, ``\\x0c`` or U+2028 also ends a row.
+    transit. A row ends at LF, CRLF or a lone CR, as ``bytes.splitlines``
+    splits.
 
-    Raises OSError for a missing file, FormatError for bytes that are not
-    UTF-8 anywhere in the file (naming the offset) or a wrong header, and
-    otherwise names the first faulty row in file order and its first failed
-    check, in this order: FormatError for the column count, then ParseError
-    (naming the column) for an underscore, a participant id that is not an
-    int64, an unknown label token, a non-numeric and a non-finite feature.
+    Raises OSError for a missing file, and otherwise names the first fault in
+    file order: FormatError for a wrong header, or the first faulty row's
+    first failed check, in this order: FormatError for the column count,
+    then ParseError (naming the column) for a byte other than an ASCII
+    letter, digit, ``+``, ``-``, ``.`` or ``,``, a participant id that is not
+    an int64, an unknown label token, a non-numeric and a non-finite feature.
     """
     path = Path(path)
     size = path.stat().st_size if path.is_file() else 0
@@ -200,8 +205,6 @@ def load_csv(path) -> Dataset:
     n_lines, bad_line = 0, None
     blocks = _pool.fork_map(_parse_csv_block, tasks)
     for block_ids, block_labels, block_rows, block_lines, fault in blocks:
-        if isinstance(fault, int):
-            raise FormatError(f"{path}: not UTF-8 text at byte offset {fault}")
         if bad_line is None:
             participants.frombytes(block_ids)
             labels.frombytes(block_labels)
@@ -224,20 +227,16 @@ def load_csv(path) -> Dataset:
     return Dataset(features, labels, participants)
 
 
-def _parse_csv_block(task) -> tuple[bytes, bytes, bytes, int, int | tuple | None]:
+def _parse_csv_block(task) -> tuple[bytes, bytes, bytes, int, tuple[int, bytes] | None]:
     """The participant ids, labels and features, as array bytes, of the rows
     on the lines of ``path`` that start in the byte range [start, stop), the
     number of those lines, and their first fault.
 
-    A line starts at byte 0 or after a ``\\n``. One ``\\n``-ended line of
-    bytes is decoded at a time: no UTF-8 sequence contains the byte
-    ``\\n``, and each such line but the file's last ends in a line break, so
-    the lines decode and split as the whole text does under
-    ``str.splitlines``. The range at byte 0 starts with the header. The
-    fault is the file offset of the first byte that is not UTF-8, or else
-    ``(index, text)`` of the first line, counted from 1, that raised
-    DataError; the rows stop before it, and the rest of the range is still
-    decoded. None if there is no fault.
+    A line starts at byte 0 or after a ``\\n``; each ``\\n``-ended piece
+    splits as the whole file does under ``bytes.splitlines``. The range at
+    byte 0 starts with the header. The fault is ``(index, line)`` of the
+    first line, counted from 1, that raised DataError, and the parse stops
+    there; None if there is no fault.
     """
     path, start, stop = task
     participants, labels, features = array("q"), array("q"), array("d")
@@ -248,16 +247,9 @@ def _parse_csv_block(task) -> tuple[bytes, bytes, bytes, int, int | tuple | None
         if start:  # the line holding byte start - 1 is an earlier block's
             file.seek(start - 1)
             offset += len(file.readline()) - 1
-        while offset < stop and (raw := file.readline()):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                fault = offset + exc.start
-                break
+        while fault is None and offset < stop and (raw := file.readline()):
             offset += len(raw)
-            if fault is not None:
-                continue
-            for line in text.splitlines():
+            for line in raw.splitlines():
                 n_lines += 1
                 try:
                     if n_lines == 1 and not start:
@@ -309,14 +301,14 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def _format_csv_block(block) -> bytes:
-    """The UTF-8 CSV lines of a block of (participants, labels, features) rows."""
+    """The ASCII CSV lines of a block of (participants, labels, features) rows."""
     participants, labels, features = block
     return "".join(
         f"{participant},{LABEL_NAMES[label]},{','.join(map(repr, row))}\n"
         for participant, label, row in zip(
             participants.tolist(), labels.tolist(), features.tolist()
         )
-    ).encode("utf-8")
+    ).encode("ascii")
 
 
 def synthesize_dataset(

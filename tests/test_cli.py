@@ -193,13 +193,14 @@ def test_run_reads_its_data_from_a_fifo(tmp_path, fifo):
 
 def test_non_utf8_data_file_exits_3(tmp_path, capsys):
     path = tmp_path / "cohort.csv"
-    path.write_bytes(b"participant,label\xff\n")
+    row = ",".join(["1", "None"] + ["1.0"] * 84 + ["\xff1.0"])
+    path.write_bytes((",".join(CSV_HEADER) + "\n" + row + "\n").encode("latin-1"))
     code = cli.main(
         ["run", "--topology", "1", "--init", "xavier", "--data", str(path),
          "--out", str(tmp_path / "o")]
     )
     assert code == 3
-    assert "not UTF-8 text at byte offset 17" in capsys.readouterr().err
+    assert "row 2, column 'st_22': '\ufffd1.0' holds the byte b'\\xff'" in capsys.readouterr().err
 
 
 def test_participant_id_outside_int64_exits_3(tmp_path, capsys):

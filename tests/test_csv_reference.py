@@ -1,12 +1,16 @@
-"""Differential test: ``load_csv`` against the whole-file loader it replaced.
+"""Differential test: ``load_csv`` against a whole-file loader of the same contract.
 
-``reference_load_csv`` is the loader that read the file as one string and
-split it with ``str.splitlines()``, kept verbatim with its two helpers. On
-every file of the corpus, the streamed ``load_csv`` must return the same
-array bytes or raise the same exception type with the same message, with
-its real block size and with small blocks forced at one and two workers.
+``reference_load_csv`` reads the file as one ``bytes`` and splits it with
+``bytes.splitlines()``. It finds a row's first byte outside the contract's
+alphabet with a regex, then decodes the row as ASCII and runs each
+remaining check in ``load_csv``'s order on the text, with no helper of
+``mlpinit.data``. On every file of the corpus, the streamed ``load_csv``
+must return the same array bytes or raise the same exception type with the
+same message, with its real block size and with small blocks forced at one
+and two workers.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,8 @@ from mlpinit.errors import DataError, FormatError, ParseError
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
 N_CLASSES = 4
+# A byte that no cell of the contract holds.
+NOT_IN_A_ROW = re.compile(rb"[^A-Za-z0-9+\-.,]")
 
 
 def _parse_label(token: str, lineno: int) -> int:
@@ -37,16 +43,11 @@ def _parse_label(token: str, lineno: int) -> int:
 
 def reference_load_csv(path) -> Dataset:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    lines = text.splitlines()
+    lines = path.read_bytes().splitlines()
     if not lines:
         raise FormatError(f"{path}: file is empty")
-    header = tuple(lines[0].split(","))
-    if header != CSV_HEADER:
-        n_feat = len(header) - 2
+    if lines[0] != ",".join(CSV_HEADER).encode():
+        n_feat = len(lines[0].split(b",")) - 2
         if n_feat != N_FEATURES:
             raise FormatError(
                 f"{path}: header has {n_feat} feature columns, expected {N_FEATURES}"
@@ -58,22 +59,21 @@ def reference_load_csv(path) -> Dataset:
     features = np.empty((len(lines) - 1, N_FEATURES))
     participants, labels = [], []
     try:
-        for i, line in enumerate(lines[1:]):
+        for i, raw in enumerate(lines[1:]):
             lineno = i + 2
-            parts = line.split(",")
-            if len(parts) != len(CSV_HEADER):
+            if raw.count(b",") != len(CSV_HEADER) - 1:
                 raise FormatError(
-                    f"{path}: row {lineno} has {len(parts)} columns, "
+                    f"{path}: row {lineno} has {raw.count(b',') + 1} columns, "
                     f"expected {len(CSV_HEADER)}"
                 )
-            # int() and float() accept digit-group underscores ("1_0.5" is
-            # 10.5); the contract's plain decimals have none.
-            if "_" in line:
-                j = next(j for j, cell in enumerate(parts) if "_" in cell)
+            if bad := NOT_IN_A_ROW.search(raw):
+                j = raw.count(b",", 0, bad.start())
+                cell = raw.split(b",")[j].decode("utf-8", "replace")
                 raise ParseError(
-                    f"row {lineno}, column {CSV_HEADER[j]!r}: {parts[j]!r} "
-                    f"contains '_', which plain decimal numbers do not"
+                    f"row {lineno}, column {CSV_HEADER[j]!r}: {cell!r} holds the byte "
+                    f"{bad.group()!r}, which is not an ASCII letter, digit, '+', '-' or '.'"
                 )
+            parts = raw.decode("ascii").split(",")
             try:
                 participant = int(parts[0])
             except ValueError:
@@ -170,7 +170,7 @@ CORPUS = {
     "participant-lowest-int64": HEADER + b"\n" + row(participant=str(-(2**63))) + b"\n",
     "non-ascii-digits": HEADER + b"\n" + row(f5="\u0661.5") + b"\n",
 }
-# Characters that str.splitlines() breaks at but a byte-line reader does not.
+# Characters that str.splitlines() breaks at, and bytes.splitlines() does not.
 for name, char in (("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85"),
                    ("ls", "\u2028")):
     enc = char.encode("utf-8")

@@ -225,13 +225,39 @@ class TestCsv:
         with pytest.raises(ParseError, match="st_22"):
             load_csv(path)
 
-    def test_invalid_utf8_names_file_and_byte_offset(self, tmp_path):
+    def test_non_utf8_byte_names_row_and_column(self, tmp_path):
         header = ",".join(CSV_HEADER).encode()
         row = b"1,None," + b",".join([b"1.0"] * 84) + b",\xff1.0\n"
         path = tmp_path / "latin.csv"
         path.write_bytes(header + b"\n" + row)
-        offset = len(header) + 1 + row.index(b"\xff")
-        with pytest.raises(FormatError, match=rf"latin\.csv: not UTF-8 .* offset {offset}$"):
+        with pytest.raises(ParseError, match=r"^row 2, column 'st_22': '\ufffd1\.0' holds the "
+                           r"byte b'\\xff', which is not an ASCII letter, digit, '\+', '-' or "
+                           r"'\.'$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("gsr_04", "\uff11"), ("gsr_04", "\u0661"), ("pd_10", " 1.0"), ("pd_10", "1.0\t"),
+        ("st_22", "\u00a01.0"), ("label", "\uff12"), ("label", " 2"), ("label", "2 "),
+        ("participant", " 3 "), ("pd_00", "1.0\x00"), ("pd_00", "\u2028"), ("pd_00", "\x85"),
+        ("pd_00", "\x0c1"),
+    ])
+    def test_a_cell_beyond_plain_ascii_names_row_and_column(self, tmp_path, column, cell):
+        # int() and float() strip whitespace and read any Unicode digit.
+        cells = dict(zip(CSV_HEADER, ["1", "None"] + ["1.0"] * 85))
+        good = ",".join(cells.values())
+        cells[column] = cell
+        path = tmp_path / "cell.csv"
+        path.write_bytes("\n".join([",".join(CSV_HEADER), good, good, ",".join(cells.values())])
+                         .encode() + b"\n")
+        with pytest.raises(ParseError, match=rf"^row 4, column '{column}': .* holds the byte"):
+            load_csv(path)
+
+    def test_a_fault_before_a_non_utf8_byte_wins(self, tmp_path):
+        good = "1,None," + ",".join(["1.0"] * 85)
+        rows = [",".join(CSV_HEADER), good, good.replace("1.0", "oops", 1), good + "\xff"]
+        path = tmp_path / "faults.csv"
+        path.write_bytes("\n".join(rows).encode("latin-1"))
+        with pytest.raises(ParseError, match=r"^row 3, column 'gsr_00': 'oops' is not a number$"):
             load_csv(path)
 
     def test_underscore_in_a_number_names_row_and_column(self, tmp_path):

@@ -13,7 +13,7 @@ from conftest import HAS_FORK, needs_fork, reaped, run_python
 
 import mlpinit.harness as harness
 from mlpinit import _pool, network, numerics
-from mlpinit.data import holdout_split, save_csv, standardize, synthesize_dataset
+from mlpinit.data import Dataset, holdout_split, save_csv, standardize, synthesize_dataset
 from mlpinit.errors import (
     DivergedTrainingError,
     FormatError,
@@ -218,6 +218,33 @@ class TestRunExperiment:
         for features in captured:
             for row in features:
                 assert row.tobytes() not in test_rows
+
+    def test_holdout_features_reach_only_the_holdout_predictions(self, tmp_path):
+        # Black-box: arbitrary holdout features leave the trained bits and the
+        # LOO outcomes alone, so neither the training rows nor the
+        # standardization statistics read them. Each row's participant id is
+        # its index, so the split names the holdout rows.
+        cohort = synthesize_dataset(5, 6, 8, 1.0)
+        ids = np.arange(len(cohort))
+        seed = 13
+        _, test = holdout_split(
+            Dataset(cohort.features, cohort.labels, ids), ExperimentConfig.holdout_fraction,
+            seed=derive_seed(seed, STREAM_SPLIT),
+        )
+        features = cohort.features.copy()
+        features[test.participants] = np.random.default_rng(0).uniform(-50, 50, test.features.shape)
+        results = []
+        for name, rows in (("kept", cohort.features), ("replaced", features)):
+            path = tmp_path / f"{name}.csv"
+            save_csv(Dataset(rows, cohort.labels, ids), path)
+            results.append(run_experiment(small_config(
+                seed=seed, epochs=3, loo_enabled=True, synthetic=None, csv_path=str(path)
+            )))
+        kept, replaced = results
+        assert len(kept.loo_outcomes) == len(cohort) - len(test)
+        assert replaced.loo_outcomes == kept.loo_outcomes
+        assert_same(replaced.model, kept.model)
+        assert replaced.holdout != kept.holdout
 
     def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
         monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 1e308, 0.6))

@@ -3,6 +3,7 @@ dead workers, pickling-hostile tasks and cleanup, each checked with two
 CPUs in the patched affinity against what ``map`` gives."""
 
 import os
+import signal
 import socket
 import sys
 
@@ -32,6 +33,10 @@ def _dies_at_three(k):
     if k == 3 and os.getpid() != _PARENT:
         os._exit(7)
     return k, os.getpid() == _PARENT
+
+
+def _square_dies_at_three(k):
+    return _dies_at_three(k)[0] ** 2
 
 
 class _TwoArgError(Exception):
@@ -228,3 +233,54 @@ def test_a_pool_that_cannot_start_maps_in_process(
     assert list(_pool.fork_map(_in_parent, range(4))) == [True] * 4
     assert len(forks) == fails_at and all(reaped(pid) for pid in forks)
     assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.parametrize("fails_at", [0, 3])
+def test_an_index_that_cannot_be_sent_ends_the_pool(fails_at, two_cpus, forks, monkeypatch):
+    # The parent's send of task index ``fails_at`` finds its worker gone.
+    real_sendall, sent = socket.socket.sendall, []
+
+    def sendall(sock, payload, *flags):
+        sent.append(payload)
+        if len(sent) == fails_at + 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return real_sendall(sock, payload, *flags)
+
+    monkeypatch.setattr(socket.socket, "sendall", sendall)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    assert list(_pool.fork_map(_square, range(20))) == list(map(_square, range(20)))
+    assert len(sent) == fails_at + 1
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(_square, id="all-served"),
+    pytest.param(_square_dies_at_three, id="one-died"),
+])
+def test_workers_reaped_by_an_ignored_sigchld_are_stopped(fn, two_cpus, forks, monkeypatch):
+    # With SIGCHLD ignored the kernel reaps each worker as it ends, so for
+    # each worker either kill finds no process or waitpid no child.
+    real_waitpid, real_kill, raised = os.waitpid, os.kill, []
+
+    def recorded(call):
+        def wrapper(*args):
+            try:
+                return call(*args)
+            except OSError as exc:
+                raised.append(type(exc))
+                raise
+        return wrapper
+
+    monkeypatch.setattr(os, "waitpid", recorded(real_waitpid))
+    monkeypatch.setattr(os, "kill", recorded(real_kill))
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = list(_pool.fork_map(fn, range(8)))
+        assert signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert got == list(map(fn, range(8)))
+    assert len(raised) == 2 and set(raised) <= {ChildProcessError, ProcessLookupError}
+    assert signal.getsignal(signal.SIGCHLD) == handler
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)

@@ -11,6 +11,7 @@ wraps undone) and compared with the code, so changing either one fails here.
 import os
 import re
 import shlex
+import string
 import struct
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from conftest import run_python
 import mlpinit.cli as cli
 from mlpinit import (
     KAIMING_NORMAL,
+    XAVIER_NORMAL,
     DivergedTrainingError,
     ExperimentConfig,
     ParseError,
@@ -30,12 +32,15 @@ from mlpinit import (
     Topology,
     ValidationError,
     build_model,
+    data,
     holdout_split,
+    load_csv,
     save_model,
     synthesize_dataset,
 )
 from mlpinit.data import CSV_HEADER
 from mlpinit.harness import LOO_GROUP_SIZE
+from mlpinit.initializers import target_variance
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -160,6 +165,42 @@ def test_the_csv_header_is_the_one_readme_shows():
         else:
             columns.append(token)
     assert tuple(columns) == CSV_HEADER
+
+
+def test_readme_lists_the_bytes_a_data_row_may_hold():
+    [listed] = re.findall(r"A data row holds only ASCII letters, digits, (.*?), so", PROSE)
+    punctuation = "".join(re.findall(r"`(.)`", listed))
+    assert sorted(data._ROW_BYTES.decode()) == sorted(
+        string.ascii_letters + string.digits + punctuation
+    )
+
+
+def test_each_csv_form_readme_lists_loads(tmp_path):
+    [forms] = re.findall(r"A feature cell may read (.*?), and a row may end in (.*?)\.", PROSE)
+    cells = re.findall(r"`([^`]+)`", forms[0])
+    ends = [{"LF": b"\n", "CRLF": b"\r\n", "CR": b"\r"}[name]
+            for name in re.findall(r"\b(CRLF|LF|CR)\b", forms[1])]
+    assert len(cells) == 4 and len(ends) == 3
+    rows = [",".join(["7", "Mild", cell] + ["1.0"] * 84).encode() for cell in cells]
+    content = ",".join(CSV_HEADER).encode() + ends[0]
+    for k, row in enumerate(rows):
+        content += row + ends[k % len(ends)]
+    path = tmp_path / "forms.csv"
+    path.write_bytes(content)
+    assert load_csv(path).features[:, 0].tolist() == [float(cell) for cell in cells]
+
+
+def test_the_xavier_form_readme_names_is_the_one_drawn():
+    [(xavier, kaiming)] = re.findall(
+        r"Xavier is the fan-in form, with variance (\d)/fan_in .*? its Kaiming has variance "
+        r"(\d)/fan_in", PROSE
+    )
+    assert "Glorot & Bengio's (2010) form, 2/(fan_in + fan_out), is the alternative" in PROSE
+    dims = Topology.THREE_LAYER.layer_dims
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        assert target_variance(XAVIER_NORMAL, fan_in) == int(xavier) / fan_in
+        assert target_variance(KAIMING_NORMAL, fan_in) == int(kaiming) / fan_in
+        assert target_variance(XAVIER_NORMAL, fan_in) != 2 / (fan_in + fan_out)
 
 
 def test_a_model_file_has_the_layout_readme_gives(tmp_path):
