@@ -31,6 +31,7 @@ import select
 import signal
 import socket
 import sys
+import threading
 
 
 def workers(n_tasks: int) -> int:
@@ -80,12 +81,26 @@ def fork_map(fn, tasks):
     done = {}  # task index -> result, for results not yet yielded
     due = 0
     pool = []  # (pid, socket, reader) per worker
+    # SIGINT is held until every worker is in the pool: a KeyboardInterrupt
+    # raised as os.fork returns would lose that worker's pid, and with it
+    # the kill and reap. Only a Python handler raises, and only in the main
+    # thread, so SIGINT is held only then. A worker keeps the holding handler.
+    held, previous = [], signal.getsignal(signal.SIGINT)
+    main = threading.current_thread() is threading.main_thread()
+    hold = n_workers > 1 and callable(previous) and main
     try:
+        if hold:
+            signal.signal(signal.SIGINT, lambda *_: held.append(True))
         try:
             for _ in range(n_workers if n_workers > 1 else 0):
                 pool.append(_start_worker(fn, tasks, pool))
         except OSError:  # out of sockets or processes: the map runs in-process
             _stop(pool)
+        finally:
+            if hold:
+                signal.signal(signal.SIGINT, previous)
+            if held:
+                signal.raise_signal(signal.SIGINT)
         for index, value in _pooled(len(tasks), pool):
             done[index] = value
             while due in done:

@@ -14,6 +14,7 @@ Exit codes:
 - 3: data error: a missing or malformed CSV, or an ``--out`` or
   ``--save-model`` directory that cannot be had, found before any training
 - 4: training diverged
+- 130: interrupted (SIGINT, as by Ctrl-C)
 """
 
 from __future__ import annotations
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
     except DivergedTrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

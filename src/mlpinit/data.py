@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _pool
 from .errors import DataError, FormatError, ParseError, ValidationError, _check_int, _check_real
-from .numerics import Rng, _check_labels
+from .numerics import Rng, _check_ints, _check_reals
 
 LABEL_NAMES = ("None", "Mild", "Moderate", "Severe")
 N_CLASSES = 4
@@ -63,15 +63,14 @@ class Dataset:
     """Ordered, immutable-by-convention collection of samples.
 
     Stored columnar: ``features`` is (n, 85) float64, ``labels`` and
-    ``participants`` are (n,) int64. Labels and participant ids must be
-    given as integers: ValidationError names any other dtype, bool included,
-    rather than truncating it.
+    ``participants`` are (n,) int64. Features must be given as integers or
+    floats, labels and participant ids as integers, labels in [0, 4) and ids
+    in the int64 range: ValidationError names any other dtype, bool
+    included, or value, rather than casting it.
     """
 
     def __init__(self, features, labels, participants):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels)
-        participants = np.asarray(participants)
+        features = _check_reals("features", features)
         if features.ndim != 2 or features.shape[1] != N_FEATURES:
             raise ValidationError(
                 f"features must be (n, {N_FEATURES}), got shape {features.shape}"
@@ -79,27 +78,22 @@ class Dataset:
         n = features.shape[0]
         if n == 0:
             raise ValidationError("a dataset must contain at least one sample")
-        if labels.shape != (n,) or participants.shape != (n,):
+        if np.shape(labels) != (n,) or np.shape(participants) != (n,):
             raise ValidationError(
                 f"labels/participants must both have shape ({n},), got "
-                f"{labels.shape} and {participants.shape}"
-            )
-        if not np.issubdtype(participants.dtype, np.integer):
-            raise ValidationError(
-                f"participants must be integers, got dtype {participants.dtype}"
+                f"{np.shape(labels)} and {np.shape(participants)}"
             )
         self.features = features
-        self.labels = _check_labels(labels, (n,), N_CLASSES)
-        self.participants = participants.astype(np.int64, copy=False)
+        self.labels = _check_ints("label", labels, lo=0, hi=N_CLASSES)
+        self.participants = _check_ints("participant id", participants)
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        # a cast would read a bool mask as rows 0 and 1 and truncate floats
-        if not np.issubdtype(indices.dtype, np.integer):
-            raise ValidationError(f"subset indices must be integers, got dtype {indices.dtype}")
+        # a cast would read a bool mask as rows 0 and 1 and truncate floats,
+        # and numpy would read a negative index from the end
+        indices = _check_ints("subset indices", indices, lo=0, hi=len(self))
         return Dataset(self.features[indices], self.labels[indices], self.participants[indices])
 
 
@@ -416,15 +410,11 @@ def loo_splits(n_rows: int, folds):
     the rows ``0 .. n_rows - 1`` without row k.
 
     A generator, so it checks on the first ``next()``, before any map is
-    yielded: ValidationError for fewer than 2 rows or a fold that is no
-    integer in [0, n_rows).
+    yielded: ValidationError for fewer than 2 rows, or for folds that are
+    not integers in [0, n_rows). An empty list is float64 to numpy, so it is
+    refused; an empty integer array yields nothing.
     """
     n_rows = _check_int("leave-one-out rows", n_rows, 2)
-    folds = np.asarray(folds)
-    if folds.size and not (
-        np.issubdtype(folds.dtype, np.integer) and 0 <= folds.min() and folds.max() < n_rows
-    ):
-        raise ValidationError(f"LOO folds must be integers in [0, {n_rows})")
     all_rows = np.arange(n_rows)
-    for k in folds.tolist():
+    for k in _check_ints("LOO fold", folds, lo=0, hi=n_rows).tolist():
         yield np.delete(all_rows, k)

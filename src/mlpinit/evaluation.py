@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import N_CLASSES
 from .errors import ValidationError
-from .numerics import _check_labels
+from .numerics import _check_ints
 
 
 def accumulate_confusion(preds, labels) -> np.ndarray:
@@ -28,15 +28,13 @@ def accumulate_confusion(preds, labels) -> np.ndarray:
     Both must be integer vectors of classes in [0, 4); ValidationError names
     any other dtype, bool included, rather than truncating it.
     """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape or preds.ndim != 1:
+    if np.shape(preds) != np.shape(labels) or np.ndim(preds) != 1:
         raise ValidationError(
             f"predictions and labels must be equal-length vectors, got "
-            f"shapes {preds.shape} and {labels.shape}"
+            f"shapes {np.shape(preds)} and {np.shape(labels)}"
         )
-    preds = _check_labels(preds, preds.shape, N_CLASSES)
-    labels = _check_labels(labels, labels.shape, N_CLASSES)
+    preds = _check_ints("prediction", preds, lo=0, hi=N_CLASSES)
+    labels = _check_ints("label", labels, lo=0, hi=N_CLASSES)
     flat = np.bincount(labels * N_CLASSES + preds, minlength=N_CLASSES * N_CLASSES)
     return flat.astype(np.int64, copy=False).reshape(N_CLASSES, N_CLASSES)
 
@@ -68,15 +66,11 @@ def summarize(counts) -> Report:
     ValidationError unless ``counts`` is a (4, 4) integer array (bool is not
     one) with no negative count and at least one record.
     """
-    counts = np.asarray(counts)
-    if counts.shape != (N_CLASSES, N_CLASSES):
+    if np.shape(counts) != (N_CLASSES, N_CLASSES):
         raise ValidationError(
-            f"confusion counts must have shape ({N_CLASSES}, {N_CLASSES}), got {counts.shape}"
+            f"confusion counts must have shape ({N_CLASSES}, {N_CLASSES}), got {np.shape(counts)}"
         )
-    if not np.issubdtype(counts.dtype, np.integer):
-        raise ValidationError(f"confusion counts must be integers, got dtype {counts.dtype}")
-    if (counts < 0).any():
-        raise ValidationError("confusion counts must not be negative")
+    counts = _check_ints("confusion count", counts, lo=0)
     total = int(counts.sum())
     if total < 1:
         raise ValidationError("cannot summarize an empty confusion matrix")

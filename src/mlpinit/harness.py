@@ -64,7 +64,7 @@ from .network import (
     forward,  # unused here; kept as a harness attribute that tracing tools wrap
     predict,
 )
-from .numerics import Rng, _check_labels, _permutations, derive_seed
+from .numerics import Rng, _check_ints, _permutations, derive_seed
 from .optimizer import Hyperparams, preset_hyperparams, sgd_step
 
 # Named sub-streams of the experiment seed (see derive_seed).
@@ -203,7 +203,7 @@ def _train(
     velocity = np.zeros_like(params)
     # The inputs are checked once, here; the step plans check nothing.
     features = _check_batch(model.fold(0), features)
-    labels = _check_labels(labels, features.shape[:1], N_CLASSES)
+    labels = _check_ints("label", labels, features.shape[:1], 0, N_CLASSES)
     n = rows.shape[-1]
     if rows.shape != (len(rngs), n) or len(names) != len(rngs) or n < 1:
         raise ShapeError(
@@ -211,8 +211,7 @@ def _train(
             f"{len(names)} names, row maps of shape {rows.shape}"
         )
     # take(mode="clip") below would silently clip an index out of range
-    if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() >= len(features):
-        raise ValidationError(f"row maps must hold integers in [0, {len(features)})")
+    rows = _check_ints("row maps", rows, lo=0, hi=len(features))
     # The features get the plans' ones column once, so that a batch is one
     # gather straight into its plan's input.
     features = np.concatenate((features, np.ones((len(features), 1))), axis=1)

@@ -48,7 +48,7 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES
 from .errors import ShapeError, ValidationError, _check_real
 from .initializers import InitScheme, initialize
-from .numerics import Rng, _check_labels, _cross_entropy, _Softmax
+from .numerics import Rng, _check_ints, _check_reals, _cross_entropy, _Softmax
 
 HIDDEN_1 = 50
 HIDDEN_2 = 20
@@ -160,7 +160,7 @@ def _flat_stack(models: list[MlpModel]) -> tuple[np.ndarray, MlpModel]:
 
 
 def _check_batch(model: MlpModel, batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = _check_reals("batch", batch)
     folds = model.folds
     if batch.ndim != len(folds) + 2 or batch.shape[:-2] != folds:
         lead = "".join(f"{f}, " for f in folds)
@@ -294,7 +294,7 @@ def backward(fwd: ForwardPass, labels) -> Gradients:
     Nehalem, nor at 233 rows and more under SkylakeX (257 under Haswell).
     """
     probs = fwd.probs
-    labels = _check_labels(labels, probs.shape[:-1], probs.shape[-1])
+    labels = _check_ints("label", labels, probs.shape[:-1], 0, probs.shape[-1])
     if probs.shape[-2] == 0:
         raise ShapeError("the loss is a mean over the rows, so the batch needs at least one row")
     np.copyto(fwd.one_hot, _one_hot(labels))

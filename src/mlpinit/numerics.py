@@ -89,19 +89,40 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(p_true, 1e-15)).mean())
 
 
-def _check_labels(labels, expected_shape: tuple[int, ...], n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != expected_shape:
-        raise ShapeError(
-            f"expected labels of shape {expected_shape}, got array of shape {labels.shape}"
-        )
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        bad = labels[(labels < 0) | (labels >= n_classes)][0]
-        raise ValidationError(f"label {bad} outside [0, {n_classes})")
-    return labels
+def _check_ints(name: str, values, shape=None, lo: int = -2**63, hi: int = 2**63) -> np.ndarray:
+    """``values`` as an int64 array: the one check of an integer array that
+    reaches the library from outside.
+
+    ShapeError if ``shape`` is given and the array has another. ValidationError
+    unless the dtype is an integer dtype (bool is not one) and every value
+    lies in [lo, hi), bounds within the int64 range. The range is checked
+    before the cast, so the message names the first bad value as it was
+    given.
+    """
+    values = np.asarray(values)
+    if shape is not None and values.shape != shape:
+        raise ShapeError(f"expected a {name} array of shape {shape}, got shape {values.shape}")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValidationError(f"{name} must be integers, got dtype {values.dtype}")
+    # Bounds clipped to the dtype's own range, so that no comparison mixes an
+    # unsigned array with a negative number, which numpy 1.x does in float64.
+    info = np.iinfo(values.dtype)
+    outside = (values < max(lo, info.min)) | (values > min(hi - 1, info.max))
+    if outside.any():
+        bad = values[outside][0]
+        where = "is negative" if lo == 0 and bad < 0 else f"outside [{lo}, {hi})"
+        raise ValidationError(f"{name} {bad} {where}")
+    return values.astype(np.int64, copy=False)
+
+
+def _check_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array; ValidationError unless the dtype is an
+    integer or floating dtype, so that a bool, complex, string or object
+    array (``None`` makes one) is refused rather than cast."""
+    values = np.asarray(values)
+    if not (np.issubdtype(values.dtype, np.integer) or np.issubdtype(values.dtype, np.floating)):
+        raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values.astype(np.float64, copy=False)
 
 
 def derive_seed(seed: int, stream: int) -> int:

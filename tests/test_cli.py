@@ -2,10 +2,14 @@ import csv
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
-from conftest import run_python
+from conftest import SRC, needs_fork, reaped, run_python
 
 import mlpinit.cli as cli
 from mlpinit.data import CSV_HEADER, load_csv
@@ -404,3 +408,34 @@ def test_subprocess_entry_point(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "Overall Accuracy" in result.stdout
     assert (tmp_path / "out" / "report.txt").exists()
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs two CPUs for a pool and /proc's children list",
+)
+def test_sigint_to_a_pooled_run_exits_130_with_no_traceback_and_no_worker_left(tmp_path):
+    run = subprocess.Popen(
+        [sys.executable, "-m", "mlpinit.cli", "run", "--topology", "3", "--init", "kaiming",
+         "--synthetic", "--out", str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    try:
+        children_file = Path(f"/proc/{run.pid}/task/{run.pid}/children")
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            workers = [int(pid) for pid in children_file.read_text().split()]
+        assert workers, "the run started no worker"
+        run.send_signal(signal.SIGINT)
+        _, err = run.communicate(timeout=60)
+    finally:
+        run.kill()
+        run.wait()
+    assert run.returncode == 130, err
+    assert err == "interrupted\n"
+    assert all(reaped(pid) for pid in workers)

@@ -672,6 +672,12 @@ class TestLooSplits:
         with pytest.raises(ValidationError):
             next(loo_splits(n_rows, folds))
 
+    def test_folds_are_an_integer_array_even_when_empty(self):
+        # numpy reads an empty list as float64, which no integer check passes
+        with pytest.raises(ValidationError, match="LOO fold must be integers"):
+            next(loo_splits(5, []))
+        assert list(loo_splits(5, np.array([], dtype=np.int64))) == []
+
 
 class TestDataset:
     def test_validation(self):
@@ -721,3 +727,41 @@ class TestDataset:
         for dtype in (np.int8, np.uint32, np.int64):
             subset = ds.subset(np.array([2, 0], dtype=dtype))
             np.testing.assert_array_equal(subset.participants, [9, 7])
+
+    @pytest.mark.parametrize("indices, match", [
+        ([-1], "subset indices -1 is negative"),
+        ([0, 3], r"subset indices 3 outside \[0, 3\)"),
+        (np.array([2**64 - 1], dtype=np.uint64), "subset indices 18446744073709551615 outside"),
+    ], ids=["negative", "len", "uint64-max"])
+    def test_subset_rejects_indices_out_of_range(self, indices, match):
+        # numpy would read -1 as the last row and raise its own IndexError at 3
+        ds = Dataset(np.zeros((3, 85)), [0, 1, 2], [7, 8, 9])
+        with pytest.raises(ValidationError, match=match):
+            ds.subset(indices)
+
+    def test_uint64_participant_ids_outside_int64_rejected(self):
+        for pid in (2**63, 2**64 - 1):
+            with pytest.raises(ValidationError, match=f"participant id {pid} outside"):
+                Dataset(np.zeros((2, 85)), [0, 1], np.array([1, pid], dtype=np.uint64))
+        ds = Dataset(np.zeros((2, 85)), [0, 1], np.array([0, 2**63 - 1], dtype=np.uint64))
+        assert ds.participants.dtype == np.int64 and ds.participants.tolist() == [0, 2**63 - 1]
+
+    def test_uint64_label_named_as_given(self):
+        # the range is checked before the int64 cast, which would read -1
+        with pytest.raises(ValidationError, match=r"^label 18446744073709551615 outside \[0, 4\)$"):
+            Dataset(np.zeros((2, 85)), np.array([0, 2**64 - 1], dtype=np.uint64), [7, 8])
+
+    @pytest.mark.parametrize("features", [
+        np.ones((2, 85), dtype=bool),
+        np.ones((2, 85), dtype=complex),
+        [[None] * 85] * 2,
+        [["1.0"] * 85] * 2,
+    ], ids=["bool", "complex", "none", "strings"])
+    def test_features_must_be_real_numbers(self, features):
+        with pytest.raises(ValidationError, match="features must be real numbers"):
+            Dataset(features, [0, 1], [7, 8])
+
+    def test_features_take_integers_and_floats_of_any_width(self):
+        for dtype in (np.int8, np.uint64, np.float32, np.float64):
+            ds = Dataset(np.ones((2, 85), dtype=dtype), [0, 1], [7, 8])
+            assert ds.features.dtype == np.float64 and (ds.features == 1.0).all()

@@ -246,6 +246,25 @@ class TestRunExperiment:
         assert_same(replaced.model, kept.model)
         assert replaced.holdout != kept.holdout
 
+    def test_participant_ids_reach_nothing(self, tmp_path):
+        # The protocol is record-wise: the splits, the LOO folds and the
+        # training read labels and features only, so shuffling the
+        # participant column leaves every output bit alone.
+        cohort = synthesize_dataset(5, 6, 8, 1.0)
+        shuffled = cohort.participants[Rng(9).permutation(len(cohort))]
+        assert (shuffled != cohort.participants).any()
+        results = []
+        for name, ids in (("kept", cohort.participants), ("shuffled", shuffled)):
+            path = tmp_path / f"{name}.csv"
+            save_csv(Dataset(cohort.features, cohort.labels, ids), path)
+            results.append(run_experiment(small_config(
+                seed=13, epochs=3, loo_enabled=True, synthetic=None, csv_path=str(path)
+            )))
+        kept, shuffled = results
+        assert shuffled.holdout == kept.holdout
+        assert shuffled.loo_outcomes == kept.loo_outcomes
+        assert_same(shuffled.model, kept.model)
+
     def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
         monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 1e308, 0.6))
         config = small_config(epochs=3, seed=2)
@@ -352,8 +371,8 @@ class TestRunExperiment:
 
     def test_train_checks_its_inputs_once(self, monkeypatch):
         # Every step runs a step plan, which checks nothing, so a training
-        # checks its labels and features once, not once per step.
-        calls = dict.fromkeys(("_check_labels", "_check_batch"), 0)
+        # checks its features, labels and row maps once, not once per step.
+        calls = dict.fromkeys(("_check_ints", "_check_batch"), 0)
 
         def counting(name, real):
             def check(*args, **kwargs):
@@ -361,24 +380,27 @@ class TestRunExperiment:
                 return real(*args, **kwargs)
             return check
 
-        for module in (numerics, network, harness):
-            for name in calls:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in calls:
+            holders = [module for module in (numerics, network, harness) if hasattr(module, name)]
+            assert holders, f"no module defines {name}, so nothing would be counted"
+            for module in holders:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         n = 40
         features = Rng(3).normal(n * 85).reshape(n, 85)
         labels = np.arange(n) % 4
         # 5 steps per epoch over 39 rows
         monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 0.01, 0.6))
-        config = small_config(epochs=3)
         for folds in (1, 3):
-            calls.update(dict.fromkeys(calls, 0))
-            harness._train(
-                config, features, labels,
-                np.stack([np.delete(np.arange(n), k) for k in range(folds)]),
-                [Rng(k) for k in range(folds)], [f"model {k}" for k in range(folds)],
-            )
-            assert all(count <= 1 for count in calls.values()), calls
+            counted = []
+            for epochs in (1, 3):
+                calls.update(dict.fromkeys(calls, 0))
+                harness._train(
+                    small_config(epochs=epochs), features, labels,
+                    np.stack([np.delete(np.arange(n), k) for k in range(folds)]),
+                    [Rng(k) for k in range(folds)], [f"model {k}" for k in range(folds)],
+                )
+                counted.append(dict(calls))
+            assert all(counted[0].values()) and counted[0] == counted[1], counted
 
     def test_train_rejects_bad_inputs_up_front(self):
         n = 12

@@ -1,6 +1,7 @@
 """Every name a library module imports is one it uses, every name the
-package exports has a caller outside the tests, and every function it
-exports has one outside its own module."""
+package exports has a caller outside the tests, every function it exports
+has one outside its own module, and only ``numerics`` asks numpy what kind
+of dtype an array has."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,22 @@ def test_only_network_names_the_parameter_block_layout():
     outside = {stem: sorted(names & LAYOUT_HELPERS) for stem, names in named.items()
                if stem != "network" and names & LAYOUT_HELPERS}
     assert outside == {}
+
+
+def calls_of(tree: ast.Module, name: str) -> int:
+    """How many calls in a module go to ``name`` or to an attribute of that
+    name (``np.issubdtype`` and ``issubdtype`` alike)."""
+    return sum(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_numerics_decides_what_an_array_dtype_is():
+    # numerics._check_ints and _check_reals are the one rule for integer
+    # and real arrays that reach the library from outside.
+    calls = {path.stem: calls_of(ast.parse(path.read_text(encoding="utf-8")), "issubdtype")
+             for path in MODULES}
+    assert calls["numerics"] > 0
+    assert {stem: n for stem, n in calls.items() if n and stem != "numerics"} == {}

@@ -130,6 +130,12 @@ class TestBackward:
         np.testing.assert_array_equal(grads.d_weights[0][j], 0.0)
         assert grads.d_bias[0][j] == 0.0
 
+    def test_uint64_label_named_as_given(self):
+        model = build_model(Rng(7), Topology.ONE_LAYER, XAVIER_NORMAL)
+        fwd = forward(model, np.zeros((2, 85)))
+        with pytest.raises(ValidationError, match="^label 18446744073709551615 outside"):
+            backward(fwd, np.array([0, 2**64 - 1], dtype=np.uint64))
+
     def test_label_length_mismatch(self):
         model = build_model(Rng(7), Topology.ONE_LAYER, XAVIER_NORMAL)
         x, _ = random_batch(14, n=4)
@@ -179,6 +185,18 @@ class TestPredict:
         x, _ = random_batch(16, n=6)
         # all probabilities tie at 0.25, so every prediction is class 0
         np.testing.assert_array_equal(predict(model, x), np.zeros(6, dtype=np.int64))
+
+    @pytest.mark.parametrize("batch", [
+        np.ones((2, 85), dtype=bool),
+        np.ones((2, 85), dtype=complex),
+        [[None] * 85] * 2,
+        [["1.0"] * 85] * 2,
+    ], ids=["bool", "complex", "none", "strings"])
+    def test_batch_must_be_real_numbers(self, batch):
+        # a cast would read bools as 0/1, drop an imaginary part and None as NaN
+        model = build_model(Rng(8), Topology.ONE_LAYER, XAVIER_NORMAL)
+        with pytest.raises(ValidationError, match="batch must be real numbers"):
+            predict(model, batch)
 
 
 class TestGradCheck:

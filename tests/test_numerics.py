@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from mlpinit.data import holdout_split, synthesize_dataset
-from mlpinit.errors import ValidationError
+from mlpinit.errors import ShapeError, ValidationError
 from mlpinit.initializers import XAVIER_NORMAL
 from mlpinit.network import Topology, build_model, grad_check
-from mlpinit.numerics import Rng, _cross_entropy, _permutations, _Softmax, derive_seed, relu
+from mlpinit.numerics import (
+    Rng,
+    _check_ints,
+    _check_reals,
+    _cross_entropy,
+    _permutations,
+    _Softmax,
+    derive_seed,
+    relu,
+)
 
 
 class TestRelu:
@@ -286,6 +295,51 @@ def test_non_integer_size_or_seed_rejected(call):
 def test_non_real_parameter_rejected(name, call, value):
     with pytest.raises(ValidationError, match=f"^{name} must be a real number, got {value!r}$"):
         call(value)
+
+
+class TestCheckInts:
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_every_int64_value_of_any_dtype_passes_exactly(self, dtype):
+        info = np.iinfo(dtype)
+        top = min(int(info.max), 2**63 - 1)
+        got = _check_ints("v", np.array([info.min, top], dtype=dtype))
+        assert got.dtype == np.int64 and got.tolist() == [int(info.min), top]
+
+    @pytest.mark.parametrize("values, lo, hi, match", [
+        (np.array([5, 2**64 - 1], dtype=np.uint64), 0, 2**63, "v 18446744073709551615 outside"),
+        (np.array([0, 200], dtype=np.uint8), -5, 100, r"v 200 outside \[-5, 100\)"),
+        (np.array([-3], dtype=np.int8), -2, 10, r"v -3 outside \[-2, 10\)"),
+        (np.array([-3], dtype=np.int8), 0, 10, "v -3 is negative"),
+        (np.int64(7), 0, 7, r"v 7 outside \[0, 7\)"),
+    ], ids=["uint64-max", "uint8-high", "int8-low", "negative", "0-d"])
+    def test_names_the_first_value_outside_as_given(self, values, lo, hi, match):
+        with pytest.raises(ValidationError, match=f"^{match}"):
+            _check_ints("v", values, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("values", [[True], [1.0], ["1"], [None], [1j], []],
+                             ids=["bool", "float", "str", "none", "complex", "empty-list"])
+    def test_only_integer_dtypes_pass(self, values):
+        with pytest.raises(ValidationError, match="^v must be integers, got dtype"):
+            _check_ints("v", values)
+
+    def test_shape_is_checked_first_and_int64_is_not_copied(self):
+        with pytest.raises(ShapeError, match=r"expected a v array of shape \(3,\), got shape \(2,\)"):
+            _check_ints("v", [1.5, 2.5], shape=(3,))
+        values = np.arange(4, dtype=np.int64)
+        assert _check_ints("v", values, (4,), 0, 4) is values
+
+
+class TestCheckReals:
+    @pytest.mark.parametrize("values", [[True], [None], [1j], ["1.0"], [b"1"]],
+                             ids=["bool", "none", "complex", "str", "bytes"])
+    def test_only_integer_and_floating_dtypes_pass(self, values):
+        with pytest.raises(ValidationError, match="^v must be real numbers, got dtype"):
+            _check_reals("v", values)
+
+    def test_returns_float64_and_does_not_copy_it(self):
+        assert _check_reals("v", np.array([3], dtype=np.uint64)).tolist() == [3.0]
+        values = np.ones(3)
+        assert _check_reals("v", values) is values
 
 
 class TestNormalRows:

@@ -210,6 +210,28 @@ def test_a_map_left_early_kills_and_reaps_its_workers(two_cpus, forks):
     assert set(os.listdir("/proc/self/fd")) == open_fds
 
 
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_sigint_as_a_fork_returns_leaves_no_worker_unreaped(at, two_cpus, forks, monkeypatch):
+    # Worker ``at``'s fork returns to a pending SIGINT: without the pool
+    # holding it, KeyboardInterrupt would be raised before the pool holds
+    # that worker's pid.
+    counting_fork = os.fork
+
+    def interrupted_fork():
+        pid = counting_fork()
+        if pid and len(forks) == at + 1:
+            signal.raise_signal(signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        list(_pool.fork_map(_square, range(40)))
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
 @pytest.mark.parametrize("module, name, fails_at", [
     pytest.param(os, "fork", 0, id="0"),
     pytest.param(os, "fork", 1, id="1"),

@@ -238,6 +238,22 @@ def test_an_error_exits_with_the_code_readme_gives_it(error, label, monkeypatch,
     assert capsys.readouterr().err == f"{label}: bad\n"
 
 
+def test_an_interrupt_exits_with_the_code_readme_and_the_cli_docstring_give_it(
+        monkeypatch, tmp_path, capsys):
+    # _exit_codes reads the one-digit codes; 130 is the shell's 128 + SIGINT
+    line = "- 130: interrupted (SIGINT, as by Ctrl-C)"
+    assert line in _section("Quick start (CLI)").splitlines()
+    assert line in cli.__doc__.splitlines()
+
+    def interrupt(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupt)
+    argv = ["run", "--topology", "1", "--init", "xavier", "--synthetic", "--out", str(tmp_path)]
+    assert cli.main(argv) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 def test_every_repo_path_readme_names_exists():
     paths = re.findall(r"`((?:src|tests|demos|perfbench)/[\w./]+)`", README)
     assert paths
