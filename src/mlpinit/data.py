@@ -78,14 +78,14 @@ class Dataset:
         n = features.shape[0]
         if n == 0:
             raise ValidationError("a dataset must contain at least one sample")
-        if np.shape(labels) != (n,) or np.shape(participants) != (n,):
+        labels = _check_ints("label", labels, lo=0, hi=N_CLASSES)
+        participants = _check_ints("participant id", participants)
+        if labels.shape != (n,) or participants.shape != (n,):
             raise ValidationError(
                 f"labels/participants must both have shape ({n},), got "
-                f"{np.shape(labels)} and {np.shape(participants)}"
+                f"{labels.shape} and {participants.shape}"
             )
-        self.features = features
-        self.labels = _check_ints("label", labels, lo=0, hi=N_CLASSES)
-        self.participants = _check_ints("participant id", participants)
+        self.features, self.labels, self.participants = features, labels, participants
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -305,6 +305,19 @@ def _format_csv_block(block) -> bytes:
     ).encode("ascii")
 
 
+def _check_cohort(participants, records_per_participant, separation) -> tuple[int, int]:
+    """The participant and record counts of a synthetic cohort as ints;
+    ValidationError for a count that is no integer (or is a bool), fewer
+    than 2 participants, no records, or a separation that is no real number
+    (or is a bool), negative, NaN or infinite."""
+    participants = _check_int("participants", participants, 2)
+    records_per_participant = _check_int("records_per_participant", records_per_participant, 1)
+    _check_real("separation", separation)
+    if not 0 <= separation < math.inf:
+        raise ValidationError(f"separation must be finite and nonnegative, got {separation}")
+    return participants, records_per_participant
+
+
 def synthesize_dataset(
     seed: int, participants: int, records_per_participant: int, separation: float
 ) -> Dataset:
@@ -319,17 +332,12 @@ def synthesize_dataset(
 
     The record noise is drawn into the preallocated feature matrix in blocks
     of rows, so peak memory is the output plus one block's temporaries.
-    Raises ValidationError for a seed or count that is no integer (or is a
-    bool), fewer than 2 participants, no records, or a separation that is
-    no real number (or is a bool), negative, NaN or infinite.
+    Raises ValidationError for a seed that is no integer (or is a bool), or
+    a cohort shape that ``SyntheticSpec`` would refuse (``_check_cohort``).
     """
-    participants = _check_int("participants", participants, 2)
-    records_per_participant = _check_int("records_per_participant", records_per_participant, 1)
-    _check_real("separation", separation)
-    if not 0 <= separation < math.inf:
-        raise ValidationError(
-            f"separation must be finite and nonnegative, got {separation}"
-        )
+    participants, records_per_participant = _check_cohort(
+        participants, records_per_participant, separation
+    )
     rng = Rng(seed)
     class_means = rng._normal_rows(N_CLASSES, N_FEATURES, 0.0, 1.0)
     for c, direction in enumerate(class_means):

@@ -28,13 +28,13 @@ def accumulate_confusion(preds, labels) -> np.ndarray:
     Both must be integer vectors of classes in [0, 4); ValidationError names
     any other dtype, bool included, rather than truncating it.
     """
-    if np.shape(preds) != np.shape(labels) or np.ndim(preds) != 1:
-        raise ValidationError(
-            f"predictions and labels must be equal-length vectors, got "
-            f"shapes {np.shape(preds)} and {np.shape(labels)}"
-        )
     preds = _check_ints("prediction", preds, lo=0, hi=N_CLASSES)
     labels = _check_ints("label", labels, lo=0, hi=N_CLASSES)
+    if preds.shape != labels.shape or preds.ndim != 1:
+        raise ValidationError(
+            f"predictions and labels must be equal-length vectors, got "
+            f"shapes {preds.shape} and {labels.shape}"
+        )
     flat = np.bincount(labels * N_CLASSES + preds, minlength=N_CLASSES * N_CLASSES)
     return flat.astype(np.int64, copy=False).reshape(N_CLASSES, N_CLASSES)
 
@@ -64,14 +64,17 @@ def summarize(counts) -> Report:
     confusion matrix laid out as ``accumulate_confusion`` returns it.
 
     ValidationError unless ``counts`` is a (4, 4) integer array (bool is not
-    one) with no negative count and at least one record.
+    one) with no negative count, at least one record and a total that
+    int64 holds.
     """
-    if np.shape(counts) != (N_CLASSES, N_CLASSES):
-        raise ValidationError(
-            f"confusion counts must have shape ({N_CLASSES}, {N_CLASSES}), got {np.shape(counts)}"
-        )
     counts = _check_ints("confusion count", counts, lo=0)
-    total = int(counts.sum())
+    if counts.shape != (N_CLASSES, N_CLASSES):
+        raise ValidationError(
+            f"confusion counts must have shape ({N_CLASSES}, {N_CLASSES}), got {counts.shape}"
+        )
+    total = sum(counts.ravel().tolist())  # Python ints: an int64 sum would wrap
+    if total >= 2**63:
+        raise ValidationError(f"confusion counts total {total}, which overflows int64")
     if total < 1:
         raise ValidationError("cannot summarize an empty confusion matrix")
     per_class = []

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Real
 from typing import ClassVar
 
 import numpy as np
@@ -34,6 +33,7 @@ from .data import (
     LABEL_NAMES,
     N_CLASSES,
     Dataset,
+    _check_cohort,
     holdout_split,
     load_csv,
     loo_splits,
@@ -93,19 +93,22 @@ LOO_GROUP_SIZE = 20
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of a generated cohort; the synthesis seed derives from the config seed."""
+    """Shape of a generated cohort; the synthesis seed derives from the config
+    seed. A field of another type, or out of ``synthesize_dataset``'s range,
+    is a ValidationError here, before any work: the separation must be an
+    int or a float, as it goes into ``result.json``."""
 
     participants: int = 16
     records_per_participant: int = 12
     separation: float = 2.0
 
     def __post_init__(self):
-        # synthesize_dataset checks the ranges
         _check_types(self, (
             ("participants", (int,), "an int"),
             ("records_per_participant", (int,), "an int"),
-            ("separation", (Real,), "a real number"),
+            ("separation", (int, float), "an int or a float"),
         ))
+        _check_cohort(self.participants, self.records_per_participant, self.separation)
 
 
 @dataclass(frozen=True)

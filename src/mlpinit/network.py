@@ -29,8 +29,10 @@ bits. A plan's gradients are the blocks of one flat vector, and
 another, so the training loop (``harness._train``) updates every layer and
 fold with a few calls on flat vectors, and keeps one plan per batch shape.
 ``forward`` checks its inputs and runs a fresh plan; ``backward`` checks
-the labels and runs the plan's backward step, and ``grad_check`` reruns its
-forward step for every perturbed loss.
+the labels and runs the plan's backward step. ``grad_check`` runs both on a
+flat copy of its model, then reruns the forward step for every perturbed
+entry of the copy's parameter vector, so no call writes into a model it is
+given.
 The softmax takes its row max and sum over the 4 classes as elementwise
 calls on the class columns, summed in index order; numpy's own reductions
 add fewer than 8 terms in that order, so the bits are theirs (see
@@ -110,21 +112,18 @@ class Gradients:
     d_bias: list[np.ndarray]
 
 
-def _block_shapes(model: MlpModel) -> list[tuple[int, ...]]:
-    """Per layer, the (..., out, in + 1) shape of its weights with its bias
-    as one more column."""
-    return [layer.bias.shape + (layer.weights.shape[-1] + 1,) for layer in model.layers]
-
-
 def _weights_and_bias(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The weight and bias views of (..., out, in + 1) layer blocks: every
     column but the last, and the last."""
     return [block[..., :-1] for block in blocks], [block[..., -1] for block in blocks]
 
 
-def _flat_blocks(shapes, flat: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``flat``, or a new float64 vector of the shapes' total size, and a
-    C-contiguous view of it of each of ``shapes``, in order."""
+def _flat_blocks(model: MlpModel, lead=(), flat=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``flat``, or a new float64 vector of the right size, and per layer of
+    ``model``, in order, a C-contiguous view of it of shape ``lead +
+    model.folds + (out, in + 1)``: the layer's weights with its bias as one
+    more column. Every parameter and gradient vector has this layout."""
+    shapes = [lead + layer.bias.shape + (layer.weights.shape[-1] + 1,) for layer in model.layers]
     sizes = [math.prod(shape) for shape in shapes]
     if flat is None:
         flat = np.empty(sum(sizes))
@@ -150,7 +149,7 @@ def _flat_stack(models: list[MlpModel]) -> tuple[np.ndarray, MlpModel]:
     weights then its bias as the last column, so an in-place update of the
     vector updates every layer's weights and bias.
     """
-    params, blocks = _flat_blocks([(len(models),) + shape for shape in _block_shapes(models[0])])
+    params, blocks = _flat_blocks(models[0], (len(models),))
     weights, biases = _weights_and_bias(blocks)
     for k, model in enumerate(models):
         for w, b, layer in zip(weights, biases, model.layers):
@@ -188,9 +187,9 @@ class ForwardPass:
     writes layer i's gradient into ``gradients[i]``, of shape (..., out,
     in + 1): the weight gradient, then the bias gradient as the last column,
     from one matmul of the transposed delta with ``inputs[i]``. The
-    gradients are the blocks, in layer order, of the flat vector ``grad``,
-    or of a new one; the training loop passes one vector that every plan of
-    a training shares.
+    gradients are the blocks, in layer order, of the flat vector ``grad``:
+    the one passed in, or a new one; the training loop passes one vector
+    that every plan of a training shares.
 
     The training loop fills ``batch`` (or ``inputs[0]``, ones column and
     all, from features that carry one) and, before the backward step,
@@ -209,7 +208,7 @@ class ForwardPass:
         self.activations = [a[..., :-1] for a in self.inputs] + [probs]
         self.batch = self.activations[0]
         self.one_hot = np.empty_like(self.probs)
-        _, self.gradients = _flat_blocks(_block_shapes(model), grad)
+        self.grad, self.gradients = _flat_blocks(model, flat=grad)
         self._rows = rows
         deltas = [np.empty_like(z) for z in self.pre_activations]
         masks = [np.empty(z.shape, dtype=bool) for z in self.pre_activations[:-1]]
@@ -314,7 +313,9 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
     ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-12)``, or
     ``math.inf`` if any of these is NaN (a loss or gradient that is not
     finite), so a non-finite check never reads as a pass. Like ``backward``,
-    it needs a batch of at least one row.
+    it needs a batch of at least one row. It perturbs a flat copy of
+    ``model`` (see ``_flat_stack``), one entry of its parameter vector at a
+    time, and only reads ``model``, so read-only arrays are checked too.
     """
     _check_real("epsilon", epsilon)
     if not 1e-7 <= epsilon <= 1e-3:
@@ -324,11 +325,13 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
             f"grad_check takes one model, got a stack of shape {model.folds}; "
             f"check each model.fold(k) on its own"
         )
-    # forward and backward check the inputs; every perturbed loss then
-    # reruns the pass's forward step, which sees each in-place perturbation
-    # of the parameters.
-    fwd = forward(model, batch)
-    grads = backward(fwd, labels)
+    # A flat copy of the model, in the training's block layout: forward and
+    # backward check the inputs, and every perturbed loss then reruns the
+    # pass's forward step, which sees each in-place perturbation of the
+    # copy's parameter vector. The caller's model is only read.
+    params, copy = _flat_stack([model])
+    fwd = forward(copy.fold(0), batch)
+    backward(fwd, labels)
     labels = np.asarray(labels)
 
     def loss() -> float:
@@ -336,21 +339,17 @@ def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:
         return _cross_entropy(fwd.probs, labels)
 
     max_err = 0.0
-    for layer, d_w, d_b in zip(model.layers, grads.d_weights, grads.d_bias):
-        for params, analytic in ((layer.weights, d_w), (layer.bias, d_b)):
-            flat_grad = analytic.ravel()
-            for idx in range(params.size):
-                original = params.flat[idx]
-                params.flat[idx] = original + epsilon
-                loss_plus = loss()
-                params.flat[idx] = original - epsilon
-                loss_minus = loss()
-                params.flat[idx] = original
-                numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-                a = flat_grad[idx]
-                err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-12)
-                if math.isnan(err):
-                    return math.inf
-                if err > max_err:
-                    max_err = err
+    for idx, a in enumerate(fwd.grad.tolist()):
+        original = params[idx]
+        params[idx] = original + epsilon
+        loss_plus = loss()
+        params[idx] = original - epsilon
+        loss_minus = loss()
+        params[idx] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-12)
+        if math.isnan(err):
+            return math.inf
+        if err > max_err:
+            max_err = err
     return max_err

@@ -89,6 +89,17 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(p_true, 1e-15)).mean())
 
 
+def _as_array(name: str, values) -> np.ndarray:
+    """``np.asarray(values)``, with a ValidationError for a ragged nested
+    sequence, which numpy refuses with a bare ValueError."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ValidationError(
+            f"{name} must be a rectangular array, not a ragged sequence"
+        ) from None
+
+
 def _check_ints(name: str, values, shape=None, lo: int = -2**63, hi: int = 2**63) -> np.ndarray:
     """``values`` as an int64 array: the one check of an integer array that
     reaches the library from outside.
@@ -97,9 +108,9 @@ def _check_ints(name: str, values, shape=None, lo: int = -2**63, hi: int = 2**63
     unless the dtype is an integer dtype (bool is not one) and every value
     lies in [lo, hi), bounds within the int64 range. The range is checked
     before the cast, so the message names the first bad value as it was
-    given.
+    given. A ragged nested sequence is a ValidationError.
     """
-    values = np.asarray(values)
+    values = _as_array(name, values)
     if shape is not None and values.shape != shape:
         raise ShapeError(f"expected a {name} array of shape {shape}, got shape {values.shape}")
     if not np.issubdtype(values.dtype, np.integer):
@@ -118,8 +129,9 @@ def _check_ints(name: str, values, shape=None, lo: int = -2**63, hi: int = 2**63
 def _check_reals(name: str, values) -> np.ndarray:
     """``values`` as a float64 array; ValidationError unless the dtype is an
     integer or floating dtype, so that a bool, complex, string or object
-    array (``None`` makes one) is refused rather than cast."""
-    values = np.asarray(values)
+    array (``None`` makes one) or a ragged nested sequence is refused
+    rather than cast."""
+    values = _as_array(name, values)
     if not (np.issubdtype(values.dtype, np.integer) or np.issubdtype(values.dtype, np.floating)):
         raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
     return values.astype(np.float64, copy=False)

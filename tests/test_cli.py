@@ -279,13 +279,26 @@ def test_non_finite_separation_exits_2(tmp_path, capsys, value):
     csv_path = tmp_path / "cohort.csv"
     for argv in (["synth", "--out", str(csv_path)],
                  ["run", "--topology", "1", "--init", "xavier", "--synthetic",
-                  "--out", str(tmp_path / "o")]):
+                  "--out", str(tmp_path / "o")],
+                 ["suite", "--synthetic", "--out", str(tmp_path / "o")]):
         code = cli.main(argv + ["--separation", value])
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"config error: separation must be finite and nonnegative, got {value}"
         )
     assert not csv_path.exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_bad_cohort_is_a_config_error_for_suite_too(tmp_path, capsys):
+    # run and suite refuse a cohort argument alike, before --out is made
+    for command in (["run", "--topology", "1", "--init", "xavier"], ["suite"]):
+        out = tmp_path / command[0]
+        code = cli.main(command + ["--synthetic", "--participants", "1", "--no-loo",
+                                   "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: participants must be >= 2, got 1\n"
+        assert not out.exists()
 
 
 def test_diverged_training_exits_4(monkeypatch, tmp_path):

@@ -160,6 +160,15 @@ class TestSummarize:
         with pytest.raises(ValidationError, match=match):
             summarize(counts)
 
+    def test_a_total_that_overflows_int64_is_named(self):
+        # 16 cells of 2**59 - 1 total 2**63 - 16, which int64 holds; at 2**59
+        # the int64 sum would wrap to -2**63 and read as an empty matrix
+        report = summarize(np.full((4, 4), 2**59 - 1, dtype=np.int64))
+        assert report.total == 2**63 - 16 and report.accuracy == 0.25
+        overflow = f"^confusion counts total {2**63}, which overflows int64$"
+        with pytest.raises(ValidationError, match=overflow):
+            summarize(np.full((4, 4), 2**59, dtype=np.int64))
+
     def test_takes_counts_of_any_integer_width(self):
         counts = np.diag([3, 4, 5, 6])
         want = summarize(counts.astype(np.int64))

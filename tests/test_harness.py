@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_trainer
 from conftest import HAS_FORK, needs_fork, reaped, run_python
 
 import mlpinit.harness as harness
@@ -127,6 +128,14 @@ def _loo_group_dying_after_first(config, features, labels, loo_root, first):
     if xavier3 and first > 0 and os.getpid() != _TEST_PID:
         os._exit(9)
     return _real_loo_group(config, features, labels, loo_root, first)
+
+
+# Bound on _train's error against tests/reference_trainer.py, as
+# max |got - want| / max |want| over each weight or bias array. In the
+# reference test's 16 cases, each run with 30 seeds of data and initial
+# weights, the worst was 2.5e-15 (a 1-layer model, whose small biases are
+# the denominator); the bound is 40 times that.
+REFERENCE_RTOL = 1e-13
 
 
 def small_config(**overrides):
@@ -265,6 +274,27 @@ class TestRunExperiment:
         assert shuffled.loo_outcomes == kept.loo_outcomes
         assert_same(shuffled.model, kept.model)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_feature_positive_affine_maps_leave_the_outcomes_alone(self, tmp_path, seed):
+        # Standardization undoes a positive scale and a shift per feature,
+        # up to rounding: the model bits move, but no prediction does. A
+        # scratch probe of 72 cases (12 maps x 6 cells, this cohort, 3
+        # epochs) and 24 on the 192-row default cohort at 30 epochs found
+        # the report and the LOO outcomes equal in every one.
+        cohort = synthesize_dataset(5, 6, 8, 1.0)
+        draws = Rng(100 + seed)
+        mapped = cohort.features * draws.uniform(0.5, 3.0, 85) + draws.uniform(-10.0, 10.0, 85)
+        results = []
+        for name, features in (("raw", cohort.features), ("mapped", mapped)):
+            path = tmp_path / f"{name}.csv"
+            save_csv(Dataset(features, cohort.labels, cohort.participants), path)
+            results.append(run_experiment(small_config(
+                seed=13 + seed, epochs=3, loo_enabled=True, synthetic=None, csv_path=str(path)
+            )))
+        raw, mapped = results
+        assert mapped.holdout == raw.holdout
+        assert mapped.loo_outcomes == raw.loo_outcomes
+
     def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
         monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 1e308, 0.6))
         config = small_config(epochs=3, seed=2)
@@ -369,6 +399,42 @@ class TestRunExperiment:
             assert_same(stacked.fold(k),
                         train_by_public_calls(config, features, labels, Rng(k), rows[k]))
 
+    @pytest.mark.parametrize("batch", ["preset", 5])
+    @pytest.mark.parametrize("folds", [1, 3])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("topology", [Topology.ONE_LAYER, Topology.THREE_LAYER],
+                             ids=lambda t: t.name)
+    def test_train_matches_the_reference_trainer(self, monkeypatch, topology, family, folds,
+                                                 batch):
+        # tests/reference_trainer.py states the training loop once more in
+        # plain Python floats, from the same initial weights and epoch
+        # orders. One fold trains on 12 rows; three LOO folds of 13 rows
+        # train on 12 each. The presets' batches (24, 36) hold all 12, so
+        # each epoch is one short batch; a batch of 5 walks 5 + 5 + 2.
+        n = 12 if folds == 1 else 13
+        features = Rng(6).normal(n * 85).reshape(n, 85)
+        labels = (np.arange(n) * 7) % 4
+        rows = [[r for r in range(n) if r != k] for k in range(folds)]
+        if folds == 1:
+            rows = [list(range(n))]
+        config = small_config(topology=topology, scheme=InitScheme(family, DistKind.NORMAL),
+                              epochs=3)
+        hp = config.resolved_hyperparams()
+        if batch != "preset":
+            hp = replace(hp, batch_size=batch)
+            monkeypatch.setattr(ExperimentConfig, "resolved_hyperparams", lambda self: hp)
+        stacked = harness._train(config, features, labels, np.array(rows),
+                                 [Rng(k) for k in range(folds)], [f"m{k}" for k in range(folds)])
+        for k in range(folds):
+            rng = Rng(k)
+            start = [(l.weights.tolist(), l.bias.tolist())
+                     for l in build_model(rng, topology, config.scheme).layers]
+            want = reference_trainer.train(features.tolist(), labels.tolist(), rows[k], start,
+                                           lambda m: rng.permutation(m).tolist(), hp, config.epochs)
+            for layer, (w, b) in zip(stacked.fold(k).layers, want):
+                for got, expected in ((layer.weights, np.array(w)), (layer.bias, np.array(b))):
+                    assert np.abs(got - expected).max() <= REFERENCE_RTOL * np.abs(expected).max()
+
     def test_train_checks_its_inputs_once(self, monkeypatch):
         # Every step runs a step plan, which checks nothing, so a training
         # checks its features, labels and row maps once, not once per step.
@@ -468,7 +534,9 @@ class TestRunExperiment:
             ("topology", 3),
             ("scheme", "kaiming"),
             ("participants", 2.5),
+            ("participants", 1),
             ("separation", "2"),
+            ("separation", np.float32(2.0)),
             ("records_per_participant", True),
             ("synthetic", {"participants": 4}),
             ("csv_path", 123),
@@ -477,7 +545,8 @@ class TestRunExperiment:
         ],
         ids=[
             "float-epochs", "bool-epochs", "str-seed", "numpy-seed", "int-topology",
-            "str-scheme", "float-participants", "str-separation", "bool-records",
+            "str-scheme", "float-participants", "one-participant", "str-separation",
+            "float32-separation", "bool-records",
             "dict-synthetic", "int-csv-path", "path-csv-path", "str-loo-enabled",
         ],
     )

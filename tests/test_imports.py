@@ -26,7 +26,7 @@ UNUSED_ALLOWED = {"harness": {"forward", "backward"}}
 # The helpers that know the (..., out, in + 1) parameter-block layout. Other
 # modules get a stacked model over a flat parameter vector from
 # network._flat_stack, and step plans that bind their own gradient blocks.
-LAYOUT_HELPERS = {"_block_shapes", "_weights_and_bias", "_flat_blocks"}
+LAYOUT_HELPERS = {"_weights_and_bias", "_flat_blocks"}
 
 
 def unused_imports(tree: ast.Module) -> set[str]:

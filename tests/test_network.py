@@ -5,6 +5,7 @@ import pytest
 
 from mlpinit._platform import fingerprint
 from mlpinit.errors import ShapeError, ValidationError
+from mlpinit.harness import save_model
 from mlpinit.initializers import KAIMING_NORMAL, XAVIER_NORMAL, Family, InitScheme, DistKind
 from mlpinit.network import (
     ForwardPass,
@@ -273,6 +274,40 @@ class TestGradCheck:
         else:
             with pytest.raises(ValidationError, match=r"epsilon must lie in \[1e-7, 1e-3\]"):
                 grad_check(model, x, y, epsilon=epsilon)
+
+
+def test_no_call_writes_into_a_model_it_is_given(tmp_path):
+    # grad_check "only reads model": every call on a model whose arrays are
+    # read-only gives the bytes that it gives on a writable copy, and leaves
+    # the model's bytes as they were
+    x, y = random_batch(901)
+    writable = build_model(Rng(77), Topology.THREE_LAYER, KAIMING_NORMAL)
+    for layer in writable.layers:
+        layer.bias[:] = Rng(78).normal(layer.bias.size)
+    # views of a flat vector, as a trained model's arrays are
+    model = _flat_stack([writable])[1].fold(0)
+    for layer in model.layers:
+        layer.weights.flags.writeable = layer.bias.flags.writeable = False
+    kept = [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
+
+    def outputs(m, path):
+        fwd = forward(m, x)
+        grads = backward(fwd, y)
+        save_model(m, path)
+        params, _ = _flat_stack([m])
+        return {
+            "probs": fwd.probs.tobytes(),
+            "gradients": [g.tobytes() for g in grads.d_weights + grads.d_bias],
+            "predict": predict(m, x).tobytes(),
+            "grad_check": grad_check(m, x, y),
+            "save_model": path.read_bytes(),
+            "_flat_stack": params.tobytes(),
+        }
+
+    got = outputs(model, tmp_path / "read_only.bin")
+    assert got == outputs(writable, tmp_path / "writable.bin")
+    assert got["grad_check"] < 1e-4
+    assert [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers] == kept
 
 
 class TestStackedModels:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mlpinit.data import holdout_split, synthesize_dataset
+from mlpinit.data import Dataset, holdout_split, synthesize_dataset
 from mlpinit.errors import ShapeError, ValidationError
+from mlpinit.evaluation import accumulate_confusion, summarize
 from mlpinit.initializers import XAVIER_NORMAL
-from mlpinit.network import Topology, build_model, grad_check
+from mlpinit.network import Topology, build_model, grad_check, predict
 from mlpinit.numerics import (
     Rng,
     _check_ints,
@@ -340,6 +341,25 @@ class TestCheckReals:
         assert _check_reals("v", np.array([3], dtype=np.uint64)).tolist() == [3.0]
         values = np.ones(3)
         assert _check_reals("v", values) is values
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Dataset([[1.0] * 85, [1.0] * 84], [0, 1], [0, 1]), "features"),
+    (lambda: Dataset(np.zeros((2, 85)), [[0], [0, 1]], [0, 1]), "label"),
+    (lambda: Dataset(np.zeros((2, 85)), [0, 1], [[0], [0, 1]]), "participant id"),
+    (lambda: Dataset(np.zeros((2, 85)), [0, 1], [0, 1]).subset([[0], [0, 1]]), "subset indices"),
+    (lambda: predict(build_model(Rng(1), Topology.ONE_LAYER, XAVIER_NORMAL),
+                     [[1.0] * 85, [1.0] * 84]), "batch"),
+    (lambda: accumulate_confusion([[0], [0, 1]], [[0], [0, 1]]), "prediction"),
+    (lambda: accumulate_confusion([0, 1], [[0], [0, 1]]), "label"),
+    (lambda: summarize([[1] * 4] * 3 + [[1] * 3]), "confusion count"),
+], ids=["features", "labels", "participants", "subset", "predict", "confusion-preds",
+        "confusion-labels", "summarize"])
+def test_a_ragged_argument_is_a_validation_error(call, name):
+    # numpy refuses a ragged nested list with a bare ValueError; _check_ints
+    # and _check_reals name the argument instead
+    with pytest.raises(ValidationError, match=f"^{name} must be a rectangular array"):
+        call()
 
 
 class TestNormalRows:
