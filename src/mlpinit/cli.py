@@ -7,12 +7,13 @@ initializer variances), ``synth`` (write a synthetic CSV).
 Exit codes:
 
 - 0: success
-- 1: failed check: a ``suite`` cell failed (its error is in the outputs), or
-  ``grad-check`` found a relative error of at least 1e-4
+- 1: failed check: a ``suite`` cell's training failed (its error is in the
+  outputs), or ``grad-check`` found a relative error of at least 1e-4
 - 2: config error: a bad argument, or an output of ``run`` or ``suite`` that
   would overwrite ``--data``, the ``--out`` directory or another output
-- 3: data error: a missing or malformed CSV, or an ``--out`` or
-  ``--save-model`` directory that cannot be had, found before any training
+- 3: data error: a missing or malformed CSV, for ``suite`` as for ``run``,
+  or an ``--out`` or ``--save-model`` directory that cannot be had, found
+  before any training
 - 4: training diverged
 - 130: interrupted (SIGINT, as by Ctrl-C)
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -98,6 +100,20 @@ def _base_config(args, topology: Topology, family: Family) -> ExperimentConfig:
 _OUTPUT_NAMES = ("result.json", "report.txt", "result.csv")
 
 
+def _replace(path, write) -> None:
+    """Replace the file at ``path`` whole: ``write(tmp)`` writes a temporary
+    file beside it, which is then renamed over it, so an interrupt or error
+    leaves the old file or the new one, never a part, and no temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> None:
     texts = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -105,7 +121,7 @@ def _write_outputs(out_dir: str, payload: dict, report_text: str, csv_rows) -> N
         "\n".join(",".join(row) for row in csv_rows) + "\n",
     )
     for name, text in zip(_OUTPUT_NAMES, texts):
-        (Path(out_dir) / name).write_text(text, encoding="utf-8")
+        _replace(Path(out_dir) / name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _check_paths(args) -> None:
@@ -138,7 +154,7 @@ def _cmd_run(args) -> int:
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])
     )
     if args.save_model:
-        save_model(result.model, args.save_model)
+        _replace(args.save_model, lambda tmp: save_model(result.model, tmp))
     print(render_report([result]), end="")
     print(f"outputs written to {args.out}/ ({result.wall_time:.1f}s)")
     return 0

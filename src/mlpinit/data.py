@@ -32,6 +32,8 @@ N_FEATURES = len(FEATURE_NAMES)  # 85
 
 CSV_HEADER = ("participant", "label") + FEATURE_NAMES
 _HEADER_BYTES = ",".join(CSV_HEADER).encode()
+# A label cell's class names, as bytes, to their class indices.
+_LABEL_BYTES = {name.encode(): label for label, name in enumerate(LABEL_NAMES)}
 # The only bytes a data row may hold. int() and float() also take spaces,
 # tabs, "_" digit groups and non-ASCII digits, which no cell of the contract
 # holds.
@@ -98,9 +100,8 @@ class Dataset:
 
 
 def _parse_label(token: bytes, lineno: int) -> int:
-    names = [name.encode() for name in LABEL_NAMES]
-    if token in names:
-        return names.index(token)
+    if token in _LABEL_BYTES:
+        return _LABEL_BYTES[token]
     try:
         value = int(token)
     except ValueError:

@@ -169,7 +169,8 @@ class ExperimentResult:
 
 @dataclass
 class SuiteCell:
-    """One suite entry: a result, or the error that aborted just this cell."""
+    """One suite entry: a result, or the error that stopped this cell's
+    training, such as a divergence."""
 
     topology: Topology
     family: Family
@@ -304,18 +305,12 @@ def _run_task(task):
 
 def _load_dataset(config: ExperimentConfig, loaded: dict) -> Dataset:
     """The config's dataset. Each CSV path is parsed once per ``loaded``,
-    which keeps the path's dataset, or the error that parsing it raised."""
+    which keeps the path's dataset."""
     if config.csv_path is None:
         return synthesize_dataset(seed=derive_seed(config.seed, STREAM_DATA), **asdict(config.synthetic))
     if config.csv_path not in loaded:
-        try:
-            loaded[config.csv_path] = load_csv(config.csv_path)
-        except (MlpInitError, OSError) as exc:
-            loaded[config.csv_path] = exc
-    dataset = loaded[config.csv_path]
-    if isinstance(dataset, Exception):
-        raise dataset
-    return dataset
+        loaded[config.csv_path] = load_csv(config.csv_path)
+    return loaded[config.csv_path]
 
 
 def _prepare(config: ExperimentConfig, loaded: dict) -> tuple[Dataset, Dataset]:
@@ -328,53 +323,40 @@ def _prepare(config: ExperimentConfig, loaded: dict) -> tuple[Dataset, Dataset]:
     return trainval_std, test_std
 
 
-def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Exception]:
-    """Run each config end to end; per config its result, or the library or
-    OS error that stopped it.
+def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | MlpInitError]:
+    """Run each config end to end; per config its result, or the library
+    error of its lowest failing training task.
 
-    Every config's trainings are independent tasks, each drawing from its
-    own sub-stream: its LOO groups, then its final training. All tasks of
-    all configs go through one map, on a fork pool started once when more
-    than one CPU can take them. A config's error is that of its lowest
-    failing task. Each distinct CSV path is parsed once, and every config
-    that names it gets its dataset, or the error parsing gave.
+    Every config is prepared (loaded or synthesized, split and standardized)
+    before any training, and an error in preparing one is raised: it comes
+    from the data source or the cohort's shape, not from a config's seed.
+    Each distinct CSV path is parsed once. Every config's trainings are then
+    independent tasks, each drawing from its own sub-stream: its LOO groups,
+    then its final training. All tasks of all configs go through one map,
+    on a fork pool started once when more than one CPU can take them.
     """
     started = time.perf_counter()
-    tests, spans, tasks = [], [], []  # per config: its test split or error, its task indices
-    loaded = {}  # per CSV path, its dataset or error: each file is parsed once
-    for config in configs:
-        try:
-            trainval, test = _prepare(config, loaded)
-        except (MlpInitError, OSError) as exc:
-            tests.append(exc)
-            spans.append(range(0))
-            continue
-        features, labels = trainval.features, trainval.labels
-        first = len(tasks)
-        if config.loo_enabled:
-            loo_root = derive_seed(config.seed, STREAM_LOO)
-            tasks += [
-                (_loo_group, (config, features, labels, loo_root, start))
-                for start in range(0, len(labels), LOO_GROUP_SIZE)
-            ]
-        tasks.append((_final_training, (config, features, labels)))
-        tests.append(test)
-        spans.append(range(first, len(tasks)))
+    loaded = {}  # per CSV path, its dataset: each file is parsed once
+    splits = [_prepare(config, loaded) for config in configs]
     del loaded  # the trainings need only the splits, not the parsed files
+    tasks, counts = [], []  # counts: per config, its number of tasks
+    for config, (trainval, _) in zip(configs, splits):
+        features, labels = trainval.features, trainval.labels
+        starts = range(0, len(labels), LOO_GROUP_SIZE) if config.loo_enabled else range(0)
+        loo_root = derive_seed(config.seed, STREAM_LOO)
+        tasks += [(_loo_group, (config, features, labels, loo_root, start)) for start in starts]
+        tasks.append((_final_training, (config, features, labels)))
+        counts.append(len(starts) + 1)
 
-    outputs = list(_pool.fork_map(_run_task, tasks))
+    outputs = iter(list(_pool.fork_map(_run_task, tasks)))
 
     results = []
-    for config, test, span in zip(configs, tests, spans):
-        if isinstance(test, Exception):
-            results.append(test)
-            continue
-        done = [outputs[t] for t in span]
+    for config, (_, test), count in zip(configs, splits, counts):
+        *per_group, model = done = [next(outputs) for _ in range(count)]
         error = next((out for out in done if isinstance(out, Exception)), None)
         if error is not None:
             results.append(error)
             continue
-        *per_group, model = done
         loo_outcomes = [ok for outcomes in per_group for ok in outcomes] if config.loo_enabled else None
         results.append(ExperimentResult(
             config=config,
@@ -404,9 +386,11 @@ def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
     """Run all six (topology x family) cells with per-cell derived seeds.
 
     Each cell uses its published hyperparameter preset and the base config's
-    distribution variant, data source, epochs and protocol flags. A failing
-    cell is recorded with its error message; the other cells still run. The
-    cells' trainings share one worker pool.
+    distribution variant, data source, epochs and protocol flags. A data
+    source that cannot be loaded or split raises, as ``run_experiment``
+    does, before any training. A cell whose training fails is recorded with
+    its error message; the other cells still run. The cells' trainings share
+    one worker pool.
     """
     cells, configs = [], []
     for topology, family in SUITE_CELL_ORDER:
@@ -438,37 +422,22 @@ def _format_row(label: str, values: list[str], widths=(18, 11, 9, 10)) -> str:
 
 
 def render_report(results) -> str:
-    """Human-readable tables, one block per result, 2-decimal display."""
-    blocks = []
+    """Human-readable tables, one block per result, 2-decimal display: a
+    view of ``result_to_dict``."""
+    blocks, metrics = [], ("precision", "recall", "f1")
     for result in results:
-        cfg = result.config
-        title = (
-            f"{cfg.topology.value}-layer + {cfg.scheme.family.value.capitalize()} "
-            f"({cfg.scheme.dist.value}), seed {cfg.seed}"
-        )
+        out = result_to_dict(result)
+        cfg, holdout, loo = out["config"], out["holdout"], out["loo"]
+        title = f"{cfg['topology']}-layer + {cfg['family'].capitalize()} ({cfg['dist']}), seed {cfg['seed']}"
         lines = [f"=== {title} ===", _format_row("Depression Level", ["Precision", "Recall", "F1 score"])]
-        for name, metrics in zip(LABEL_NAMES, result.holdout.per_class):
+        average = {"class": "Average", **{m: holdout[f"macro_{m}"] for m in metrics}}
+        for entry in holdout["per_class"] + [average]:
+            lines.append(_format_row(entry["class"], [f"{entry[m]:.2f}" for m in metrics]))
+        lines.append(_format_row("Overall Accuracy", [f"{holdout['accuracy']:.2f}"]))
+        if loo is not None:
             lines.append(
-                _format_row(
-                    name,
-                    [f"{metrics.precision:.2f}", f"{metrics.recall:.2f}", f"{metrics.f1:.2f}"],
-                )
-            )
-        lines.append(
-            _format_row(
-                "Average",
-                [
-                    f"{result.holdout.macro_precision:.2f}",
-                    f"{result.holdout.macro_recall:.2f}",
-                    f"{result.holdout.macro_f1:.2f}",
-                ],
-            )
-        )
-        lines.append(_format_row("Overall Accuracy", [f"{result.holdout.accuracy:.2f}"]))
-        if result.loo_accuracy is not None:
-            lines.append(
-                f"LOO validation accuracy (diagnostic): {result.loo_accuracy:.2f} "
-                f"over {len(result.loo_outcomes)} folds"
+                f"LOO validation accuracy (diagnostic): {loo['mean_accuracy']:.2f} "
+                f"over {loo['n_folds']} folds"
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

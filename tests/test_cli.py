@@ -173,12 +173,14 @@ def test_init_stats_draws_below_one_is_a_config_error(draws, capsys):
     assert "draws must be >= 1" in capsys.readouterr().err
 
 
-def test_missing_data_file_exits_3(tmp_path):
-    code = cli.main(
-        ["run", "--topology", "1", "--init", "xavier", "--data",
-         str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]
-    )
-    assert code == 3
+def test_missing_data_file_exits_3(tmp_path, capsys):
+    # suite as run: the data source fails the whole call, before any output
+    for command in (["run", "--topology", "1", "--init", "xavier"], ["suite", "--no-loo"]):
+        out = tmp_path / command[0]
+        code = cli.main(command + ["--data", str(tmp_path / "missing.csv"), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
@@ -243,15 +245,55 @@ def test_csv_with_byte_order_mark_exits_3(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
-def test_suite_records_a_data_error_per_cell_and_exits_1(tmp_path):
+def test_suite_on_a_bad_csv_exits_3_and_writes_no_output(tmp_path, capsys):
     path = tmp_path / "cohort.csv"
     row = ",".join(["1", "None"] + ["1.0"] * 84 + ["nan"])
     path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
     code = cli.main(["suite", "--data", str(path), "--out", str(tmp_path / "o")])
-    assert code == 1
-    cells = json.loads((tmp_path / "o" / "result.json").read_text())["cells"]
-    assert len(cells) == 6
-    assert all(c["error"].startswith("ParseError: row 2, column 'st_22'") for c in cells)
+    assert code == 3
+    assert "row 2, column 'st_22'" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_suite_on_a_cohort_with_an_empty_class_exits_2_as_run_does(tmp_path, capsys):
+    # one record per participant: a class with no sample cannot be stratified
+    cohort = ["--synthetic", "--records", "1", "--no-loo", "--epochs", "1"]
+    errors = []
+    for command in (["run", "--topology", "1", "--init", "xavier"], ["suite"]):
+        out = tmp_path / command[0]
+        assert cli.main(command + cohort + ["--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error: class 'Mild' has 0 samples")
+
+
+def test_an_interrupted_write_leaves_each_output_whole_and_no_temporary(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["run", "--topology", "1", "--init", "xavier", "--synthetic", "--participants", "4",
+            "--records", "8", "--epochs", "2", "--no-loo"]
+    assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == 0
+    assert cli.main(argv + ["--seed", "2", "--out", str(tmp_path / "new")]) == 0
+    old = {path.name: path.read_bytes() for path in out.iterdir()}
+    new = {name: (tmp_path / "new" / name).read_bytes() for name in old}
+    assert sorted(old) == sorted(cli._OUTPUT_NAMES)
+    assert all(old[name] != new[name] for name in old)
+    real, writes = Path.write_text, []
+
+    def interrupted(path, text, *args, **kwargs):
+        # an interrupt cuts the second output's write off halfway
+        writes.append(path)
+        if len(writes) == 2:
+            real(path, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+        return real(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    assert cli.main(argv + ["--seed", "2", "--out", str(out)]) == 130
+    assert len(writes) == 2
+    assert sorted(path.name for path in out.iterdir()) == sorted(old)
+    for name in old:
+        assert (out / name).read_bytes() in (old[name], new[name]), name
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -452,3 +494,5 @@ def test_sigint_to_a_pooled_run_exits_130_with_no_traceback_and_no_worker_left(t
     assert run.returncode == 130, err
     assert err == "interrupted\n"
     assert all(reaped(pid) for pid in workers)
+    # the interrupt came during training, before any output was written
+    assert list((tmp_path / "out").iterdir()) == []

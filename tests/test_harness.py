@@ -611,14 +611,14 @@ class TestRunSuite:
         assert result_to_dict(alone) == result_to_dict(cell.result)
 
     def test_cell_errors_do_not_abort_suite(self, monkeypatch):
-        real = harness._load_dataset
+        real = harness._final_training
 
-        def flaky(config, loaded):
+        def flaky(config, features, labels):
             if config.topology is Topology.TWO_LAYER and config.scheme.family is Family.XAVIER:
                 raise ValidationError("injected failure")
-            return real(config, loaded)
+            return real(config, features, labels)
 
-        monkeypatch.setattr(harness, "_load_dataset", flaky)
+        monkeypatch.setattr(harness, "_final_training", flaky)
         cells = run_suite(small_config())
         failed = [c for c in cells if c.error is not None]
         assert len(failed) == 1
@@ -645,16 +645,17 @@ class TestRunSuite:
                 scheme=InitScheme(cell.family, config.scheme.dist), seed=cell.seed,
             ))
             assert result_to_dict(cell.result) == result_to_dict(alone)
-        # a bad or missing file gives every cell the error it gives alone
+        # a bad or missing file raises from the suite what it raises alone
         path.write_text("participant,label\n")
         for csv_path in (str(path), str(tmp_path / "missing.csv")):
             calls.clear()
             bad = replace(config, csv_path=csv_path)
-            cells = run_suite(bad)
+            with pytest.raises((FormatError, OSError)) as in_suite:
+                run_suite(bad)
             assert calls == [csv_path]
-            with pytest.raises((FormatError, OSError)) as raised:
+            with pytest.raises(in_suite.type) as alone:
                 run_experiment(bad)
-            assert [c.error for c in cells] == [f"{raised.type.__name__}: {raised.value}"] * 6
+            assert (alone.type, str(alone.value)) == (in_suite.type, str(in_suite.value))
 
     @needs_fork
     def test_worker_pool_matches_in_process_suite(self, monkeypatch):
