@@ -36,6 +36,7 @@ from .evaluation import (
     summarize,
 )
 from .harness import (
+    SUITE_CELLS,
     ExperimentConfig,
     ExperimentResult,
     SuiteCell,
@@ -74,6 +75,6 @@ from .network import (
     predict,
 )
 from .numerics import Rng, derive_seed, relu
-from .optimizer import Hyperparams, preset_hyperparams, sgd_step
+from .optimizer import Hyperparams, sgd_step
 
 __version__ = "0.1.0"

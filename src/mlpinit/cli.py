@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=ExperimentConfig.epochs)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
-        "--dist", choices=["normal", "uniform"], default="normal",
+        "--dist", choices=[d.value for d in DistKind], default="normal",
         help="initializer distribution variant",
     )
     parser.add_argument(
@@ -149,6 +150,7 @@ def _cmd_run(args) -> int:
         if Path(args.save_model).is_dir():
             raise IsADirectoryError(f"--save-model {args.save_model}: is a directory")
     Path(args.out).mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     result = run_experiment(config)
     _write_outputs(
         args.out, result_to_dict(result), render_report([result]), results_csv_rows([result])
@@ -156,7 +158,7 @@ def _cmd_run(args) -> int:
     if args.save_model:
         _replace(args.save_model, lambda tmp: save_model(result.model, tmp))
     print(render_report([result]), end="")
-    print(f"outputs written to {args.out}/ ({result.wall_time:.1f}s)")
+    print(f"outputs written to {args.out}/ ({time.perf_counter() - started:.1f}s)")
     return 0
 
 
@@ -237,7 +239,7 @@ def _cmd_init_stats(args) -> int:
 
 def _cmd_synth(args) -> int:
     dataset = synthesize_dataset(seed=args.seed, **asdict(_cohort(args)))
-    save_csv(dataset, args.out)
+    _replace(args.out, lambda tmp: save_csv(dataset, tmp))
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -250,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one (topology, initializer) experiment")
-    p_run.add_argument("--topology", type=int, choices=[1, 2, 3], required=True)
-    p_run.add_argument("--init", choices=["xavier", "kaiming"], required=True)
+    p_run.add_argument("--topology", type=int, choices=[t.value for t in Topology], required=True)
+    p_run.add_argument("--init", choices=[f.value for f in Family], required=True)
     _add_common_args(p_run)
     _add_data_args(p_run)
     p_run.add_argument("--save-model", metavar="PATH", help="also save the trained model")
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--epsilon", type=float, default=1e-5)
-    p_grad.add_argument("--dist", choices=["normal", "uniform"], default="normal")
+    p_grad.add_argument("--dist", choices=[d.value for d in DistKind], default="normal")
     p_grad.set_defaults(func=_cmd_grad_check)
 
     p_stats = sub.add_parser("init-stats", help="empirical initializer variances")

@@ -13,6 +13,7 @@ import io
 import math
 import string
 from array import array
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -198,15 +199,17 @@ def load_csv(path) -> Dataset:
     features = array("d")
     participants, labels = array("q"), array("q")
     n_lines, bad_line = 0, None
-    blocks = _pool.fork_map(_parse_csv_block, tasks)
-    for block_ids, block_labels, block_rows, block_lines, fault in blocks:
-        if bad_line is None:
+    # Closing the map at the first faulty block kills its workers, so no
+    # later block is parsed.
+    with closing(_pool.fork_map(_parse_csv_block, tasks)) as blocks:
+        for block_ids, block_labels, block_rows, block_lines, fault in blocks:
             participants.frombytes(block_ids)
             labels.frombytes(block_labels)
             features.frombytes(block_rows)
+            n_lines += block_lines
             if fault is not None:
-                bad_line = (n_lines + fault[0], fault[1])
-        n_lines += block_lines
+                bad_line = (n_lines - block_lines + fault[0], fault[1])
+                break
     if not n_lines:
         raise FormatError(f"{path}: file is empty")
     features = np.frombuffer(features).reshape(-1, N_FEATURES)

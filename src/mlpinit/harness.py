@@ -2,9 +2,10 @@
 
 ``run_experiment`` executes one (topology, initializer) configuration
 end-to-end and is fully determined by its config: every random choice comes
-from named sub-streams derived from the experiment seed. ``run_suite`` runs
-all six (topology x family) cells with per-cell seeds offset from a base
-seed, so each cell reproduces exactly when run alone with its derived seed.
+from named sub-streams derived from the experiment seed. ``SUITE_CELLS``
+lists the six (topology x family) cells, each with its published preset, in
+suite order. ``run_suite`` runs cell i with the base seed + 1000 * i, so each
+cell reproduces exactly when run alone with that seed.
 
 Leave-one-out runs as a diagnostic: it reports how often a model trained on
 all-but-one trainval record classifies the held-out record correctly. The
@@ -22,7 +23,6 @@ cells of a call that read the same CSV path share one parse of it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -65,7 +65,7 @@ from .network import (
     predict,
 )
 from .numerics import Rng, _check_ints, _permutations, derive_seed
-from .optimizer import Hyperparams, preset_hyperparams, sgd_step
+from .optimizer import Hyperparams, sgd_step
 
 # Named sub-streams of the experiment seed (see derive_seed).
 STREAM_DATA = 1
@@ -73,16 +73,17 @@ STREAM_SPLIT = 2
 STREAM_LOO = 3
 STREAM_FINAL = 4
 
-# Fixed per-cell seed offsets for the six-cell suite.
-SUITE_SEED_OFFSETS = {
-    (Topology.ONE_LAYER, Family.XAVIER): 0,
-    (Topology.ONE_LAYER, Family.KAIMING): 1000,
-    (Topology.TWO_LAYER, Family.XAVIER): 2000,
-    (Topology.TWO_LAYER, Family.KAIMING): 3000,
-    (Topology.THREE_LAYER, Family.XAVIER): 4000,
-    (Topology.THREE_LAYER, Family.KAIMING): 5000,
+# The suite's six cells in suite order, each with its published (batch
+# size, learning rate, momentum) preset. Cell i of a suite runs with the base
+# seed + 1000 * i.
+SUITE_CELLS = {
+    (Topology.ONE_LAYER, Family.XAVIER): Hyperparams(24, 0.0001, 0.6),
+    (Topology.ONE_LAYER, Family.KAIMING): Hyperparams(36, 0.0001, 0.6),
+    (Topology.TWO_LAYER, Family.XAVIER): Hyperparams(24, 0.006, 0.7),
+    (Topology.TWO_LAYER, Family.KAIMING): Hyperparams(36, 0.003, 0.7),
+    (Topology.THREE_LAYER, Family.XAVIER): Hyperparams(36, 0.006, 0.7),
+    (Topology.THREE_LAYER, Family.KAIMING): Hyperparams(36, 0.0002, 0.6),
 }
-SUITE_CELL_ORDER = tuple(SUITE_SEED_OFFSETS)
 
 # LOO folds trained together by one _train call. Larger groups spend less
 # Python time per fold step but hold more activations in memory at once.
@@ -144,7 +145,8 @@ class ExperimentConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
 
     def resolved_hyperparams(self) -> Hyperparams:
-        return preset_hyperparams(self.topology, self.scheme.family)
+        """The cell's published preset: ``SUITE_CELLS[(topology, family)]``."""
+        return SUITE_CELLS[(self.topology, self.scheme.family)]
 
     def describe(self) -> str:
         return (
@@ -155,10 +157,13 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """One experiment's outputs: the holdout report of ``model``, the
+    reported model, and the LOO outcomes, or None when LOO was off. It holds
+    no timing, so equal configs give equal results."""
+
     config: ExperimentConfig
     holdout: Report
     loo_outcomes: list[bool] | None
-    wall_time: float
     model: MlpModel = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
@@ -192,8 +197,9 @@ def _train(
     Model k trains on ``features[rows[k]]``: ``rngs[k]`` builds it, then draws
     a permutation of its rows each epoch, which it walks in minibatches with
     the last one short. All models have as many rows, so they share one batch
-    schedule. A non-finite loss names the epoch and the lowest diverged
-    model's entry in ``names``.
+    schedule. A non-finite loss raises DivergedTrainingError, naming the
+    epoch and the lowest diverged model's entry in ``names``; numpy's
+    overflow and invalid-value warnings on the way there are silenced.
     """
     hp = config.resolved_hyperparams()
     # The parameters, their velocity and the gradients are one flat vector
@@ -230,27 +236,30 @@ def _train(
         if size not in plans:
             plans[size] = ForwardPass(model, size, grad)
         schedule.append((start, start + size, plans[size]))
-    for epoch in range(config.epochs):
-        order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
-        for start, stop, plan in schedule:
-            idx = order[:, start:stop]
-            # mode="clip" gathers straight into the plan; the default
-            # "raise" buffers. The row maps were range-checked above.
-            features.take(idx, axis=0, out=plan.inputs[0], mode="clip")
-            one_hot.take(idx, axis=0, out=plan.one_hot, mode="clip")
-            plan._forward()
-            # Divergence check. A softmax row is either all NaN or all in
-            # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
-            # for p in [0, 1], so a model's loss is non-finite exactly when
-            # its probabilities hold a NaN, which makes their sum NaN.
-            if not math.isfinite(plan.probs.sum()):
-                finite = np.isfinite(plan.probs.sum(axis=(1, 2)))
-                raise DivergedTrainingError(
-                    f"non-finite loss at epoch {epoch + 1} "
-                    f"({config.describe()}, {names[int(np.argmin(finite))]})"
-                )
-            plan._backward()
-            sgd_step(params, velocity, grad, hp)
+    # A diverging model overflows before its loss is checked: the check
+    # below, not a numpy warning, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = np.take_along_axis(rows, _permutations(rngs, n), axis=1)
+            for start, stop, plan in schedule:
+                idx = order[:, start:stop]
+                # mode="clip" gathers straight into the plan; the default
+                # "raise" buffers. The row maps were range-checked above.
+                features.take(idx, axis=0, out=plan.inputs[0], mode="clip")
+                one_hot.take(idx, axis=0, out=plan.one_hot, mode="clip")
+                plan._forward()
+                # Divergence check. A softmax row is either all NaN or all in
+                # [0, 1], and the clamped loss -log(max(p, 1e-15)) is finite
+                # for p in [0, 1], so a model's loss is non-finite exactly when
+                # its probabilities hold a NaN, which makes their sum NaN.
+                if not math.isfinite(plan.probs.sum()):
+                    finite = np.isfinite(plan.probs.sum(axis=(1, 2)))
+                    raise DivergedTrainingError(
+                        f"non-finite loss at epoch {epoch + 1} "
+                        f"({config.describe()}, {names[int(np.argmin(finite))]})"
+                    )
+                plan._backward()
+                sgd_step(params, velocity, grad, hp)
     return model
 
 
@@ -333,9 +342,10 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Mlp
     Each distinct CSV path is parsed once. Every config's trainings are then
     independent tasks, each drawing from its own sub-stream: its LOO groups,
     then its final training. All tasks of all configs go through one map,
-    on a fork pool started once when more than one CPU can take them.
+    on a fork pool started once when more than one CPU can take them. The
+    final models are scored here; one whose last step diverged raises
+    DivergedTrainingError in ``predict``, which is its config's error.
     """
-    started = time.perf_counter()
     loaded = {}  # per CSV path, its dataset: each file is parsed once
     splits = [_prepare(config, loaded) for config in configs]
     del loaded  # the trainings need only the splits, not the parsed files
@@ -354,17 +364,16 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[ExperimentResult | Mlp
     for config, (_, test), count in zip(configs, splits, counts):
         *per_group, model = done = [next(outputs) for _ in range(count)]
         error = next((out for out in done if isinstance(out, Exception)), None)
+        if error is None:
+            try:
+                holdout = summarize(accumulate_confusion(predict(model, test.features), test.labels))
+            except DivergedTrainingError as exc:
+                error = exc
         if error is not None:
             results.append(error)
             continue
         loo_outcomes = [ok for outcomes in per_group for ok in outcomes] if config.loo_enabled else None
-        results.append(ExperimentResult(
-            config=config,
-            holdout=summarize(accumulate_confusion(predict(model, test.features), test.labels)),
-            loo_outcomes=loo_outcomes,
-            wall_time=time.perf_counter() - started,
-            model=model,
-        ))
+        results.append(ExperimentResult(config, holdout, loo_outcomes, model))
     return results
 
 
@@ -383,7 +392,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
-    """Run all six (topology x family) cells with per-cell derived seeds.
+    """Run the six cells of ``SUITE_CELLS`` in order, cell i with the base
+    seed + 1000 * i.
 
     Each cell uses its published hyperparameter preset and the base config's
     distribution variant, data source, epochs and protocol flags. A data
@@ -393,8 +403,8 @@ def run_suite(base_config: ExperimentConfig) -> list[SuiteCell]:
     one worker pool.
     """
     cells, configs = [], []
-    for topology, family in SUITE_CELL_ORDER:
-        seed = base_config.seed + SUITE_SEED_OFFSETS[(topology, family)]
+    for i, (topology, family) in enumerate(SUITE_CELLS):
+        seed = base_config.seed + 1000 * i
         cells.append(SuiteCell(topology=topology, family=family, seed=seed))
         configs.append(replace(
             base_config,
@@ -468,7 +478,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
-    """Full-precision JSON-ready view; excludes wall time so reruns are byte-identical."""
+    """Full-precision JSON-ready view of all but the model; reruns are byte-identical."""
     out = {
         "config": config_to_dict(result.config),
         "holdout": report_to_dict(result.holdout),

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .data import N_CLASSES, N_FEATURES
-from .errors import ShapeError, ValidationError, _check_real
+from .errors import DivergedTrainingError, ShapeError, ValidationError, _check_real
 from .initializers import InitScheme, initialize
 from .numerics import Rng, _check_ints, _check_reals, _cross_entropy, _Softmax
 
@@ -302,8 +302,17 @@ def backward(fwd: ForwardPass, labels) -> Gradients:
 
 
 def predict(model: MlpModel, batch) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(forward(model, batch).probs, axis=-1)
+    """Argmax class per row; ties resolve to the lowest class index.
+
+    Raises DivergedTrainingError if a probability is not finite, as for a
+    model whose parameters overflowed in training: a NaN row has no class.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = forward(model, batch).probs
+    # a softmax row is all NaN or all in [0, 1] (see harness._train)
+    if not math.isfinite(probs.sum()):
+        raise DivergedTrainingError("non-finite class probabilities: the model has diverged")
+    return np.argmax(probs, axis=-1)
 
 
 def grad_check(model: MlpModel, batch, labels, epsilon: float = 1e-5) -> float:

@@ -1,4 +1,4 @@
-"""SGD with classic (Polyak) momentum and the per-configuration presets.
+"""SGD with classic (Polyak) momentum.
 
 The update is ``v <- m * v + g`` then ``theta <- theta - lr * v``: no Nesterov
 lookahead, no (1 - m) dampening. With momentum 0 it reduces exactly to vanilla
@@ -13,8 +13,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import ShapeError, ValidationError, _check_types
-from .initializers import Family
-from .network import Topology
 
 
 @dataclass(frozen=True)
@@ -35,22 +33,6 @@ class Hyperparams:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
-
-
-# Tuned (batch size, learning rate, momentum) per topology x family.
-_PRESETS = {
-    (Topology.ONE_LAYER, Family.XAVIER): Hyperparams(24, 0.0001, 0.6),
-    (Topology.TWO_LAYER, Family.XAVIER): Hyperparams(24, 0.006, 0.7),
-    (Topology.THREE_LAYER, Family.XAVIER): Hyperparams(36, 0.006, 0.7),
-    (Topology.ONE_LAYER, Family.KAIMING): Hyperparams(36, 0.0001, 0.6),
-    (Topology.TWO_LAYER, Family.KAIMING): Hyperparams(36, 0.003, 0.7),
-    (Topology.THREE_LAYER, Family.KAIMING): Hyperparams(36, 0.0002, 0.6),
-}
-
-
-def preset_hyperparams(topology: Topology, family: Family) -> Hyperparams:
-    """The published preset for one (topology, initializer family) cell."""
-    return _PRESETS[(topology, family)]
 
 
 def sgd_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, hp: Hyperparams) -> None:

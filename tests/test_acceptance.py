@@ -16,7 +16,7 @@ from conftest import run_python
 
 from mlpinit.data import N_CLASSES, holdout_split, loo_splits, synthesize_dataset
 from mlpinit.evaluation import accumulate_confusion, summarize
-from mlpinit.harness import ExperimentConfig, SyntheticSpec, run_experiment
+from mlpinit.harness import SUITE_CELLS, ExperimentConfig, SyntheticSpec, run_experiment
 from mlpinit.initializers import (
     ALL_SCHEMES,
     KAIMING_NORMAL,
@@ -30,7 +30,6 @@ from mlpinit.initializers import (
 )
 from mlpinit.network import Topology, build_model, grad_check
 from mlpinit.numerics import Rng, relu
-from mlpinit.optimizer import preset_hyperparams
 
 
 def test_criterion_1_initializer_variance():
@@ -158,7 +157,7 @@ def test_criterion_5_published_presets():
         (3, "kaiming"): (36, 0.0002, 0.6),
     }
     for (layers, family), (bs, lr, m) in expected.items():
-        hp = preset_hyperparams(Topology(layers), Family(family))
+        hp = SUITE_CELLS[(Topology(layers), Family(family))]
         assert hp.batch_size == bs
         assert hp.learning_rate == lr
         assert hp.momentum == m

@@ -12,6 +12,7 @@ import pytest
 from conftest import SRC, needs_fork, reaped, run_python
 
 import mlpinit.cli as cli
+from mlpinit import _pool, data
 from mlpinit.data import CSV_HEADER, load_csv
 from mlpinit.errors import DivergedTrainingError
 
@@ -294,6 +295,28 @@ def test_an_interrupted_write_leaves_each_output_whole_and_no_temporary(tmp_path
     assert sorted(path.name for path in out.iterdir()) == sorted(old)
     for name in old:
         assert (out / name).read_bytes() in (old[name], new[name]), name
+
+
+def test_an_interrupted_synth_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "cohort.csv"
+    argv = ["synth", "--out", str(path), "--participants", "32"]  # 384 rows: three blocks
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    old = path.read_bytes()
+    real, calls = data._format_csv_block, []
+
+    def interrupted(block):
+        # an interrupt arrives while the second block is formatted
+        calls.append(block)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(block)
+
+    monkeypatch.setattr(_pool, "workers", lambda n_tasks: 1)
+    monkeypatch.setattr(data, "_format_csv_block", interrupted)
+    assert cli.main(argv + ["--seed", "2"]) == 130
+    assert len(calls) == 2
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_bad_config_exits_2(tmp_path):

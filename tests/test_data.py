@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import needs_fork, run_python
+from conftest import needs_fork, reaped, run_python
 
 from mlpinit import _pool, data
 from mlpinit.data import (
@@ -546,6 +546,37 @@ class TestCsvPool:
         # each of the 13 rows once, and the faulty one again to name its row
         assert marks.count("r") == 14
         assert len(forks) == 2  # one pool
+
+    @needs_fork
+    def test_a_fault_in_the_first_block_ends_the_map(self, tmp_path, monkeypatch, forks):
+        # three blocks, the first of which holds a bad cell on line 3
+        path = tmp_path / "cohort.csv"
+        reference_save_csv(tiny_dataset(12), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[2].split(b",")
+        cells[2] = b"oops"
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        n_blocks = 3
+        monkeypatch.setattr(data, "_CSV_BLOCK_BYTES", path.stat().st_size // n_blocks)
+        real, calls = data._parse_csv_block, []
+
+        def counted(task):
+            calls.append(task)
+            return real(task)
+
+        monkeypatch.setattr(data, "_parse_csv_block", counted)
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
+            calls.clear()
+            forks.clear()
+            with pytest.raises(ParseError, match=f"row 3.*{FEATURE_NAMES[0]}"):
+                load_csv(path)
+            if workers == 1:
+                # in-process: the blocks after the faulty one are never parsed
+                assert [start for _, start, _ in calls] == [0]
+            else:
+                assert len(forks) == 2 and all(reaped(pid) for pid in forks)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_one_cpu_or_a_daemonic_worker_stays_in_process(self, tmp_path, monkeypatch, forks):

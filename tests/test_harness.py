@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -25,7 +26,7 @@ from mlpinit.errors import (
 from mlpinit.evaluation import summarize
 from mlpinit.harness import (
     STREAM_SPLIT,
-    SUITE_SEED_OFFSETS,
+    SUITE_CELLS,
     ExperimentConfig,
     ExperimentResult,
     SyntheticSpec,
@@ -50,7 +51,7 @@ from mlpinit.initializers import (
 )
 from mlpinit.network import Topology, backward, build_model, forward, predict
 from mlpinit.numerics import Rng, derive_seed
-from mlpinit.optimizer import Hyperparams, preset_hyperparams, sgd_step
+from mlpinit.optimizer import Hyperparams, sgd_step
 
 
 # Minor page faults of one full lockstep group's _train at 10 and at 40 epochs,
@@ -198,9 +199,9 @@ class TestRunExperiment:
 
     def test_preset_hyperparams_used_by_default(self):
         result = run_experiment(small_config())
-        assert result.config.resolved_hyperparams() == preset_hyperparams(
-            Topology.TWO_LAYER, Family.KAIMING
-        )
+        assert result.config.resolved_hyperparams() == SUITE_CELLS[
+            (Topology.TWO_LAYER, Family.KAIMING)
+        ]
 
     def test_holdout_rows_never_enter_training(self, monkeypatch):
         captured = []
@@ -296,22 +297,32 @@ class TestRunExperiment:
         assert mapped.loo_outcomes == raw.loo_outcomes
 
     def test_divergence_raises_with_epoch_and_config(self, monkeypatch):
-        monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 1e308, 0.6))
+        monkeypatch.setattr(
+            ExperimentConfig, "resolved_hyperparams", lambda self: Hyperparams(8, 1e308, 0.6)
+        )
         config = small_config(epochs=3, seed=2)
-        with np.errstate(all="ignore"), pytest.raises(
-            DivergedTrainingError, match=r"epoch \d+.*2-layer.*final training"
-        ):
+        with pytest.raises(DivergedTrainingError, match=r"epoch \d+.*2-layer.*final training"):
             run_experiment(config)
         messages = []
         for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
             monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
-            with np.errstate(all="ignore"), pytest.raises(
-                DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+"
-            ) as raised:
+            with pytest.raises(DivergedTrainingError, match=r"epoch \d+.*2-layer.*LOO fold \d+") as raised:
                 run_experiment(replace(config, loo_enabled=True))
             messages.append(str(raised.value))
             assert multiprocessing.active_children() == []
         assert messages[0] == messages[-1]
+
+    @pytest.mark.parametrize("loo_enabled", [False, True], ids=["final", "loo"])
+    def test_a_model_diverged_by_its_last_step_is_not_scored(self, monkeypatch, loo_enabled):
+        # One epoch of one batch larger than trainval: one step, and no
+        # forward pass in training after it. Only the scoring sees the
+        # overflowed parameters, and predict raises instead of reading its
+        # NaN rows as class 0.
+        monkeypatch.setattr(
+            ExperimentConfig, "resolved_hyperparams", lambda self: Hyperparams(1000, 1e300, 0.0)
+        )
+        with pytest.raises(DivergedTrainingError, match="non-finite class probabilities"):
+            run_experiment(small_config(epochs=1, loo_enabled=loo_enabled))
 
     @needs_fork
     def test_worker_pool_matches_in_process_loo(self, monkeypatch):
@@ -455,7 +466,9 @@ class TestRunExperiment:
         features = Rng(3).normal(n * 85).reshape(n, 85)
         labels = np.arange(n) % 4
         # 5 steps per epoch over 39 rows
-        monkeypatch.setattr(harness, "preset_hyperparams", lambda *cell: Hyperparams(8, 0.01, 0.6))
+        monkeypatch.setattr(
+            ExperimentConfig, "resolved_hyperparams", lambda self: Hyperparams(8, 0.01, 0.6)
+        )
         for folds in (1, 3):
             counted = []
             for epochs in (1, 3):
@@ -581,15 +594,28 @@ class TestRunExperiment:
 
 
 class TestRunSuite:
+    def test_cell_table_holds_the_published_presets_in_suite_order(self):
+        # all 18 published values: (topology, family) -> (bs, lr, momentum)
+        published = {
+            (Topology.ONE_LAYER, Family.XAVIER): Hyperparams(24, 0.0001, 0.6),
+            (Topology.TWO_LAYER, Family.XAVIER): Hyperparams(24, 0.006, 0.7),
+            (Topology.THREE_LAYER, Family.XAVIER): Hyperparams(36, 0.006, 0.7),
+            (Topology.ONE_LAYER, Family.KAIMING): Hyperparams(36, 0.0001, 0.6),
+            (Topology.TWO_LAYER, Family.KAIMING): Hyperparams(36, 0.003, 0.7),
+            (Topology.THREE_LAYER, Family.KAIMING): Hyperparams(36, 0.0002, 0.6),
+        }
+        assert list(SUITE_CELLS) == list(itertools.product(Topology, Family))
+        assert SUITE_CELLS == published
+
     def test_six_cells_in_fixed_order_with_presets(self):
         cells = run_suite(small_config())
-        assert [(c.topology, c.family) for c in cells] == list(SUITE_SEED_OFFSETS)
-        for cell in cells:
+        assert [(c.topology, c.family) for c in cells] == list(SUITE_CELLS)
+        for i, cell in enumerate(cells):
             assert cell.error is None
-            assert cell.seed == 13 + SUITE_SEED_OFFSETS[(cell.topology, cell.family)]
-            assert cell.result.config.resolved_hyperparams() == preset_hyperparams(
-                cell.topology, cell.family
-            )
+            assert cell.seed == 13 + 1000 * i
+            assert cell.result.config.resolved_hyperparams() == SUITE_CELLS[
+                (cell.topology, cell.family)
+            ]
 
     def test_suite_rerun_is_identical(self):
         a = suite_to_dict(13, run_suite(small_config()))
@@ -692,20 +718,19 @@ class TestRunSuite:
         assert done.stdout.split() == ["False", "False"]
 
     def test_diverging_cell_fails_alone(self, monkeypatch):
-        real = harness.preset_hyperparams
+        real = ExperimentConfig.resolved_hyperparams
 
-        def preset(topology, family):
-            hp = real(topology, family)
-            if (topology, family) == (Topology.TWO_LAYER, Family.XAVIER):
+        def preset(config):
+            hp = real(config)
+            if (config.topology, config.scheme.family) == (Topology.TWO_LAYER, Family.XAVIER):
                 return replace(hp, learning_rate=1e308)
             return hp
 
-        monkeypatch.setattr(harness, "preset_hyperparams", preset)
+        monkeypatch.setattr(ExperimentConfig, "resolved_hyperparams", preset)
         errors = []
         for workers in (1, 2) if HAS_FORK else (1,):  # in-process, then the pool
             monkeypatch.setattr(_pool, "workers", lambda n_tasks: workers)
-            with np.errstate(all="ignore"):
-                cells = run_suite(small_config(loo_enabled=True))
+            cells = run_suite(small_config(loo_enabled=True))
             failed = [c for c in cells if c.error is not None]
             assert [(c.topology, c.family) for c in failed] == [(Topology.TWO_LAYER, Family.XAVIER)]
             assert re.fullmatch(
@@ -716,6 +741,20 @@ class TestRunSuite:
             assert multiprocessing.active_children() == []
             errors.append(failed[0].error)
         assert errors[0] == errors[-1]
+
+    def test_a_cell_diverged_by_its_last_step_fails_alone(self, monkeypatch):
+        # one step per training (see test_a_model_diverged_by_its_last_step_is_not_scored)
+        def preset(config):
+            if (config.topology, config.scheme.family) == (Topology.TWO_LAYER, Family.XAVIER):
+                return Hyperparams(1000, 1e300, 0.0)
+            return SUITE_CELLS[(config.topology, config.scheme.family)]
+
+        monkeypatch.setattr(ExperimentConfig, "resolved_hyperparams", preset)
+        cells = run_suite(small_config(epochs=1))
+        failed = [c for c in cells if c.error is not None]
+        assert [(c.topology, c.family) for c in failed] == [(Topology.TWO_LAYER, Family.XAVIER)]
+        assert failed[0].error.startswith("DivergedTrainingError: non-finite class probabilities")
+        assert sum(c.result is not None for c in cells) == 5
 
     @needs_fork
     def test_dead_worker_changes_no_cell(self, monkeypatch, forks):
@@ -776,7 +815,7 @@ class TestRendering:
         report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
-            loo_outcomes=None, wall_time=0.0,
+            loo_outcomes=None,
         )
         text = render_report([result])
         assert "0.00" in text
@@ -788,7 +827,7 @@ class TestRendering:
         report = summarize(confusion_from_counts(counts))
         result = ExperimentResult(
             config=small_config(), holdout=report,
-            loo_outcomes=None, wall_time=0.0,
+            loo_outcomes=None,
         )
         assert "0.60" in render_report([result])
 

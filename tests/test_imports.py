@@ -126,3 +126,19 @@ def test_only_numerics_decides_what_an_array_dtype_is():
              for path in MODULES}
     assert calls["numerics"] > 0
     assert {stem: n for stem, n in calls.items() if n and stem != "numerics"} == {}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports from (``from .errors import ...``)."""
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_only_harness_knows_the_suite_cells():
+    # harness.SUITE_CELLS is the one table of cells and presets: the
+    # optimizer knows no topology or initializer, and no other module
+    # makes a Hyperparams.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert package_imports(trees["optimizer"]) == {"errors"}
+    calls = {stem: calls_of(tree, "Hyperparams") for stem, tree in trees.items()}
+    assert calls["harness"] > 0
+    assert {stem: n for stem, n in calls.items() if n and stem != "harness"} == {}

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mlpinit.errors import ShapeError, ValidationError
+from mlpinit.harness import SUITE_CELLS
 from mlpinit.initializers import Family
 from mlpinit.network import Topology
 from mlpinit.numerics import Rng
-from mlpinit.optimizer import Hyperparams, preset_hyperparams, sgd_step
+from mlpinit.optimizer import Hyperparams, sgd_step
 
 
 def normal_array(rng, shape):
@@ -25,7 +26,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("cell", list(EXPECTED), ids=lambda c: f"{c[0].value}L-{c[1].value}")
     def test_preset_values_exact(self, cell):
-        hp = preset_hyperparams(*cell)
+        hp = SUITE_CELLS[cell]
         bs, lr, m = self.EXPECTED[cell]
         assert hp.batch_size == bs
         assert hp.learning_rate == lr
