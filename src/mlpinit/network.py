@@ -309,7 +309,7 @@ def predict(model: MlpModel, batch) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probs = forward(model, batch).probs
-    # a softmax row is all NaN or all in [0, 1] (see harness._train)
+    # a softmax row is all NaN or all in [0, 1]: the sum is finite exactly when every entry is
     if not math.isfinite(probs.sum()):
         raise DivergedTrainingError("non-finite class probabilities: the model has diverged")
     return np.argmax(probs, axis=-1)

@@ -129,8 +129,13 @@ def test_only_numerics_decides_what_an_array_dtype_is():
 
 
 def package_imports(tree: ast.Module) -> set[str]:
-    """The package modules a module imports from (``from .errors import ...``)."""
-    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    """The package modules a module imports, as ``from .errors import ...``
+    or ``from . import _pool``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
 
 
 def test_only_harness_knows_the_suite_cells():
